@@ -1,19 +1,17 @@
-"""Engine hot-path microbenchmarks (events/sec).
+"""Engine hot-path microbenchmark (events/sec).
 
-Run with ``pytest benchmarks/perf --benchmark-only``. These measure the
+Run with ``pytest benchmarks/perf --benchmark-only``. This measures the
 simulator *host* cost, not simulated results; the reproduced science
 lives in ``benchmarks/test_fig*``.
 """
-
-import pytest
 
 from repro.sim.engine import Engine
 
 N_EVENTS = 50_000
 
 
-def _churn(event_pool: bool) -> Engine:
-    eng = Engine(event_pool=event_pool)
+def _churn() -> Engine:
+    eng = Engine()
     remaining = [N_EVENTS]
 
     def tick():
@@ -27,39 +25,7 @@ def _churn(event_pool: bool) -> Engine:
     return eng
 
 
-@pytest.mark.parametrize("event_pool", [True, False], ids=["pooled", "unpooled"])
-def test_event_churn_rate(benchmark, event_pool):
-    eng = benchmark(_churn, event_pool)
+def test_event_churn_rate(benchmark):
+    eng = benchmark(_churn)
     assert eng.events_fired >= N_EVENTS
     benchmark.extra_info["events_fired"] = eng.events_fired
-    benchmark.extra_info["pool_reuses"] = eng.pool_reuses
-
-
-def test_periodic_timer_coalesced(benchmark):
-    def run():
-        eng = Engine()
-        timer = eng.schedule_periodic(1_000, lambda: None)
-        eng.run_until(1_000 * N_EVENTS)
-        timer.stop()
-        return eng
-
-    eng = benchmark(run)
-    assert eng.events_fired == N_EVENTS
-
-
-def test_periodic_naive_reschedule(benchmark):
-    def run():
-        eng = Engine()
-        fired = [0]
-
-        def tick():
-            fired[0] += 1
-            if fired[0] < N_EVENTS:
-                eng.schedule(1_000, tick)
-
-        eng.schedule(1_000, tick)
-        eng.run()
-        return eng
-
-    eng = benchmark(run)
-    assert eng.events_fired == N_EVENTS

@@ -12,14 +12,13 @@ scheduling operation and every fired event:
 * ``Engine.step`` is never re-entered from inside an event callback
   (models must schedule follow-up work, not recursively drain the queue).
 
-The checker monkey-wraps the engine's ``step``/``schedule``/
-``schedule_at`` bound methods so the engine itself stays branch-free on
-the hot path when the sanitizer is off (``Engine.run`` and
-``Engine.schedule`` are fully inlined fast paths; the engine detects the
-instance-level ``step`` shadow and falls back to per-event dispatch, and
-``schedule`` is shadowed here directly). Enable it per-process with
-``REPRO_SANITIZE=1`` or the CLI's ``--sanitize`` flag (see
-``repro.hw.machine``).
+The checker shadows the engine's ``step`` and ``schedule`` bound methods
+on the instance, so the engine itself stays branch-free on the hot path
+when the sanitizer is off. ``Engine.schedule_at`` forwards to
+``schedule`` and so is checked too; ``Engine.run``/``run_until`` detect
+the ``step`` shadow and fire every event through it instead of through
+the inline drain. Enable it per-process with ``REPRO_SANITIZE=1`` or
+the CLI's ``--sanitize`` flag (see ``repro.hw.machine``).
 """
 
 from __future__ import annotations
@@ -48,29 +47,29 @@ class InvariantChecker:
         self._in_step = False
         self._orig_step: Callable[[], bool] = engine.step
         self._orig_schedule = engine.schedule
-        self._orig_schedule_at = engine.schedule_at
         # Shadow the bound methods on the instance.
         engine.step = self._checked_step  # type: ignore[method-assign]
         engine.schedule = self._checked_schedule  # type: ignore[method-assign]
-        engine.schedule_at = self._checked_schedule_at  # type: ignore[method-assign]
         engine.sanitizer = self  # type: ignore[attr-defined]
 
     # -- wrappers ----------------------------------------------------------
 
-    def _checked_schedule_at(
-        self, time: int, fn: Callable, *args: Any, priority: int = PRIO_DEFAULT
+    def _checked_schedule(
+        self, delay: int, fn: Callable, *args: Any, priority: int = PRIO_DEFAULT
     ) -> Event:
         self.checks += 1
+        now = self.engine.now
+        time = now + delay
         if not isinstance(time, int):
             raise SimulationError(
                 f"non-integer timestamp {time!r} scheduled (timestamps are "
                 "integer picoseconds)"
             )
-        if time < self.engine.now:
+        if delay < 0:
             raise SimulationError(
-                f"sanitizer: schedule into the past (t={time} < now={self.engine.now})"
+                f"sanitizer: schedule into the past (t={time} < now={now})"
             )
-        ev = self._orig_schedule_at(time, fn, *args, priority=priority)
+        ev = self._orig_schedule(delay, fn, *args, priority=priority)
         qlen = len(self.engine._queue)
         if qlen > self.high_watermark:
             self.high_watermark = qlen
@@ -80,21 +79,6 @@ class InvariantChecker:
                 f"({qlen} > {self.max_queue}); likely a runaway scheduling loop"
             )
         return ev
-
-    def _checked_schedule(
-        self, delay: int, fn: Callable, *args: Any, priority: int = PRIO_DEFAULT
-    ) -> Event:
-        # ``Engine.schedule`` no longer routes through ``schedule_at`` (it
-        # inlines the push), so the relative entry point needs its own
-        # shadow. Reuse the engine's own error message for the past check,
-        # then funnel through the absolute-time wrapper for the non-int
-        # timestamp and queue-watermark checks.
-        self.checks += 1
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._checked_schedule_at(
-            self.engine.now + delay, fn, *args, priority=priority
-        )
 
     def _checked_step(self) -> bool:
         self.checks += 1
@@ -131,7 +115,6 @@ class InvariantChecker:
         """Restore the engine's unwrapped methods."""
         self.engine.step = self._orig_step  # type: ignore[method-assign]
         self.engine.schedule = self._orig_schedule  # type: ignore[method-assign]
-        self.engine.schedule_at = self._orig_schedule_at  # type: ignore[method-assign]
         if getattr(self.engine, "sanitizer", None) is self:
             self.engine.sanitizer = None  # type: ignore[attr-defined]
 

@@ -9,15 +9,22 @@ science. This package provides:
 
 * :class:`~repro.exec.jobs.SimJob` — a picklable descriptor of one cell;
 * :func:`~repro.exec.jobs.execute_job` — the worker-side dispatcher;
-* :class:`~repro.exec.runner.ParallelRunner` — the pool, with results
-  merged in *job order* (never completion order), so a parallel campaign
-  is bit-identical to a serial one;
+* :class:`~repro.exec.runner.ParallelRunner` — one cached process pool
+  per worker count, with results merged in *job order* (never completion
+  order), so a parallel campaign is bit-identical to a serial one; a
+  dead worker raises :class:`~repro.exec.runner.WorkerCrashError` naming
+  the unfinished cells instead of hanging;
 * :mod:`~repro.exec.bench` — the ``repro bench`` harness that proves it.
 """
 
 from repro.exec.jobs import SimJob, execute_job, job_kinds
-from repro.exec.runner import ParallelRunner, default_jobs, resolve_jobs
-from repro.exec.warm import WarmPool, get_warm_pool, shutdown_warm_pools, warm_pool_stats
+from repro.exec.runner import (
+    ParallelRunner,
+    WorkerCrashError,
+    default_jobs,
+    resolve_jobs,
+    shutdown_executors,
+)
 
 __all__ = [
     "SimJob",
@@ -26,8 +33,6 @@ __all__ = [
     "ParallelRunner",
     "default_jobs",
     "resolve_jobs",
-    "WarmPool",
-    "get_warm_pool",
-    "shutdown_warm_pools",
-    "warm_pool_stats",
+    "shutdown_executors",
+    "WorkerCrashError",
 ]

@@ -2,10 +2,9 @@
 
 Three layers of benchmark, mirroring where the optimisations live:
 
-* **engine microbenchmarks** — raw events/sec with the free-list pool on
-  vs off, the coalesced :class:`~repro.sim.engine.PeriodicTimer` vs the
-  naive reschedule-per-fire pattern, and the incremental batched trace
-  digest vs a legacy full re-hash;
+* **engine microbenchmarks** — raw events/sec of a self-rescheduling
+  churn, and the incremental batched trace digest vs a legacy full
+  re-hash;
 * **figure wall-clock** — how long each paper figure takes end to end;
 * **parallel speedup** — the same campaign at ``--jobs 1`` vs ``--jobs N``
   (identical results by construction; only the wall-clock moves).
@@ -53,12 +52,12 @@ def _timed(fn: Callable[[], Any]) -> Tuple[Any, float]:
 _BENCH_ROUNDS = 3
 
 
-def bench_engine_events(n_events: int, *, event_pool: bool) -> Dict[str, Any]:
+def bench_engine_events(n_events: int) -> Dict[str, Any]:
     """Self-rescheduling churn: ``n_events`` schedule+fire round trips,
     best of :data:`_BENCH_ROUNDS` rounds."""
 
     def one_round() -> Tuple[Engine, float]:
-        eng = Engine(event_pool=event_pool)
+        eng = Engine()
         remaining = [n_events]
 
         def tick():
@@ -77,46 +76,10 @@ def bench_engine_events(n_events: int, *, event_pool: bool) -> Dict[str, Any]:
         if secs_r < seconds:
             eng, seconds = eng_r, secs_r
     return {
-        "event_pool": event_pool,
         "events_fired": eng.events_fired,
         "seconds": seconds,
         "rounds": _BENCH_ROUNDS,
         "events_per_sec": eng.events_fired / seconds if seconds else 0.0,
-        "pool_reuses": eng.pool_reuses,
-    }
-
-
-def bench_periodic(n_fires: int) -> Dict[str, Any]:
-    """Coalesced PeriodicTimer vs naive schedule-per-fire, same fire count."""
-
-    def coalesced():
-        eng = Engine()
-        timer = eng.schedule_periodic(_TICK_PS, lambda: None)
-        eng.run_until(_TICK_PS * n_fires)
-        timer.stop()
-        return eng
-
-    def naive():
-        eng = Engine()
-        fired = [0]
-
-        def tick():
-            fired[0] += 1
-            if fired[0] < n_fires:
-                eng.schedule(_TICK_PS, tick)
-
-        eng.schedule(_TICK_PS, tick)
-        eng.run()
-        return eng
-
-    eng_c, sec_c = _timed(coalesced)
-    eng_n, sec_n = _timed(naive)
-    return {
-        "fires": n_fires,
-        "coalesced_seconds": sec_c,
-        "naive_seconds": sec_n,
-        "coalesced_fires_per_sec": eng_c.events_fired / sec_c if sec_c else 0.0,
-        "naive_fires_per_sec": eng_n.events_fired / sec_n if sec_n else 0.0,
     }
 
 
@@ -221,50 +184,6 @@ def bench_parallel_speedup(*, quick: bool, jobs: int) -> Dict[str, Any]:
     }
 
 
-def bench_warm_pool(*, jobs: int, dispatches: int = 3) -> Dict[str, Any]:
-    """Warm (fork-once) vs cold (fork-per-call) pool over ``dispatches``
-    identical campaign slices of small cells — the pattern every sweep
-    command issues. Also surfaces the warm pool's per-worker reuse stats
-    (tentpole: how much fork work the warmth saved)."""
-    from repro.exec.jobs import SimJob
-    from repro.exec.runner import ParallelRunner
-    from repro.exec.warm import get_warm_pool, shutdown_warm_pools
-
-    jobs = max(2, jobs)
-    cells = [
-        SimJob.make("irq-latency", routing=routing, seed=seed, duration_s=0.01)
-        for routing in ("forwarded", "direct")
-        for seed in (1, 2)
-    ]
-    workers = min(jobs, len(cells))
-
-    def cold():
-        runner = ParallelRunner(jobs, warm=False)
-        for _ in range(dispatches):
-            runner.run(cells)
-
-    def warm():
-        runner = ParallelRunner(jobs, warm=True)
-        for _ in range(dispatches):
-            runner.run(cells)
-
-    # Cold first so the warm run cannot inherit a pre-forked pool.
-    shutdown_warm_pools()
-    _, sec_cold = _timed(cold)
-    _, sec_warm = _timed(warm)
-    stats = get_warm_pool(workers).stats()
-    shutdown_warm_pools()
-    return {
-        "jobs": jobs,
-        "dispatches": dispatches,
-        "cells_per_dispatch": len(cells),
-        "cold_seconds": sec_cold,
-        "warm_seconds": sec_warm,
-        "speedup": (sec_cold / sec_warm) if sec_warm else 0.0,
-        "pool": stats,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Harness
 # ---------------------------------------------------------------------------
@@ -274,31 +193,21 @@ def run_bench(*, quick: bool = False, jobs: Optional[int] = None) -> Dict[str, A
     """Run the full suite; returns the JSON-serializable results dict."""
     jobs = resolve_jobs(jobs)
     n_events = 100_000 if quick else 500_000
-    n_fires = 50_000 if quick else 200_000
     n_records = 20_000 if quick else 100_000
 
-    results: Dict[str, Any] = {
-        "schema": 1,
+    return {
+        "schema": 2,
         "quick": quick,
         "host": {
             "cpu_count": default_jobs(),
             "platform": platform.platform(),
             "python": platform.python_version(),
         },
-        "engine": {
-            "pooled": bench_engine_events(n_events, event_pool=True),
-            "unpooled": bench_engine_events(n_events, event_pool=False),
-        },
-        "periodic": bench_periodic(n_fires),
+        "engine": bench_engine_events(n_events),
         "digest": bench_digest(n_records),
         "figures": bench_figures(quick=quick),
         "parallel": bench_parallel_speedup(quick=quick, jobs=jobs),
-        "warm_pool": bench_warm_pool(jobs=jobs, dispatches=2 if quick else 3),
     }
-    pooled = results["engine"]["pooled"]["events_per_sec"]
-    unpooled = results["engine"]["unpooled"]["events_per_sec"]
-    results["engine"]["pool_speedup"] = (pooled / unpooled) if unpooled else 0.0
-    return results
 
 
 def default_bench_path() -> str:
@@ -317,33 +226,19 @@ def write_bench(results: Dict[str, Any], path: Optional[str] = None) -> str:
 def summarize_bench(results: Dict[str, Any]) -> str:
     """A terse human summary of a bench results dict."""
     eng = results["engine"]
-    per = results["periodic"]
     dig = results["digest"]
     par = results["parallel"]
     lines = [
         f"host: {results['host']['cpu_count']} cores, "
         f"python {results['host']['python']}",
-        f"engine: {eng['pooled']['events_per_sec']:,.0f} ev/s pooled, "
-        f"{eng['unpooled']['events_per_sec']:,.0f} ev/s unpooled "
-        f"(x{eng['pool_speedup']:.2f})",
-        f"periodic: {per['coalesced_fires_per_sec']:,.0f} fires/s coalesced, "
-        f"{per['naive_fires_per_sec']:,.0f} naive",
+        f"engine: {eng['events_per_sec']:,.0f} ev/s "
+        f"(best of {eng['rounds']} rounds)",
         f"digest: x{dig['speedup']:.1f} incremental vs legacy "
         f"({dig['records']} records x{dig['repeats']})",
         f"parallel [{par['workload']}]: {par['serial_seconds']:.2f}s serial, "
         f"{par['parallel_seconds']:.2f}s at jobs={par['jobs']} "
         f"(x{par['speedup']:.2f})",
     ]
-    warm = results.get("warm_pool")
-    if warm:
-        pool = warm["pool"]
-        lines.append(
-            f"warm pool: {warm['cold_seconds']:.2f}s cold vs "
-            f"{warm['warm_seconds']:.2f}s warm over {warm['dispatches']} "
-            f"dispatches (x{warm['speedup']:.2f}); "
-            f"{pool['jobs_run']} jobs on {pool['distinct_worker_pids']} "
-            f"workers, reuse ratio {pool['reuse_ratio']:.2f}"
-        )
     for key, val in sorted(results["figures"].items()):
         if key.endswith("_seconds"):
             lines.append(f"figure {key[:-8]}: {val:.2f}s")
@@ -358,12 +253,9 @@ def summarize_bench(results: Dict[str, Any]) -> str:
 #: sections are compared too, but only against --regress-pct — absolute
 #: seconds on a shared box are far noisier than the throughput ratios.
 _COMPARE_METRICS = (
-    ("engine.pooled.events_per_sec", True),
-    ("engine.unpooled.events_per_sec", True),
-    ("periodic.coalesced_fires_per_sec", True),
+    ("engine.events_per_sec", True),
     ("digest.speedup", True),
     ("parallel.speedup", True),
-    ("warm_pool.speedup", True),
     ("figures.fig4_6_selfish_seconds", False),
     ("figures.fig7_8_memory_seconds", False),
     ("figures.faults_smoke_seconds", False),

@@ -7,18 +7,38 @@ job in the submitted sequence), never by completion order. Each worker
 runs a handler that is a pure function of the job's parameters, so for
 any ``jobs`` level — including the fully in-process ``jobs=1`` path —
 ``ParallelRunner.run`` returns the same mapping, bit for bit. The tests
-under ``tests/exec/`` assert exactly that for the figure campaign.
+under ``tests/exec/`` assert exactly that for every job kind.
+
+Failure contract
+----------------
+A failing cell never hangs the campaign or goes missing from it. A
+handler exception is re-raised in the parent with the job's key attached
+as a note. A worker process that dies (killed, ``os._exit``, out of
+memory) raises :class:`WorkerCrashError` naming every cell that had not
+finished; the broken executor is dropped from the cache, so the next
+``run`` forks a fresh one.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from collections import Counter
-from typing import Any, Dict, Iterable, List, Optional
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ReproError
 from repro.exec.jobs import SimJob, execute_job
+
+
+class WorkerCrashError(ReproError):
+    """A pool worker died before its cells finished."""
+
+    def __init__(self, keys: Sequence[str]):
+        self.keys = list(keys)
+        super().__init__(
+            f"a worker process died; unfinished cells: {', '.join(self.keys)}"
+        )
 
 
 def default_jobs() -> int:
@@ -35,23 +55,72 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
+#: One executor per worker count, forked on first use and kept for the
+#: life of the process: a campaign issues many dispatches back to back,
+#: and each would otherwise pay fork + model imports again.
+_EXECUTORS: Dict[int, ProcessPoolExecutor] = {}
+
+
+def shutdown_executors() -> None:
+    """Stop every cached executor and reap its workers."""
+    while _EXECUTORS:
+        _, executor = _EXECUTORS.popitem()
+        executor.shutdown(wait=True, cancel_futures=True)
+
+
+def _name_job(exc: BaseException, job: SimJob) -> None:
+    """Attach the failing job's key to ``exc`` as a PEP 678 note (printed
+    with the traceback from Python 3.11; kept in ``__notes__`` before)."""
+    note = f"raised by job {job.key}"
+    if hasattr(exc, "add_note"):
+        exc.add_note(note)
+    else:
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+
+
+def _finished(future: Future) -> bool:
+    return future.done() and not future.cancelled() and future.exception() is None
+
+
+def _run_in_pool(workers: int, jobs_list: List[SimJob]) -> List[Any]:
+    executor = _EXECUTORS.get(workers)
+    if executor is None:
+        executor = _EXECUTORS[workers] = ProcessPoolExecutor(max_workers=workers)
+    futures: List[Future] = []
+    results: List[Any] = []
+    try:
+        for job in jobs_list:
+            futures.append(executor.submit(execute_job, job))
+        # Collect in submission order, whatever the completion order.
+        for job, future in zip(jobs_list, futures):
+            results.append(future.result())
+    except BrokenProcessPool as exc:
+        # Also raised by submit() when a worker died between dispatches.
+        del _EXECUTORS[workers]
+        executor.shutdown(wait=True, cancel_futures=True)
+        unfinished = [
+            job.key for i, job in enumerate(jobs_list)
+            if i >= len(futures) or not _finished(futures[i])
+        ]
+        raise WorkerCrashError(unfinished) from exc
+    except Exception as exc:
+        for future in futures:
+            future.cancel()
+        _name_job(exc, job)
+        raise
+    return results
+
+
 class ParallelRunner:
     """Execute SimJobs over ``jobs`` worker processes (1 = in-process).
 
     ``run`` preserves submission order in the returned mapping regardless
     of completion order, and refuses duplicate job keys — a duplicate
     would make the merge silently drop a result.
-
-    By default dispatch goes through the process-wide
-    :class:`~repro.exec.warm.WarmPool` (fork once per campaign, results
-    via the shared-memory envelope); ``warm=False`` keeps the legacy
-    fork-per-call pool, which ``repro bench`` uses as its comparison
-    baseline.
     """
 
-    def __init__(self, jobs: Optional[int] = None, *, warm: bool = True):
+    def __init__(self, jobs: Optional[int] = None):
         self.jobs = resolve_jobs(jobs)
-        self.warm = warm
 
     def run(self, sim_jobs: Iterable[SimJob]) -> Dict[str, Any]:
         """Run every job; return ``{job.key: result}`` in submission order."""
@@ -62,18 +131,16 @@ class ParallelRunner:
             raise ConfigurationError(
                 f"duplicate job keys would collide in the merge: {duplicates}"
             )
-        if self.jobs == 1 or len(jobs_list) <= 1:
-            results = [execute_job(job) for job in jobs_list]
-        elif self.warm:
-            from repro.exec.warm import get_warm_pool
-
-            results = get_warm_pool(min(self.jobs, len(jobs_list))).run(jobs_list)
+        if self.jobs > 1 and len(jobs_list) > 1:
+            results = _run_in_pool(min(self.jobs, len(jobs_list)), jobs_list)
         else:
-            workers = min(self.jobs, len(jobs_list))
-            with multiprocessing.Pool(processes=workers) as pool:
-                # pool.map returns results in *input* order whatever the
-                # completion order — the deterministic-merge guarantee.
-                results = pool.map(execute_job, jobs_list, chunksize=1)
+            results = []
+            for job in jobs_list:
+                try:
+                    results.append(execute_job(job))
+                except Exception as exc:
+                    _name_job(exc, job)
+                    raise
         return dict(zip(keys, results))
 
     def run_values(self, sim_jobs: Iterable[SimJob]) -> List[Any]:

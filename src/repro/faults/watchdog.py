@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import ms
-from repro.sim.engine import PeriodicTimer
+from repro.sim.engine import Event
 from repro.hafnium.spm import PRIMARY_VM_ID, Spm
 from repro.hafnium.vm import VcpuState
 
@@ -84,10 +84,8 @@ class Watchdog:
         self.failures: List[FailureRecord] = []
         self.checks = 0
         self.beats = 0
-        self._running = False
-        #: Coalesced periodic check: one event object re-armed in place
-        #: instead of a fresh allocation per check period.
-        self._timer: Optional[PeriodicTimer] = None
+        #: The armed periodic check; None while stopped.
+        self._event: Optional[Event] = None
         now = self.machine.engine.now
         for vm_id in sorted(spm.vms):
             if vm_id == PRIMARY_VM_ID:
@@ -103,18 +101,13 @@ class Watchdog:
         self._callbacks.append(callback)
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self._timer = self.machine.engine.schedule_periodic(
-            self.check_period_ps, self._check
-        )
+        if self._event is None:
+            self._arm()
 
     def stop(self) -> None:
-        self._running = False
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
 
     # -- notifications from the SPM / guest kernels ---------------------------
 
@@ -149,8 +142,7 @@ class Watchdog:
     # -- the periodic check ----------------------------------------------------
 
     def _check(self) -> None:
-        if not self._running:
-            return
+        armed = self._event
         self.checks += 1
         now = self.machine.engine.now
         for vm_id in self._monitored:
@@ -176,6 +168,14 @@ class Watchdog:
                     vm_id, "stall", f"vcpu{stalled_idx} missed heartbeat deadline",
                     last_beat=oldest,
                 )
+        # Re-arm last, so the next check takes its sequence number after
+        # the failure fan-out events above; a stop()/start() in between
+        # replaced or cleared ``_event`` and owns the next check instead.
+        if self._event is armed:
+            self._arm()
+
+    def _arm(self) -> None:
+        self._event = self.machine.engine.schedule(self.check_period_ps, self._check)
 
     def _declare(
         self, vm_id: int, kind: str, detail: str, last_beat: Optional[int] = None

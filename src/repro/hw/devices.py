@@ -12,7 +12,7 @@ from typing import Callable, List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.hw.gic import Gic
-from repro.sim.engine import Engine, PeriodicTimer, PRIO_HW
+from repro.sim.engine import Engine, Event, PRIO_HW
 
 
 class Device:
@@ -74,23 +74,31 @@ class PeriodicDevice(Device):
         self.period_ps = period_ps
         self.raised = 0
         self.fire_times: List[int] = []
-        # Coalesced timer: one event object re-armed per period instead of
-        # a fresh allocation per RX interrupt.
-        self._timer: Optional[PeriodicTimer] = None
+        #: The armed RX tick; None while stopped.
+        self._event: Optional[Event] = None
         gic.configure(spi)
 
     def start(self) -> None:
-        if self._timer is None:
-            self._timer = PeriodicTimer(
-                self.engine, self.period_ps, self._fire, (), priority=PRIO_HW
-            )
-        self._timer.start()
+        """Raise the first interrupt one period from now. Idempotent."""
+        if self._event is None:
+            self._arm()
 
     def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
+        """Disarm. Safe from inside the interrupt path."""
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
 
     def _fire(self) -> None:
+        armed = self._event
         self.raised += 1
         self.fire_times.append(self.engine.now)
         self.gic.pulse(self.spi)
+        # Re-arm last, so the next tick takes its sequence number after
+        # anything the pulse scheduled; a stop()/start() during the pulse
+        # replaced or cleared ``_event`` and owns the next tick instead.
+        if self._event is armed:
+            self._arm()
+
+    def _arm(self) -> None:
+        self._event = self.engine.schedule(self.period_ps, self._fire, priority=PRIO_HW)

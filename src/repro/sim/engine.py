@@ -7,18 +7,11 @@ order). All model code is single-threaded Python over integer timestamps,
 so a given (platform config, root seed) pair always produces bit-identical
 traces. The test suite relies on this.
 
-Allocation discipline
----------------------
-Hot simulations fire tens of millions of events; allocating a fresh
-:class:`Event` per schedule dominated the profile. The engine therefore
-keeps a bounded free list: an event object is returned to the pool when
-its heap entry is popped (fired, or discarded after cancellation) and is
-reinitialised by the next ``schedule``. Consequence for holders: drop your
-reference when the callback runs (every in-tree holder does — see
-``sim/process.py``, ``hw/timer.py``); calling ``cancel()`` on a reference
-retained past the firing may cancel an unrelated recycled event.
-Periodic work should use :meth:`Engine.schedule_periodic`, which re-arms
-one event object in place and never touches the allocator at all.
+Every ``schedule`` allocates a fresh :class:`Event`, so a handle stays
+valid for as long as it is held: ``cancel()`` on an event that already
+fired (or was already cancelled) is a no-op. Periodic work re-arms itself
+with a plain ``schedule`` at the end of its callback (see
+``hw/devices.PeriodicDevice`` and ``faults/watchdog.Watchdog``).
 """
 
 from __future__ import annotations
@@ -34,149 +27,47 @@ PRIO_HW = 0
 PRIO_DEFAULT = 10
 PRIO_LATE = 20
 
-#: Upper bound on pooled Event objects (beyond this, pops just drop the
-#: object for the GC — the pool only has to cover the steady-state churn).
-EVENT_POOL_CAP = 1024
-
 
 class Event:
     """A scheduled callback. Returned by :meth:`Engine.schedule` for cancellation."""
 
-    __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled", "engine")
+    __slots__ = ("time", "priority", "seq", "fn", "args")
 
-    def __init__(
-        self,
-        time: int,
-        priority: int,
-        seq: int,
-        fn: Callable,
-        args: Tuple,
-        engine: Optional["Engine"] = None,
-    ):
+    def __init__(self, time: int, priority: int, seq: int, fn: Callable, args: Tuple):
         self.time = time
         self.priority = priority
         self.seq = seq
+        #: The callback; None once the event has fired or been cancelled.
         self.fn: Optional[Callable] = fn
         self.args = args
-        self.cancelled = False
-        self.engine = engine
 
     def cancel(self) -> None:
-        """Prevent the event from firing. Idempotent; safe on fired events
-        (no-op) as long as the holder has not kept the reference across a
-        pool recycle (see the module docstring)."""
-        if self.fn is not None and not self.cancelled and self.engine is not None:
-            self.engine._pending -= 1
-        self.cancelled = True
-        self.fn = None  # break reference cycles early
-        self.args = ()
+        """Prevent the event from firing. Idempotent; a no-op once fired.
+
+        The heap entry stays behind as a tombstone that the run loops and
+        :meth:`Engine.peek_time` discard when it reaches the head.
+        """
+        self.fn = None
+        self.args = ()  # break reference cycles early
 
     @property
     def pending(self) -> bool:
-        return not self.cancelled and self.fn is not None
+        return self.fn is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
+        state = "pending" if self.pending else "done"
         return f"Event(t={self.time}, prio={self.priority}, seq={self.seq}, {state})"
-
-
-class PeriodicTimer:
-    """A coalesced periodic callback: one :class:`Event` object re-armed in
-    place every period.
-
-    The naive pattern (each firing schedules the next) allocates an event
-    per period; a 10 Hz tick over a long campaign is pure churn. This
-    timer re-pushes the *same* event object with a fresh sequence number
-    after the callback returns, so the ordering semantics are identical to
-    the naive pattern (the re-arm takes its seq *after* anything the
-    callback scheduled) with zero allocation.
-
-    ``stop()``/``start()`` are safe from inside the callback; fire times
-    are drift-free multiples of ``period_ps`` from the start instant.
-    """
-
-    __slots__ = (
-        "engine", "period_ps", "priority", "fn", "args",
-        "fires", "_event", "_running", "_epoch",
-    )
-
-    def __init__(
-        self,
-        engine: "Engine",
-        period_ps: int,
-        fn: Callable,
-        args: Tuple,
-        priority: int = PRIO_DEFAULT,
-    ):
-        if period_ps <= 0:
-            raise SimulationError(f"periodic timer needs a positive period, got {period_ps}")
-        self.engine = engine
-        self.period_ps = period_ps
-        self.priority = priority
-        self.fn = fn
-        self.args = args
-        self.fires = 0
-        self._event: Optional[Event] = None
-        self._running = False
-        #: Bumped by start()/stop() so a re-arm in flight can detect that
-        #: the timer was reconfigured from inside its own callback.
-        self._epoch = 0
-
-    @property
-    def active(self) -> bool:
-        return self._running
-
-    def start(self, first_delay_ps: Optional[int] = None) -> "PeriodicTimer":
-        """Arm the timer; first fire after ``first_delay_ps`` (default: one
-        period). Idempotent while running."""
-        if self._running:
-            return self
-        self._running = True
-        self._epoch += 1
-        delay = self.period_ps if first_delay_ps is None else first_delay_ps
-        self._event = self.engine.schedule(delay, self._tick, priority=self.priority)
-        return self
-
-    def stop(self) -> None:
-        """Disarm. Safe mid-callback: the pending re-arm is abandoned."""
-        if not self._running:
-            return
-        self._running = False
-        self._epoch += 1
-        ev = self._event
-        self._event = None
-        if ev is not None and ev.pending:
-            ev.cancel()
-
-    def _tick(self) -> None:
-        epoch = self._epoch
-        self.fires += 1
-        self.fn(*self.args)
-        if self._running and self._epoch == epoch:
-            # Re-arm by re-pushing the already-fired event object: same
-            # semantics as scheduling a new event here, no allocation.
-            ev = self._event
-            ev.fn = self._tick
-            ev.args = ()
-            ev.cancelled = False
-            self.engine._repush(ev, self.engine.now + self.period_ps)
 
 
 class Engine:
     """Event queue + simulated clock (integer picoseconds)."""
 
-    def __init__(self, *, event_pool: bool = True):
+    def __init__(self) -> None:
         self.now: int = 0
         self._queue: List[Tuple[int, int, int, Event]] = []
         self._seq = 0
         self._running = False
         self.events_fired = 0
-        #: Live (schedulable, not cancelled) events — maintained on
-        #: schedule/cancel/fire so `queue_length` is O(1).
-        self._pending = 0
-        self._pool_enabled = event_pool
-        self._free: List[Event] = []
-        self.pool_reuses = 0
 
     # -- scheduling ------------------------------------------------------
 
@@ -191,31 +82,18 @@ class Engine:
     ) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` picoseconds from now.
 
-        This is the hottest scheduling entry point — one call per fired
-        event in self-rescheduling workloads — so the ``schedule_at`` body
-        is inlined (``delay >= 0`` already implies ``time >= now``) and the
-        heap push / Event constructor are bound as defaults to skip the
-        global lookups. The runtime sanitizer shadows this method on the
-        instance, so its checks still see every call when attached.
+        This is the one scheduling entry point (``schedule_at`` forwards
+        here), called once per fired event in self-rescheduling workloads,
+        so the heap push and Event constructor are bound as defaults to
+        skip the global lookups. The runtime sanitizer shadows this method
+        on the instance, so its checks see every call when attached.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self.now + delay
         seq = self._seq = self._seq + 1
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.priority = priority
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-            self.pool_reuses += 1
-        else:
-            ev = _Event(time, priority, seq, fn, args, self)
+        ev = _Event(time, priority, seq, fn, args)
         _heappush(self._queue, (time, priority, seq, ev))
-        self._pending += 1
         return ev
 
     def schedule_at(self, time: int, fn: Callable, *args: Any, priority: int = PRIO_DEFAULT) -> Event:
@@ -224,122 +102,32 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule into the past (t={time} < now={self.now})"
             )
-        self._seq += 1
-        if self._free:
-            ev = self._free.pop()
-            ev.time = time
-            ev.priority = priority
-            ev.seq = self._seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-            self.pool_reuses += 1
-        else:
-            ev = Event(time, priority, self._seq, fn, args, self)
-        heapq.heappush(self._queue, (time, priority, self._seq, ev))
-        self._pending += 1
-        return ev
-
-    def schedule_periodic(
-        self,
-        period_ps: int,
-        fn: Callable,
-        *args: Any,
-        priority: int = PRIO_DEFAULT,
-        first_delay_ps: Optional[int] = None,
-    ) -> PeriodicTimer:
-        """Start a coalesced periodic callback (see :class:`PeriodicTimer`)."""
-        return PeriodicTimer(self, period_ps, fn, args, priority).start(first_delay_ps)
-
-    def _repush(self, ev: Event, time: int) -> None:
-        """Re-enter an already-popped event with a fresh sequence number.
-
-        Only :class:`PeriodicTimer` uses this; the event must not currently
-        be in the heap.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule into the past (t={time} < now={self.now})"
-            )
-        self._seq += 1
-        ev.time = time
-        ev.seq = self._seq
-        heapq.heappush(self._queue, (time, ev.priority, self._seq, ev))
-        self._pending += 1
-
-    def _recycle(self, ev: Event) -> None:
-        """Return a popped, dead event object to the free list."""
-        if self._pool_enabled and len(self._free) < EVENT_POOL_CAP:
-            ev.fn = None
-            ev.args = ()
-            self._free.append(ev)
+        return self.schedule(time - self.now, fn, *args, priority=priority)
 
     # -- execution -------------------------------------------------------
-
-    def _peek_entry(self) -> Optional[Tuple[int, int, int, Event]]:
-        """Head heap entry of the next *pending* event, or None.
-
-        Cancelled tombstones at the head are popped and recycled lazily —
-        the one place that logic lives; ``step``, ``run_until`` and
-        ``peek_time`` all share it rather than re-implementing the skip
-        loop (the fast paths in ``run``/``run_until`` inline the same
-        pattern for speed).
-        """
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            ev = head[3]
-            if not ev.cancelled and ev.fn is not None:
-                return head
-            heapq.heappop(queue)
-            self._recycle(ev)
-        return None
 
     def step(self) -> bool:
         """Fire the next pending event. Returns False when the queue is empty.
 
-        This is the observable single-event entry point (the sanitizer
-        wraps it); ``run``/``run_until`` inline the same logic and only
-        dispatch through here when an instance wrapper is installed.
+        This is the observable single-event entry point: the sanitizer
+        shadows it on the instance, and ``run``/``run_until`` then fire
+        every event through it instead of through the inline drain.
         """
-        entry = self._peek_entry()
-        if entry is None:
+        if self.peek_time() is None:
             return False
-        heapq.heappop(self._queue)
-        time, _prio, _seq, ev = entry
+        time, _prio, _seq, ev = heapq.heappop(self._queue)
         if time < self.now:
             raise SimulationError("event queue time went backwards")
         self.now = time
         fn, args = ev.fn, ev.args
         ev.fn, ev.args = None, ()  # mark fired
-        self._pending -= 1
         self.events_fired += 1
         fn(*args)
-        # A periodic timer re-arms its own event inside the callback
-        # (fn restored); only genuinely dead objects are pooled.
-        if ev.fn is None:
-            self._recycle(ev)
         return True
 
     def run(self, max_events: Optional[int] = None) -> None:
-        """Run until the queue drains (or ``max_events`` fired).
-
-        Events pop and fire inline — no per-event ``step()`` dispatch —
-        via the shared :meth:`_drain` loop. When something (the runtime
-        sanitizer) has shadowed ``step`` on the instance, every event
-        routes through that wrapper instead.
-        """
-        if max_events is not None or "step" in self.__dict__:
-            # The runaway guard (and any instance-level ``step`` wrapper)
-            # takes the per-event dispatch loop; the guard is a debugging
-            # aid, not a hot path.
-            self._run_dispatch(max_events)
-            return
-        self._running = True
-        try:
-            self._drain(None)
-        finally:
-            self._running = False
+        """Run until the queue drains (or ``max_events`` fired)."""
+        self._run(None, max_events)
 
     def run_until(self, t: int) -> None:
         """Run all events strictly up to and including time ``t``.
@@ -350,21 +138,40 @@ class Engine:
         """
         if t < self.now:
             raise SimulationError(f"run_until into the past (t={t} < now={self.now})")
-        if "step" in self.__dict__:
-            self._run_until_dispatch(t)
-        else:
-            self._running = True
-            try:
-                self._drain(t)
-            finally:
-                self._running = False
+        self._run(t, None)
         if self.now < t:
             self.now = t
 
+    def _run(self, limit: Optional[int], max_events: Optional[int]) -> None:
+        """Fire events up to ``limit`` (None = until the queue drains).
+
+        The inline :meth:`_drain` is the fast path. The runaway guard
+        (``max_events``, a debugging aid) and an instance-level ``step``
+        wrapper (the sanitizer) take the stepwise loop instead, which
+        dispatches every event through ``self.step()``.
+        """
+        self._running = True
+        try:
+            if max_events is None and "step" not in self.__dict__:
+                self._drain(limit)
+                return
+            fired = 0
+            while self._running:
+                head = self.peek_time()
+                if head is None or (limit is not None and head > limit):
+                    break
+                self.step()
+                fired += 1
+                if max_events is not None and fired >= max_events:
+                    raise SimulationError(
+                        f"engine exceeded max_events={max_events}; "
+                        "likely a runaway event loop"
+                    )
+        finally:
+            self._running = False
+
     def _drain(self, limit: Optional[int]) -> None:
-        """The hot fire loop shared by ``run`` (``limit=None``) and
-        ``run_until`` (``limit=t``): pop, tombstone-skip, fire, recycle —
-        all inline, one place.
+        """The hot fire loop: pop, skip tombstones, fire — all inline.
 
         Batching tricks that pay for the structure (measured on the
         ``repro bench`` engine churn with interleaved CPU-time rounds):
@@ -374,28 +181,18 @@ class Engine:
         * every pending event at one instant drains in an inner loop that
           touches the clock once — fan-out patterns (signal broadcasts,
           lockstep ticks) skip the re-compare/re-store per event;
-        * ``events_fired`` and the ``_pending`` drop accumulate in one
-          local flushed in the ``finally`` instead of two attribute RMWs
-          per event. ``Event.cancel`` still adjusts ``_pending`` directly
-          from inside callbacks — the two sets are disjoint (a firing
-          event has ``fn`` cleared before its callback runs, so a stale
-          ``cancel`` on it is a no-op), so the deferred flush cannot
-          double-count; ``queue_length`` is only specified at quiescence.
+        * ``events_fired`` accumulates in a local flushed in the
+          ``finally`` instead of an attribute update per event.
         """
         queue = self._queue
         pop = heapq.heappop
-        free = self._free
-        pool_on = self._pool_enabled
-        cap = EVENT_POOL_CAP
         fired = 0
         try:
             while self._running and queue:
                 entry = pop(queue)
                 ev = entry[3]
                 fn = ev.fn
-                if fn is None or ev.cancelled:
-                    if pool_on and len(free) < cap:
-                        free.append(ev)
+                if fn is None:
                     continue
                 time = entry[0]
                 if limit is not None and time > limit:
@@ -418,53 +215,16 @@ class Engine:
                         fn(*args)
                     else:
                         fn()
-                    # A periodic timer re-arms its own event inside the
-                    # callback (fn restored); only dead objects are pooled.
-                    if ev.fn is None and pool_on and len(free) < cap:
-                        free.append(ev)
                     if not queue or queue[0][0] != time or not self._running:
                         break
                     ev = pop(queue)[3]
                     fn = ev.fn
-                    if fn is None or ev.cancelled:
-                        # Tombstone mid-batch: recycle and fall back to the
-                        # outer loop (it re-runs the full skip/limit logic).
-                        if pool_on and len(free) < cap:
-                            free.append(ev)
+                    if fn is None:
+                        # Tombstone mid-batch: fall back to the outer loop
+                        # (it re-runs the full skip/limit logic).
                         break
         finally:
             self.events_fired += fired
-            self._pending -= fired
-
-    def _run_dispatch(self, max_events: Optional[int] = None) -> None:
-        """Compatibility run loop: one ``self.step()`` dispatch per event,
-        so instance-level wrappers observe every firing."""
-        self._running = True
-        fired = 0
-        try:
-            while self._running and self.step():
-                fired += 1
-                if max_events is not None and fired >= max_events:
-                    raise SimulationError(
-                        f"engine exceeded max_events={max_events}; "
-                        "likely a runaway event loop"
-                    )
-        finally:
-            self._running = False
-
-    def _run_until_dispatch(self, t: int) -> None:
-        """Compatibility bounded loop: dispatches through ``self.step()``
-        (see :meth:`_run_dispatch`); tombstone skipping lives in
-        :meth:`_peek_entry`, shared with the unbounded loop."""
-        self._running = True
-        try:
-            while self._running:
-                entry = self._peek_entry()
-                if entry is None or entry[0] > t:
-                    break
-                self.step()
-        finally:
-            self._running = False
 
     def stop(self) -> None:
         """Stop a ``run``/``run_until`` loop from inside an event callback."""
@@ -472,20 +232,20 @@ class Engine:
 
     @property
     def queue_length(self) -> int:
-        """Pending (uncancelled, unfired) events — O(1), maintained on
-        schedule/cancel/fire rather than scanned from the heap."""
-        return self._pending
+        """Pending (uncancelled, unfired) events; scans the heap."""
+        return sum(1 for entry in self._queue if entry[3].fn is not None)
 
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next pending event, or None.
 
-        Cancelled events at the head of the heap are popped lazily (via
-        :meth:`_peek_entry`), so the amortised cost is O(log n) per call
-        rather than the O(n log n) a full sort would pay — ``peek_time``
-        sits on scheduler idle paths.
+        Cancelled events at the head of the heap are popped lazily, so the
+        amortised cost is O(log n) per call rather than the O(n log n) a
+        full sort would pay — ``peek_time`` sits on scheduler idle paths.
         """
-        entry = self._peek_entry()
-        return entry[0] if entry is not None else None
+        queue = self._queue
+        while queue and queue[0][3].fn is None:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
 
 class Signal:

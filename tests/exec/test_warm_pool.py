@@ -1,20 +1,15 @@
-"""Warm pool + shared-memory transfer: bit-identity across every path.
+"""The cached process pool: bit-identity with the in-process path.
 
-The executor's contract is that *how* a cell runs (in-process, legacy
-fork-per-call pool, warm pool, shm vs inline-pickle envelopes) never
-changes the result — only wall-clock. These tests pin that with pickled
-bytes (literal bit-identity), over one small cell of **every registered
-job kind**, at ``jobs=1`` vs ``jobs=4``.
+The executor's contract is that *how* a cell runs (in-process or in a
+pool worker) never changes the result — only wall-clock. This pins that
+with pickled bytes (literal bit-identity), over one small cell of
+**every registered job kind**, at ``jobs=1`` vs ``jobs=4``.
 """
 
 import pickle
 
-import pytest
-
 from repro.exec.jobs import SimJob, job_kinds
 from repro.exec.runner import ParallelRunner
-from repro.exec.shm import decode_result, encode_result
-from repro.exec.warm import get_warm_pool, shutdown_warm_pools
 
 SEED = 20260806
 
@@ -61,65 +56,7 @@ def _bits(results):
     ]
 
 
-@pytest.fixture(scope="module")
-def serial_bits():
-    return _bits(ParallelRunner(1).run(_all_kind_cells()))
-
-
-def test_warm_pool_matches_serial_bit_for_bit(serial_bits):
-    shutdown_warm_pools()
-    try:
-        warm = ParallelRunner(4, warm=True).run(_all_kind_cells())
-    finally:
-        shutdown_warm_pools()
-    assert _bits(warm) == serial_bits
-
-
-def test_legacy_fork_per_call_matches_serial(serial_bits):
-    cold = ParallelRunner(4, warm=False).run(_all_kind_cells())
-    assert _bits(cold) == serial_bits
-
-
-def test_forced_shm_path_matches_serial(serial_bits, monkeypatch):
-    # Threshold 0: every result rides a /dev/shm block. The pool must be
-    # forked *after* the env change so workers inherit it.
-    monkeypatch.setenv("REPRO_SHM_THRESHOLD", "0")
-    shutdown_warm_pools()
-    try:
-        forced = ParallelRunner(4, warm=True).run(_all_kind_cells())
-    finally:
-        shutdown_warm_pools()
-    assert _bits(forced) == serial_bits
-
-
-def test_warm_pool_reuse_stats_accumulate():
-    shutdown_warm_pools()
-    try:
-        runner = ParallelRunner(2, warm=True)
-        cells = [
-            SimJob.make(
-                "irq-latency", routing="forwarded", duration_s=0.005, seed=s,
-            )
-            for s in (1, 2)
-        ]
-        runner.run(cells)
-        runner.run(cells)
-        stats = get_warm_pool(2).stats()
-    finally:
-        shutdown_warm_pools()
-    assert stats["dispatches"] == 2
-    assert stats["jobs_run"] == 4
-    assert stats["reuse_ratio"] == pytest.approx(0.5)
-    assert 1 <= stats["distinct_worker_pids"] <= 2
-
-
-def test_envelope_round_trip_both_forms():
-    payload = {"trace": list(range(50_000)), "digest": "d" * 64}
-    inline = encode_result(payload, threshold=10**9)
-    assert inline[0] == "pickle"
-    assert decode_result(inline) == payload
-    shm = encode_result(payload, threshold=0)
-    if shm[0] == "shm":  # pickle fallback allowed when /dev/shm is absent
-        assert decode_result(shm) == payload
-    else:
-        assert decode_result(shm) == payload
+def test_warm_pool_matches_serial_bit_for_bit():
+    serial = ParallelRunner(1).run(_all_kind_cells())
+    pooled = ParallelRunner(4).run(_all_kind_cells())
+    assert _bits(pooled) == _bits(serial)

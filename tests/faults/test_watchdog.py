@@ -116,6 +116,54 @@ class TestLifecycle:
         assert len(seen) == 1 and seen[0].vm_name == VICTIM_VM
 
 
+class TestPeriodicCheck:
+    def test_first_check_one_period_after_start_then_drift_free(self):
+        node = build_faults_node(scheduler="kitten", seed=21)
+        wd = Watchdog(node.spm, check_period_ps=ms(50))
+        t0 = node.engine.now
+        wd.start()
+        wd.start()  # idempotent
+        node.engine.run_until(t0 + ms(50) - 1)
+        assert wd.checks == 0
+        node.engine.run_until(t0 + ms(50))
+        assert wd.checks == 1
+        node.engine.run_until(t0 + ms(500))
+        assert wd.checks == 10
+
+    def _declare_hook(self, wd, action):
+        """Run ``action`` inside the periodic check, right after the
+        watchdog declares a failure."""
+
+        def declare(*args, **kwargs):
+            Watchdog._declare(wd, *args, **kwargs)
+            action()
+
+        wd._declare = declare
+
+    def test_stop_from_inside_the_check(self):
+        node, wd = _node_with_watchdog(check_period_ps=ms(50))
+        self._declare_hook(wd, wd.stop)
+        node.spm.vm_by_name(VICTIM_VM).aborted = True  # bypasses vm_aborted
+        node.engine.run_until(node.engine.now + ms(60))
+        assert wd.checks == 1 and len(wd.failures) == 1
+        node.engine.run_until(node.engine.now + ms(500))
+        assert wd.checks == 1
+
+    def test_restart_from_inside_the_check_does_not_double_fire(self):
+        node, wd = _node_with_watchdog(check_period_ps=ms(50))
+        t0 = node.engine.now
+
+        def restart():
+            wd.stop()
+            wd.start()
+
+        self._declare_hook(wd, restart)
+        node.spm.vm_by_name(VICTIM_VM).aborted = True
+        node.engine.run_until(t0 + ms(500))
+        assert len(wd.failures) == 1
+        assert wd.checks == 10
+
+
 class TestInjectorDetectionChain:
     def test_vcpu_stall_scenario_detected(self):
         node, wd = _node_with_watchdog(

@@ -6,7 +6,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.units import ms, seconds
 from repro.hw.devices import PeriodicDevice, Uart
 from repro.hw.gic import Gic
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, PRIO_HW
 
 
 class TestUart:
@@ -78,6 +78,71 @@ class TestPeriodicDevice:
     def test_bad_period(self):
         with pytest.raises(ConfigurationError):
             PeriodicDevice(Engine(), Gic(4), spi=40, period_ps=0)
+
+    @staticmethod
+    def _device(pulse=None, period_ps=100):
+        eng = Engine()
+        dev = PeriodicDevice(eng, Gic(4), spi=40, period_ps=period_ps)
+        if pulse is not None:
+            dev.gic.pulse = pulse  # observe the IRQ path from inside the tick
+        return eng, dev
+
+    def test_first_fire_one_period_after_start_at_hw_priority(self):
+        eng, dev = self._device()
+        eng.run_until(7)
+        dev.start()
+        seen = []
+        eng.schedule_at(107, lambda: seen.append(dev.raised))
+        eng.run_until(300)
+        assert dev.fire_times == [107, 207]
+        assert seen == [1]  # PRIO_HW tick beats a default event at 107
+
+    def test_fires_drift_free_on_exact_multiples(self):
+        eng, dev = self._device()
+        dev.start()
+        eng.run_until(1_000)
+        assert dev.fire_times == [100 * i for i in range(1, 11)]
+
+    def test_stop_from_inside_irq_path(self):
+        eng, dev = self._device(pulse=lambda spi: dev.stop())
+        dev.start()
+        eng.run_until(1_000)
+        assert dev.raised == 1
+        assert eng.queue_length == 0
+
+    def test_restart_from_inside_irq_path_does_not_double_fire(self):
+        def pulse(spi):
+            if dev.raised == 1:
+                dev.stop()
+                dev.start()
+
+        eng, dev = self._device(pulse=pulse)
+        dev.start()
+        eng.run_until(500)
+        assert dev.fire_times == [100, 200, 300, 400, 500]
+        assert eng.queue_length == 1
+
+    def test_rearm_interleaves_like_naive_rescheduling(self):
+        """The next tick takes its sequence number after anything the
+        pulse scheduled, so same-instant work queued by the IRQ path at
+        equal priority fires before the next tick."""
+        order = []
+
+        def pulse(spi):
+            order.append(("tick", eng.now))
+            eng.schedule(100, order.append, ("oneshot", eng.now + 100),
+                         priority=PRIO_HW)
+
+        eng, dev = self._device(pulse=pulse)
+        dev.start()
+        eng.run_until(300)
+        assert order == [
+            ("tick", 100),
+            ("oneshot", 200),
+            ("tick", 200),
+            ("oneshot", 300),
+            ("tick", 300),
+        ]
 
 
 class TestDeviceIrqForwarding:

@@ -47,6 +47,92 @@ def test_cancel_is_idempotent():
     eng.run()
 
 
+def test_stale_handle_cancel_does_not_hit_a_later_event():
+    # A handle kept past its firing must not alias the next scheduled
+    # event: cancelling it is a no-op, whatever was scheduled since.
+    eng = Engine()
+    out = []
+    ev1 = eng.schedule(10, out.append, "first")
+    eng.run()
+    ev2 = eng.schedule(10, out.append, "second")
+    ev1.cancel()
+    eng.run()
+    assert out == ["first", "second"]
+    assert ev2 is not ev1
+
+
+def test_cancelled_event_counter_stays_exact():
+    eng = Engine()
+    out = []
+    keep = eng.schedule(30, out.append, "keep")
+    drop = eng.schedule(10, out.append, "drop")
+    assert eng.queue_length == 2
+    drop.cancel()
+    assert eng.queue_length == 1
+    drop.cancel()  # idempotent: counted once
+    assert eng.queue_length == 1
+    eng.run()
+    assert out == ["keep"]
+    assert eng.queue_length == 0
+    assert keep.pending is False
+
+
+def test_queue_length_tracks_schedule_cancel_fire():
+    eng = Engine()
+    events = [eng.schedule(10 * (i + 1), lambda: None) for i in range(5)]
+    assert eng.queue_length == 5
+    events[2].cancel()
+    assert eng.queue_length == 4
+    events[4].cancel()
+    assert eng.queue_length == 3
+    eng.run()
+    assert eng.queue_length == 0
+    assert eng.events_fired == 3
+    assert not any(ev.pending for ev in events)
+
+
+def test_cancelled_head_skipped_in_run_until():
+    eng = Engine()
+    out = []
+    head = eng.schedule(5, out.append, "cancelled-head")
+    eng.schedule(10, out.append, "kept")
+    head.cancel()
+    eng.run_until(7)  # drains past the tombstone only
+    assert out == []
+    assert eng.now == 7
+    assert eng.queue_length == 1
+    eng.run()
+    assert out == ["kept"]
+    assert eng._queue == []
+
+
+def test_cancelled_head_skipped_in_step():
+    eng = Engine()
+    out = []
+    head = eng.schedule(5, out.append, "cancelled-head")
+    eng.schedule(10, out.append, "kept")
+    head.cancel()
+    assert eng.step() is True  # fires "kept", skipping the tombstone
+    assert out == ["kept"]
+    assert eng.step() is False
+    assert eng.events_fired == 1
+
+
+def test_cancelled_mid_batch_same_timestamp():
+    # Tombstone *inside* a same-instant batch: the batched drain must
+    # skip it without dropping later events.
+    eng = Engine()
+    out = []
+    eng.schedule(10, out.append, "a")
+    victim = eng.schedule(10, out.append, "victim")
+    eng.schedule(10, out.append, "b")
+    eng.schedule(20, out.append, "later")
+    victim.cancel()
+    eng.run()
+    assert out == ["a", "b", "later"]
+    assert eng.queue_length == 0
+
+
 def test_schedule_into_past_rejected():
     eng = Engine()
     with pytest.raises(SimulationError):
