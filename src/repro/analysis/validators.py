@@ -32,8 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def _stage2_pa_ranges(vm: "Vm") -> Iterable[Tuple[int, int]]:
-    for _va, pa, block_size, _attrs in vm.stage2.entries():
-        yield (pa, pa + block_size)
+    for _va, pa, size, _block_size, _attrs in vm.stage2.extents():
+        yield (pa, pa + size)
 
 
 def check_stage2_exclusive(vms: Iterable["Vm"]) -> List[str]:

@@ -2,10 +2,13 @@
 
 We model the ARMv8 4 KiB-granule, 39-bit VA regime the Kitten ARM64 port
 uses: a 3-level table where level 1 maps 1 GiB blocks, level 2 maps 2 MiB
-blocks, and level 3 maps 4 KiB pages. Mappings are stored per block size;
-``translate`` reports both the output address and the number of descriptor
-fetches the hardware walker would have performed — the quantity the
-performance model charges on a TLB miss.
+blocks, and level 3 maps 4 KiB pages. Each ``map`` call is stored as one
+extent -- a run of equal-sized entries over contiguous input and output
+ranges -- kept sorted by input address, so overlap checks and lookups are
+a bisect, not one stored entry per page. ``translate`` reports both the
+output address and the number of descriptor fetches the hardware walker
+would have performed — the quantity the performance model charges on a
+TLB miss.
 
 Under virtualization every stage-1 descriptor fetch is itself translated
 by stage 2, so a combined walk costs ``(n1 + 1) * (n2 + 1) - 1`` memory
@@ -15,8 +18,9 @@ why RandomAccess suffers most under Hafnium.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, HardwareFault
 
@@ -71,12 +75,10 @@ class PageTable:
             raise ConfigurationError(f"stage must be 1 or 2, got {stage}")
         self.name = name
         self.stage = stage
-        # block_size -> {aligned input addr -> (output addr, attrs)}
-        self._maps: Dict[int, Dict[int, Tuple[int, PageAttrs]]] = {
-            PAGE_4K: {},
-            BLOCK_2M: {},
-            BLOCK_1G: {},
-        }
+        # Sorted, disjoint (va, end, pa, attrs, block_size) extents, and
+        # their start addresses in the same order for bisect.
+        self._extents: List[Tuple[int, int, int, PageAttrs, int]] = []
+        self._starts: List[int] = []
         self.generation = 0  # bumped on any change; TLB shootdown hook
 
     # -- construction ------------------------------------------------------
@@ -92,8 +94,9 @@ class PageTable:
         """Map [va, va+size) -> [pa, pa+size) using `block_size` entries.
 
         Returns the number of entries installed. Addresses and size must be
-        block aligned; overlapping an existing mapping is an error (the
-        hypervisor model relies on this to prevent aliasing two VMs).
+        block aligned; overlapping any byte of an existing mapping, at any
+        granularity, is an error (the hypervisor model relies on this to
+        prevent aliasing two VMs).
         """
         if block_size not in VALID_BLOCK_SIZES:
             raise ConfigurationError(f"invalid block size {block_size:#x}")
@@ -104,34 +107,58 @@ class PageTable:
             )
         if size <= 0:
             raise ConfigurationError("mapping size must be positive")
-        if va + size > VA_LIMIT:
+        end = va + size
+        if end > VA_LIMIT:
             raise ConfigurationError(
                 f"{self.name}: VA {va:#x}+{size:#x} exceeds {VA_BITS}-bit space"
             )
-        count = size // block_size
-        table = self._maps[block_size]
-        # Check for overlap at every granularity before touching state.
-        for i in range(count):
-            block_va = va + i * block_size
-            if self._lookup_block(block_va) is not None:
-                raise ConfigurationError(
-                    f"{self.name}: {block_va:#x} already mapped"
-                )
-        for i in range(count):
-            table[va + i * block_size] = (pa + i * block_size, attrs)
+        # Extents are disjoint, so only the two neighbours of the insertion
+        # point can overlap the new range.
+        i = bisect_right(self._starts, va)
+        if i and self._extents[i - 1][1] > va:
+            raise ConfigurationError(f"{self.name}: {va:#x} already mapped")
+        if i < len(self._starts) and self._starts[i] < end:
+            raise ConfigurationError(
+                f"{self.name}: {self._starts[i]:#x} already mapped"
+            )
+        self._extents.insert(i, (va, end, pa, attrs, block_size))
+        self._starts.insert(i, va)
         self.generation += 1
-        return count
+        return size // block_size
 
     def unmap(self, va: int, size: int, block_size: int = PAGE_4K) -> int:
-        """Remove entries covering [va, va+size). Returns entries removed."""
+        """Remove `block_size` entries covering [va, va+size).
+
+        Entries of other block sizes are left alone; an extent the range
+        covers only in part is split. Returns entries removed.
+        """
+        if block_size not in VALID_BLOCK_SIZES:
+            raise ConfigurationError(f"invalid block size {block_size:#x}")
         if va % block_size or size % block_size:
             raise ConfigurationError("unmap range not block aligned")
-        table = self._maps[block_size]
+        if size <= 0:
+            return 0
+        end = va + size
+        i = max(bisect_right(self._starts, va) - 1, 0)
+        kept: List[Tuple[int, int, int, PageAttrs, int]] = []
         removed = 0
-        for i in range(size // block_size):
-            if table.pop(va + i * block_size, None) is not None:
-                removed += 1
+        j = i
+        while j < len(self._extents) and self._extents[j][0] < end:
+            ext = self._extents[j]
+            ext_va, ext_end, ext_pa, attrs, bs = ext
+            j += 1
+            if bs != block_size or ext_end <= va:
+                kept.append(ext)
+                continue
+            lo, hi = max(ext_va, va), min(ext_end, end)
+            removed += (hi - lo) // block_size
+            if ext_va < lo:
+                kept.append((ext_va, lo, ext_pa, attrs, bs))
+            if hi < ext_end:
+                kept.append((hi, ext_end, ext_pa + (hi - ext_va), attrs, bs))
         if removed:
+            self._extents[i:j] = kept
+            self._starts[i:j] = [ext[0] for ext in kept]
             self.generation += 1
         return removed
 
@@ -140,16 +167,17 @@ class PageTable:
     def _lookup_block(self, addr: int) -> Optional[Tuple[int, int, PageAttrs, int]]:
         """Find the mapping covering `addr`.
 
-        Returns (block_va, output_base, attrs, block_size) or None.
-        Larger blocks are checked first, mirroring how a real walk resolves
-        at the shallowest level that holds a block descriptor.
+        Returns (block_va, output_base, attrs, block_size) or None, where
+        block_va is `addr` rounded down to the covering entry's block.
         """
-        for block_size in (BLOCK_1G, BLOCK_2M, PAGE_4K):
-            block_va = addr & ~(block_size - 1)
-            hit = self._maps[block_size].get(block_va)
-            if hit is not None:
-                return (block_va, hit[0], hit[1], block_size)
-        return None
+        i = bisect_right(self._starts, addr) - 1
+        if i < 0:
+            return None
+        ext_va, ext_end, pa, attrs, block_size = self._extents[i]
+        if addr >= ext_end:
+            return None
+        block_va = addr & ~(block_size - 1)
+        return (block_va, pa + (block_va - ext_va), attrs, block_size)
 
     def translate(self, addr: int, access: str = "r") -> Tuple[int, int, PageAttrs, int]:
         """Translate one input address.
@@ -179,26 +207,26 @@ class PageTable:
     def is_mapped(self, addr: int) -> bool:
         return self._lookup_block(addr) is not None
 
-    def entries(self) -> Iterator[Tuple[int, int, int, PageAttrs]]:
-        """Iterate (va, pa, block_size, attrs) over all entries."""
-        for block_size, table in self._maps.items():
-            for va, (pa, attrs) in table.items():
-                yield (va, pa, block_size, attrs)
+    def extents(self) -> Iterator[Tuple[int, int, int, int, PageAttrs]]:
+        """Iterate (va, pa, size, block_size, attrs) over all extents, in
+        address order. Each extent is one `map` call's run of entries, less
+        any part since unmapped."""
+        for va, end, pa, attrs, block_size in self._extents:
+            yield (va, pa, end - va, block_size, attrs)
 
     def entry_count(self) -> int:
-        return sum(len(t) for t in self._maps.values())
+        return sum((end - va) // bs for va, end, _pa, _attrs, bs in self._extents)
 
     def mapped_bytes(self) -> int:
-        return sum(bs * len(t) for bs, t in self._maps.items())
+        return sum(end - va for va, end, _pa, _attrs, _bs in self._extents)
 
     def dominant_block_size(self) -> int:
-        """The block size covering the most bytes (perf-model input)."""
-        best, best_bytes = PAGE_4K, -1
-        for bs, table in self._maps.items():
-            covered = bs * len(table)
-            if covered > best_bytes:
-                best, best_bytes = bs, covered
-        return best
+        """The block size covering the most bytes (perf-model input); the
+        smallest block size wins ties, and an empty table gives 4 KiB."""
+        covered = dict.fromkeys(VALID_BLOCK_SIZES, 0)
+        for va, end, _pa, _attrs, bs in self._extents:
+            covered[bs] += end - va
+        return max(VALID_BLOCK_SIZES, key=lambda bs: (covered[bs], -bs))
 
 
 class TranslationRegime:

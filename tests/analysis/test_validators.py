@@ -14,16 +14,16 @@ from repro.hw.gic import Gic, IrqTrigger
 MiB = 1024 * 1024
 
 
-# -- stage-2 exclusivity (duck-typed fakes: only .name/.stage2.entries()) ----
+# -- stage-2 exclusivity (duck-typed fakes: only .name/.stage2.extents()) ----
 
 
 class FakeStage2:
     def __init__(self, ranges):
         self._ranges = ranges
 
-    def entries(self):
+    def extents(self):
         for va, pa, size in self._ranges:
-            yield (va, pa, size, 0)
+            yield (va, pa, size, size, None)
 
 
 class FakeVm:

@@ -47,6 +47,15 @@ def test_block_granularity_choice():
     assert pt2m.translate(0x5000_0000)[1] == 2
 
 
+def test_768mib_partition_is_one_extent():
+    base = 0x4000_0000
+    pt = build_ram_stage2("x", region(base=base, size=768 * MiB))
+    assert len(list(pt.extents())) == 1
+    assert pt.entry_count() == 196_608
+    last = base + 768 * MiB - PAGE_4K
+    assert pt.translate(last + 0x10)[:2] == (last + 0x10, 3)
+
+
 def test_invalid_block_size():
     with pytest.raises(ConfigurationError):
         build_ram_stage2("x", region(), block_size=64 * 1024)

@@ -1,7 +1,7 @@
 """Page tables, two-stage translation, and walk-cost accounting."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.hw.mmu import (
@@ -13,6 +13,7 @@ from repro.hw.mmu import (
     TranslationFault,
     TranslationRegime,
     VA_LIMIT,
+    VALID_BLOCK_SIZES,
     walk_refs,
 )
 
@@ -85,6 +86,16 @@ class TestPageTable:
         with pytest.raises(ConfigurationError, match="already mapped"):
             pt.map(0x20_0000 + 8 * PAGE_4K, 0, PAGE_4K)
 
+    def test_overlap_rejected_small_page_inside_new_block(self):
+        # The 4K page sits inside the new 2M block but not at its start; the
+        # block must still be refused rather than shadow the page.
+        pt = PageTable()
+        pt.map(BLOCK_2M + PAGE_4K, 0x4000_0000, PAGE_4K)
+        with pytest.raises(ConfigurationError, match="already mapped"):
+            pt.map(BLOCK_2M, 0x8000_0000, BLOCK_2M, block_size=BLOCK_2M)
+        assert pt.translate(BLOCK_2M + PAGE_4K)[0] == 0x4000_0000
+        assert not pt.is_mapped(BLOCK_2M)
+
     def test_overlap_check_atomic(self):
         pt = PageTable()
         pt.map(2 * PAGE_4K, 0, PAGE_4K)
@@ -118,6 +129,22 @@ class TestPageTable:
         assert not pt.is_mapped(2 * PAGE_4K)
         assert pt.is_mapped(3 * PAGE_4K)
 
+    def test_partial_unmap_splits_extent(self):
+        va, pa = 0x10_0000, 0x4000_0000
+        pt = PageTable()
+        pt.map(va, pa, 16 * PAGE_4K)
+        assert pt.unmap(va + 6 * PAGE_4K, 4 * PAGE_4K) == 4
+        for i in range(6, 10):
+            with pytest.raises(TranslationFault):
+                pt.translate(va + i * PAGE_4K)
+        for i in list(range(6)) + list(range(10, 16)):
+            assert pt.translate(va + i * PAGE_4K + 7)[0] == pa + i * PAGE_4K + 7
+        assert pt.entry_count() == 12
+        pt.map(va + 6 * PAGE_4K, 0x9000_0000, 4 * PAGE_4K)
+        assert pt.translate(va + 7 * PAGE_4K)[0] == 0x9000_0000 + PAGE_4K
+        assert pt.entry_count() == 16
+        assert len(list(pt.extents())) == 3
+
     def test_generation_bumps_on_changes(self):
         pt = PageTable()
         g0 = pt.generation
@@ -140,6 +167,7 @@ class TestPageTable:
 
     def test_dominant_block_size(self):
         pt = PageTable()
+        assert pt.dominant_block_size() == PAGE_4K
         pt.map(0, 0, 4 * PAGE_4K)
         assert pt.dominant_block_size() == PAGE_4K
         pt.map(BLOCK_2M, 0x4000_0000, BLOCK_2M, block_size=BLOCK_2M)
@@ -165,6 +193,143 @@ class TestPageTable:
         for i in page_indices:
             assert pt.unmap(i * PAGE_4K, PAGE_4K) == 1
         assert pt.entry_count() == 0
+
+
+class RefTable:
+    """Reference model: one dict entry per installed block, linear scans."""
+
+    def __init__(self):
+        self.entries = {}  # block va -> (pa, attrs, block_size)
+        self.generation = 0
+
+    def _covering(self, addr):
+        for va, (pa, attrs, bs) in self.entries.items():
+            if va <= addr < va + bs:
+                return va, pa, attrs, bs
+        return None
+
+    def map(self, va, pa, size, attrs, block_size):
+        if va % block_size or pa % block_size or size % block_size:
+            raise ConfigurationError("not aligned")
+        new = [(va + off, pa + off) for off in range(0, size, block_size)]
+        for b, _ in new:
+            for e, (_, _, bs) in self.entries.items():
+                if e < b + block_size and b < e + bs:
+                    raise ConfigurationError("already mapped")
+        for b, p in new:
+            self.entries[b] = (p, attrs, block_size)
+        self.generation += 1
+        return len(new)
+
+    def unmap(self, va, size, block_size):
+        if va % block_size or size % block_size:
+            raise ConfigurationError("not aligned")
+        gone = [
+            e for e, (_, _, bs) in self.entries.items()
+            if bs == block_size and va <= e < va + size
+        ]
+        for e in gone:
+            del self.entries[e]
+        if gone:
+            self.generation += 1
+        return len(gone)
+
+    def translate(self, addr, access):
+        hit = self._covering(addr)
+        if hit is None:
+            raise TranslationFault("", address=addr, stage=1, reason="unmapped")
+        va, pa, attrs, bs = hit
+        if not attrs.permits(access):
+            raise TranslationFault("", address=addr, stage=1, reason="permission")
+        depth = {PAGE_4K: 3, BLOCK_2M: 2, BLOCK_1G: 1}[bs]
+        return (pa + addr - va, depth, attrs, bs)
+
+    def mapped_bytes_by_size(self):
+        out = {PAGE_4K: 0, BLOCK_2M: 0, BLOCK_1G: 0}
+        for _, _, bs in self.entries.values():
+            out[bs] += bs
+        return out
+
+
+_ATTRS = [PageAttrs(), PageAttrs(write=False), PageAttrs(execute=True, owner="x")]
+
+
+@st.composite
+def _address(draw):
+    # A few hot spots inside two 1G blocks, so granularities collide often.
+    return (
+        draw(st.integers(0, 1)) * BLOCK_1G
+        + draw(st.integers(0, 2)) * BLOCK_2M
+        + draw(st.sampled_from([0, 1, 2, 510, 511])) * PAGE_4K
+    )
+
+
+_ops = st.one_of(
+    st.tuples(
+        st.just("map"),
+        _address(),
+        st.integers(0, 7),
+        st.integers(1, 3),
+        st.sampled_from(VALID_BLOCK_SIZES),
+        st.sampled_from(_ATTRS),
+        st.booleans(),
+    ),
+    st.tuples(
+        st.just("unmap"),
+        _address(),
+        st.integers(1, 3),
+        st.sampled_from(VALID_BLOCK_SIZES),
+        st.booleans(),
+    ),
+    st.tuples(
+        st.just("translate"),
+        _address(),
+        st.integers(0, PAGE_4K - 1),
+        st.sampled_from("rwx"),
+    ),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except TranslationFault as e:
+        return ("fault", e.reason)
+    except ConfigurationError:
+        return ("config-error", None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ops, max_size=25))
+def test_page_table_matches_reference_model(ops):
+    pt, ref = PageTable(), RefTable()
+    for op in ops:
+        g0, ref_g0 = pt.generation, ref.generation
+        if op[0] == "map":
+            _, addr, pa_idx, n, bs, attrs, misalign = op
+            va = (addr & ~(bs - 1)) + (0x800 if misalign else 0)
+            args = (va, (8 + pa_idx) * bs, n * bs, attrs, bs)
+            got, want = _outcome(pt.map, *args), _outcome(ref.map, *args)
+        elif op[0] == "unmap":
+            _, addr, n, bs, misalign = op
+            va = (addr & ~(bs - 1)) + (0x800 if misalign else 0)
+            args = (va, n * bs, bs)
+            got, want = _outcome(pt.unmap, *args), _outcome(ref.unmap, *args)
+        else:
+            _, addr, off, access = op
+            got = _outcome(pt.translate, addr + off, access)
+            want = _outcome(ref.translate, addr + off, access)
+            assert pt.is_mapped(addr + off) == (ref._covering(addr + off) is not None)
+        assert got == want, op
+        assert (pt.generation != g0) == (ref.generation != ref_g0)
+        by_size = ref.mapped_bytes_by_size()
+        assert pt.entry_count() == sum(b // bs for bs, b in by_size.items())
+        assert pt.mapped_bytes() == sum(by_size.values())
+        dominant, most = PAGE_4K, -1
+        for bs in (PAGE_4K, BLOCK_2M, BLOCK_1G):  # smallest wins ties
+            if by_size[bs] > most:
+                dominant, most = bs, by_size[bs]
+        assert pt.dominant_block_size() == dominant
 
 
 class TestTranslationRegime:

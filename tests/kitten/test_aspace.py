@@ -42,7 +42,7 @@ class TestLayout:
             assert a.end <= b.va
 
     def test_all_mappings_are_large_blocks(self, aspace):
-        for va, _pa, block, _attrs in aspace.table.entries():
+        for _va, _pa, _size, block, _attrs in aspace.table.extents():
             assert block == BLOCK_2M
 
     def test_backing_is_contiguous_per_segment(self, aspace):
