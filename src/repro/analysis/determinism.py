@@ -108,9 +108,10 @@ def check_determinism(
     With ``seeds > 1`` the ``"all"`` sweep repeats for root seeds
     ``seed, seed+1, ...`` and keys entries ``"{config}@seed={s}"``.
 
-    ``jobs`` fans the independent replay runs over a worker pool (see
-    :mod:`repro.exec`); digests are merged by job id, so the verdict is
-    identical at any ``jobs`` level — which is itself the point.
+    Each replay run is one ``determinism-run`` job dispatched through
+    :class:`~repro.exec.ParallelRunner` (in-process at ``jobs=1``, over a
+    worker pool otherwise); digests are merged by job id, so the verdict
+    is identical at any ``jobs`` level — which is itself the point.
     """
     if runs < 2:
         raise ConfigurationError("determinism check needs at least 2 runs")
@@ -118,26 +119,14 @@ def check_determinism(
         raise ConfigurationError("determinism check needs at least 1 seed")
     if config == "all":
         return _check_all(seed, runs, jobs=jobs, seeds=seeds)
-    if jobs != 1:
-        from repro.exec import ParallelRunner, SimJob
+    from repro.exec import ParallelRunner, SimJob
 
-        sim_jobs = [
-            SimJob.make("determinism-run", config=config, seed=seed, run=i)
-            for i in range(runs)
-        ]
-        results = ParallelRunner(jobs).run_values(sim_jobs)
-    else:
-        results: List[Dict[str, Any]] = [
-            run_quickstart(config, seed) for _ in range(runs)
-        ]
+    results = ParallelRunner(jobs).run_values(
+        SimJob.make("determinism-run", config=config, seed=seed, run=i)
+        for i in range(runs)
+    )
     digests = [r["digest"] for r in results]
-    return {
-        "config": config,
-        "seed": seed,
-        "identical": len(set(digests)) == 1,
-        "digests": digests,
-        "runs": results,
-    }
+    return {**_sweep_entry(config, seed, digests), "runs": results}
 
 
 def _sweep_entry(config: str, seed: int, digests: List[str]) -> Dict[str, Any]:

@@ -135,7 +135,7 @@ def run_scaling(
     configs: Optional[Sequence[str]] = None,
     node_counts: Iterable[int] = (2, 4, 8),
     seed: int = 0xC0FFEE,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     supersteps: int = DEFAULT_SUPERSTEPS,
     step_compute_s: float = DEFAULT_STEP_COMPUTE_S,
     fail_rank: Optional[int] = None,
@@ -144,8 +144,7 @@ def run_scaling(
 ) -> Dict[str, Any]:
     """Sweep (config x node_count) cells over the parallel runner and
     derive the slowdown / amplification table."""
-    from repro.exec.jobs import SimJob
-    from repro.exec.runner import ParallelRunner
+    from repro.exec import ParallelRunner, SimJob
 
     configs = list(configs if configs is not None else ALL_CONFIGS)
     counts = sorted(set(int(n) for n in node_counts))

@@ -20,8 +20,6 @@ from repro.core.experiments import (
     PAPER_FIG10,
     run_fig7_fig8,
     run_fig9_fig10,
-    run_irq_latency,
-    run_interference,
     run_selfish_profiles,
 )
 
@@ -47,31 +45,8 @@ def _tables_to_dict(tables) -> Dict[str, Any]:
     return out
 
 
-def _extensions_serial(seed: int) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    out["ext_irq_routing"] = {
-        mode: run_irq_latency(routing=mode, seed=seed)
-        for mode in ("forwarded", "direct")
-    }
-    interference: Dict[str, Any] = {}
-    for sched in ("kitten", "linux"):
-        alone = run_interference(
-            scheduler=sched, benchmark="lu", with_neighbor=False, seed=seed
-        )
-        shared = run_interference(
-            scheduler=sched, benchmark="lu", with_neighbor=True, seed=seed
-        )
-        interference[sched] = {
-            "lu_alone": alone["metric"],
-            "lu_shared": shared["metric"],
-            "retention": shared["metric"] / alone["metric"],
-        }
-    out["ext_interference"] = interference
-    return out
-
-
-def _extensions_parallel(seed: int, jobs: int) -> Dict[str, Any]:
-    """The extension cells as one fan-out batch, merged in serial order."""
+def _extensions(seed: int, jobs: int) -> Dict[str, Any]:
+    """The extension cells as one dispatch batch, merged in job order."""
     from repro.exec import ParallelRunner, SimJob
 
     sim_jobs = [
@@ -85,18 +60,15 @@ def _extensions_parallel(seed: int, jobs: int) -> Dict[str, Any]:
         for sched in ("kitten", "linux")
         for with_neighbor in (False, True)
     ]
-    merged = ParallelRunner(jobs).run_values(sim_jobs)
-    irq_forwarded, irq_direct = merged[0], merged[1]
+    merged = iter(ParallelRunner(jobs).run_values(sim_jobs))
     out: Dict[str, Any] = {
-        "ext_irq_routing": {"forwarded": irq_forwarded, "direct": irq_direct}
+        "ext_irq_routing": {mode: next(merged) for mode in ("forwarded", "direct")}
     }
     interference: Dict[str, Any] = {}
-    for i, sched in enumerate(("kitten", "linux")):
-        alone, shared = merged[2 + 2 * i], merged[3 + 2 * i]
+    for sched in ("kitten", "linux"):
+        alone, shared = next(merged)["metric"], next(merged)["metric"]
         interference[sched] = {
-            "lu_alone": alone["metric"],
-            "lu_shared": shared["metric"],
-            "retention": shared["metric"] / alone["metric"],
+            "lu_alone": alone, "lu_shared": shared, "retention": shared / alone,
         }
     out["ext_interference"] = interference
     return out
@@ -112,10 +84,11 @@ def run_campaign(
 ) -> Dict[str, Any]:
     """Run the complete reproduction campaign. Returns the results dict.
 
-    ``jobs`` fans the independent (config, trial, scenario) cells of each
-    section over a worker pool via :mod:`repro.exec`; every merge is keyed
-    by job id, so for a given seed the results dict is bit-identical at
-    any ``jobs`` level — only ``wall_seconds`` (host time) differs.
+    Every section dispatches its independent (config, trial, scenario)
+    cells through :class:`~repro.exec.ParallelRunner` — in-process at
+    ``jobs=1``, over a worker pool otherwise. Every merge is keyed by job
+    id, so for a given seed the results dict is bit-identical at any
+    ``jobs`` level — only ``wall_seconds`` (host time) differs.
     """
     t0 = time.time()
     results: Dict[str, Any] = {
@@ -146,10 +119,7 @@ def run_campaign(
     results["paper"] = {"fig8": PAPER_FIG8, "fig10": PAPER_FIG10}
 
     if include_extensions:
-        if jobs != 1:
-            results.update(_extensions_parallel(seed, jobs))
-        else:
-            results.update(_extensions_serial(seed))
+        results.update(_extensions(seed, jobs))
 
     results["wall_seconds"] = time.time() - t0
     return results

@@ -13,15 +13,14 @@ calls these and prints the reproduced rows next to the paper's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.core.configs import ALL_CONFIGS, PAPER_LABELS, build_node
 from repro.core.metrics import Aggregate, TrialResult, aggregate, normalize_to
-from repro.core.node import Node
 from repro.workloads.base import Workload, WorkloadRun
 from repro.workloads.hpcg import HpcgBenchmark
 from repro.workloads.npb import make_npb
@@ -57,6 +56,28 @@ class BenchmarkTable:
 # Figures 4-6: selfish detour
 # ---------------------------------------------------------------------------
 
+def run_selfish_profile(
+    config: str,
+    *,
+    duration_s: float = 1.0,
+    threshold_us: float = 1.0,
+    seed: int = DEFAULT_SEED,
+    node_kwargs: Optional[dict] = None,
+) -> SelfishProfile:
+    """One configuration's detour profile — the unit of Figures 4-6 fan-out."""
+    node = build_node(config, seed=seed, **(node_kwargs or {}))
+    workload = SelfishDetour(duration_s=duration_s, threshold_us=threshold_us)
+    WorkloadRun(node, workload)
+    times, lats = workload.detour_series_us()
+    return SelfishProfile(
+        config=config,
+        times_us=times,
+        latencies_us=lats,
+        summary=workload.noise_summary(),
+        interarrival_cv=workload.interarrival_cv(),
+    )
+
+
 def run_selfish_profiles(
     *,
     duration_s: float = 1.0,
@@ -68,40 +89,26 @@ def run_selfish_profiles(
 ) -> Dict[str, SelfishProfile]:
     """Figures 4, 5, 6: the detour scatter of each configuration.
 
-    ``jobs > 1`` fans one job per configuration over a worker pool; each
-    profile is a pure function of (config, seed), so the result is
-    bit-identical to the serial path.
+    One ``selfish-profile`` job per configuration goes through
+    :class:`~repro.exec.ParallelRunner`, which runs them in-process at
+    ``jobs=1`` and over a worker pool otherwise; either way the result is
+    the same, bit for bit.
     """
-    if jobs != 1 and len(configs) > 1:
-        from repro.exec import ParallelRunner, SimJob
+    from repro.exec import ParallelRunner, SimJob
 
-        sim_jobs = [
-            SimJob.make(
-                "selfish-profile",
-                config=config,
-                duration_s=duration_s,
-                threshold_us=threshold_us,
-                seed=seed,
-                node_kwargs=node_kwargs,
-            )
-            for config in configs
-        ]
-        results = ParallelRunner(jobs).run_values(sim_jobs)
-        return {config: profile for config, profile in zip(configs, results)}
-    profiles = {}
-    for config in configs:
-        node = build_node(config, seed=seed, **(node_kwargs or {}))
-        workload = SelfishDetour(duration_s=duration_s, threshold_us=threshold_us)
-        WorkloadRun(node, workload)
-        times, lats = workload.detour_series_us()
-        profiles[config] = SelfishProfile(
+    sim_jobs = [
+        SimJob.make(
+            "selfish-profile",
             config=config,
-            times_us=times,
-            latencies_us=lats,
-            summary=workload.noise_summary(),
-            interarrival_cv=workload.interarrival_cv(),
+            duration_s=duration_s,
+            threshold_us=threshold_us,
+            seed=seed,
+            node_kwargs=node_kwargs,
         )
-    return profiles
+        for config in configs
+    ]
+    results = ParallelRunner(jobs).run_values(sim_jobs)
+    return dict(zip(configs, results))
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +146,8 @@ def run_single_trial(
 ) -> TrialResult:
     """One (benchmark, config, trial) cell — the unit of campaign fan-out.
 
-    Both the serial table loop and the parallel ``bench-trial`` job handler
-    call exactly this function, which is what makes a parallel campaign
-    bit-identical to a serial one.
+    The ``bench-trial`` job handler calls exactly this function at every
+    ``jobs`` level, so a parallel campaign is bit-identical to a serial one.
     """
     node = build_node(config, seed=seed, trial=trial, **(node_kwargs or {}))
     workload = factory()
@@ -157,23 +163,59 @@ def run_single_trial(
     )
 
 
-def _tables_from_trials(
-    factories: Dict[str, WorkloadFactory],
-    configs: Sequence[str],
-    trials: int,
-    baseline: str,
-    trial_results: Dict[Tuple[str, str, int], TrialResult],
+def run_benchmark_table(
+    benchmark_set: str,
+    *,
+    trials: int = 5,
+    seed: int = DEFAULT_SEED,
+    configs: Sequence[str] = ALL_CONFIGS,
+    baseline: str = "native",
+    node_kwargs: Optional[dict] = None,
+    jobs: int = 1,
 ) -> Dict[str, BenchmarkTable]:
-    """Assemble BenchmarkTables from per-cell results in canonical order."""
+    """Run each benchmark of a named set on each configuration for
+    `trials` trials.
+
+    Each trial uses a distinct deterministic RNG trial index (fresh noise
+    timeline and measurement jitter), which is where the reported standard
+    deviations come from — as on real hardware.
+
+    ``benchmark_set`` names a registry in :data:`BENCHMARK_SETS`: workers
+    resolve factories by name, since callables cannot cross the process
+    boundary. Every (benchmark, config, trial) cell is a ``bench-trial``
+    job run through :class:`~repro.exec.ParallelRunner` (in-process at
+    ``jobs=1``), merged in canonical order, so any ``jobs`` level produces
+    bit-identical tables.
+    """
+    from repro.exec import ParallelRunner, SimJob
+
+    factories = BENCHMARK_SETS.get(benchmark_set)
+    if factories is None:
+        raise ConfigurationError(
+            f"unknown benchmark set {benchmark_set!r} "
+            f"(choose from {', '.join(BENCHMARK_SETS)})"
+        )
+    sim_jobs = [
+        SimJob.make(
+            "bench-trial",
+            benchmark_set=benchmark_set,
+            benchmark=bench_name,
+            config=config,
+            trial=trial,
+            seed=seed,
+            node_kwargs=node_kwargs,
+        )
+        for bench_name in factories
+        for config in configs
+        for trial in range(trials)
+    ]
+    cells = iter(ParallelRunner(jobs).run_values(sim_jobs))
     tables: Dict[str, BenchmarkTable] = {}
     for bench_name in factories:
         aggs: Dict[str, Aggregate] = {}
         unit = ""
         for config in configs:
-            results = [
-                trial_results[(bench_name, config, trial)]
-                for trial in range(trials)
-            ]
+            results = [next(cells) for _ in range(trials)]
             unit = results[-1].unit if results else unit
             aggs[config] = aggregate(results)
         tables[bench_name] = BenchmarkTable(
@@ -185,69 +227,6 @@ def _tables_from_trials(
     return tables
 
 
-def run_benchmark_table(
-    factories: Dict[str, WorkloadFactory],
-    *,
-    trials: int = 5,
-    seed: int = DEFAULT_SEED,
-    configs: Sequence[str] = ALL_CONFIGS,
-    baseline: str = "native",
-    node_kwargs: Optional[dict] = None,
-    jobs: int = 1,
-    benchmark_set: Optional[str] = None,
-) -> Dict[str, BenchmarkTable]:
-    """Run each benchmark on each configuration for `trials` trials.
-
-    Each trial uses a distinct deterministic RNG trial index (fresh noise
-    timeline and measurement jitter), which is where the reported standard
-    deviations come from — as on real hardware.
-
-    ``jobs > 1`` fans every (benchmark, config, trial) cell over a worker
-    pool; ``benchmark_set`` must then name a registry in
-    :data:`BENCHMARK_SETS` (arbitrary factory callables cannot cross the
-    process boundary). Results are merged in canonical (benchmark, config,
-    trial) order, so any ``jobs`` level produces bit-identical tables.
-    """
-    if jobs != 1 and benchmark_set is not None:
-        from repro.exec import ParallelRunner, SimJob
-
-        if BENCHMARK_SETS.get(benchmark_set) is not factories:
-            raise ConfigurationError(
-                f"benchmark_set {benchmark_set!r} does not match the "
-                "factories being run"
-            )
-        sim_jobs = [
-            SimJob.make(
-                "bench-trial",
-                benchmark_set=benchmark_set,
-                benchmark=bench_name,
-                config=config,
-                trial=trial,
-                seed=seed,
-                node_kwargs=node_kwargs,
-            )
-            for bench_name in factories
-            for config in configs
-            for trial in range(trials)
-        ]
-        cells = ParallelRunner(jobs).run_values(sim_jobs)
-        trial_results = {
-            (r.benchmark, r.config, r.trial): r for r in cells
-        }
-        return _tables_from_trials(
-            factories, configs, trials, baseline, trial_results
-        )
-    trial_results = {}
-    for bench_name, factory in factories.items():
-        for config in configs:
-            for trial in range(trials):
-                trial_results[(bench_name, config, trial)] = run_single_trial(
-                    factory, bench_name, config,
-                    trial=trial, seed=seed, node_kwargs=node_kwargs,
-                )
-    return _tables_from_trials(factories, configs, trials, baseline, trial_results)
-
-
 def run_fig7_fig8(
     *,
     trials: int = 5,
@@ -257,8 +236,7 @@ def run_fig7_fig8(
 ) -> Dict[str, BenchmarkTable]:
     """Figure 7 (normalized) and Figure 8 (raw) in one pass."""
     return run_benchmark_table(
-        MEMORY_BENCHMARKS, trials=trials, seed=seed, node_kwargs=node_kwargs,
-        jobs=jobs, benchmark_set="memory",
+        "memory", trials=trials, seed=seed, node_kwargs=node_kwargs, jobs=jobs,
     )
 
 
@@ -271,8 +249,7 @@ def run_fig9_fig10(
 ) -> Dict[str, BenchmarkTable]:
     """Figure 9 (normalized) and Figure 10 (raw) in one pass."""
     return run_benchmark_table(
-        NPB_BENCHMARKS, trials=trials, seed=seed, node_kwargs=node_kwargs,
-        jobs=jobs, benchmark_set="npb",
+        "npb", trials=trials, seed=seed, node_kwargs=node_kwargs, jobs=jobs,
     )
 
 

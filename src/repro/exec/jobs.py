@@ -88,16 +88,12 @@ def execute_job(job: SimJob) -> Any:
 @handler("selfish-profile")
 def _selfish_profile(config, duration_s, threshold_us, seed, node_kwargs=None):
     """One configuration's Figures 4-6 noise profile."""
-    from repro.core.experiments import run_selfish_profiles
+    from repro.core.experiments import run_selfish_profile
 
-    profiles = run_selfish_profiles(
-        duration_s=duration_s,
-        threshold_us=threshold_us,
-        seed=seed,
-        configs=[config],
-        node_kwargs=node_kwargs,
+    return run_selfish_profile(
+        config, duration_s=duration_s, threshold_us=threshold_us,
+        seed=seed, node_kwargs=node_kwargs,
     )
-    return profiles[config]
 
 
 @handler("bench-trial")

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 from repro.common.errors import ConfigurationError, ReproError
 from repro.exec.jobs import SimJob, execute_job
@@ -83,6 +84,10 @@ def _finished(future: Future) -> bool:
 
 
 def _run_in_pool(workers: int, jobs_list: List[SimJob]) -> List[Any]:
+    # Imported here so an in-process (jobs=1) run never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     executor = _EXECUTORS.get(workers)
     if executor is None:
         executor = _EXECUTORS[workers] = ProcessPoolExecutor(max_workers=workers)

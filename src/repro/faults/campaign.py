@@ -417,11 +417,15 @@ def run_resilience(
 ) -> Dict[str, Any]:
     """The full campaign: configs x applicable scenarios + containment.
 
-    Every (config, scenario) cell builds its own node from (seed, trial),
-    so ``jobs > 1`` fans the cells over a worker pool (:mod:`repro.exec`)
-    and merges by job id — the report is bit-identical at any ``jobs``.
+    Every (config, scenario) cell builds its own node from (seed, trial)
+    and runs as one job through :class:`~repro.exec.ParallelRunner`
+    (in-process at ``jobs=1``, over a worker pool otherwise), merged by
+    job id, so the report is bit-identical at any ``jobs``. A name
+    repeated in ``configs`` or ``scenarios`` is refused up front: its
+    cells would collide in the report.
     """
     from repro.core.configs import ALL_CONFIGS
+    from repro.exec import ParallelRunner, SimJob
 
     chosen_configs = list(configs) if configs else list(ALL_CONFIGS)
     for config in chosen_configs:
@@ -436,12 +440,14 @@ def run_resilience(
                 f"scenario {scenario!r} is not applicable to any config "
                 f"(known: {', '.join(HAFNIUM_SCENARIOS)})"
             )
-    report: Dict[str, Any] = {
-        "seed": seed,
-        "trial": trial,
-        "configs": {},
-        "containment": {},
-    }
+    for kind, names in (
+        ("configuration", chosen_configs), ("scenario", list(scenarios or ())),
+    ):
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ConfigurationError(
+                f"repeated {kind} name(s): {', '.join(repeated)}"
+            )
     applicable_by_config = {
         config: [
             s for s in (scenarios or scenarios_for(config))
@@ -452,41 +458,28 @@ def run_resilience(
     containment_configs = (
         [c for c in chosen_configs if c != "native"] if with_containment else []
     )
-
-    if jobs != 1:
-        from repro.exec import ParallelRunner, SimJob
-
-        sim_jobs = [
-            SimJob.make(
-                "fault-scenario", config=config, scenario=scenario,
-                seed=seed, trial=trial,
-            )
-            for config in chosen_configs
-            for scenario in applicable_by_config[config]
-        ] + [
-            SimJob.make("containment", config=config, seed=seed, trial=trial)
-            for config in containment_configs
-        ]
-        merged = iter(ParallelRunner(jobs).run(sim_jobs).values())
-        for config in chosen_configs:
-            report["configs"][config] = {}
-            for scenario in applicable_by_config[config]:
-                report["configs"][config][scenario] = next(merged)
-        for config in containment_configs:
-            report["containment"][config] = next(merged)
-        return report
-
-    for config in chosen_configs:
-        report["configs"][config] = {}
-        for scenario in applicable_by_config[config]:
-            report["configs"][config][scenario] = run_scenario(
-                config, scenario, seed=seed, trial=trial
-            )
-    for config in containment_configs:
-        report["containment"][config] = run_containment(
-            config, seed=seed, trial=trial
+    sim_jobs = [
+        SimJob.make(
+            "fault-scenario", config=config, scenario=scenario,
+            seed=seed, trial=trial,
         )
-    return report
+        for config in chosen_configs
+        for scenario in applicable_by_config[config]
+    ] + [
+        SimJob.make("containment", config=config, seed=seed, trial=trial)
+        for config in containment_configs
+    ]
+    merged = iter(ParallelRunner(jobs).run_values(sim_jobs))
+    # Dict displays evaluate in order: scenario cells, then containment.
+    return {
+        "seed": seed,
+        "trial": trial,
+        "configs": {
+            config: {s: next(merged) for s in applicable_by_config[config]}
+            for config in chosen_configs
+        },
+        "containment": {c: next(merged) for c in containment_configs},
+    }
 
 
 #: Fault kinds eligible for randomized campaigns: everything except
@@ -604,20 +597,18 @@ def run_randomized_campaign(
     jobs: int = 1,
 ) -> Dict[str, Any]:
     """``campaigns`` randomized runs at root seeds ``seed, seed+1, ...``
-    with per-seed results and aggregate survival statistics."""
+    with per-seed results and aggregate survival statistics. Each seed is
+    one ``randomized-faults`` job run through
+    :class:`~repro.exec.ParallelRunner` (in-process at ``jobs=1``)."""
     if campaigns < 1:
         raise ConfigurationError("randomized campaign needs campaigns >= 1")
-    seeds = [seed + i for i in range(campaigns)]
-    if jobs != 1:
-        from repro.exec import ParallelRunner, SimJob
+    from repro.exec import ParallelRunner, SimJob
 
-        sim_jobs = [
-            SimJob.make("randomized-faults", config=config, seed=s, count=count)
-            for s in seeds
-        ]
-        runs = ParallelRunner(jobs).run_values(sim_jobs)
-    else:
-        runs = [run_randomized(config, seed=s, count=count) for s in seeds]
+    seeds = [seed + i for i in range(campaigns)]
+    runs = ParallelRunner(jobs).run_values(
+        SimJob.make("randomized-faults", config=config, seed=s, count=count)
+        for s in seeds
+    )
     survival = [r["job_survival_rate"] for r in runs]
     detections = sum(r["detections"] for r in runs)
     faults = sum(r["faults_injected"] for r in runs)

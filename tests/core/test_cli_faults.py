@@ -54,3 +54,11 @@ def test_unknown_scenario_is_a_clean_error(capsys):
     rc = main(["faults", "--scenarios", "meteor-strike"])
     assert rc == 2
     assert "not applicable" in capsys.readouterr().err
+
+
+def test_repeated_scenario_is_a_clean_error(capsys):
+    rc = main(["faults", "--jobs", "1", "--scenarios", "vm-panic,vm-panic"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "repro faults: repeated scenario name(s): vm-panic"
+    )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.core.experiments import (
     BenchmarkTable,
     PAPER_FIG8,
@@ -17,7 +18,6 @@ from repro.core.report import (
     render_raw_table,
     render_selfish,
 )
-from repro.workloads.stream import StreamBenchmark
 
 
 def agg(config, mean, stdev=0.1):
@@ -103,11 +103,8 @@ class TestRendering:
 
 class TestDriverPlumbing:
     def test_run_benchmark_table_trials_differ_but_aggregate(self):
-        factories = {
-            "stream": lambda: StreamBenchmark(n_elements=100_000, ntimes=1)
-        }
         tables = run_benchmark_table(
-            factories, trials=2, seed=30, configs=["native"]
+            "memory", trials=2, seed=30, configs=["native"]
         )
         table = tables["stream"]
         agg_ = table.aggregates["native"]
@@ -117,3 +114,7 @@ class TestDriverPlumbing:
         assert agg_.values[0] != agg_.values[1]
         assert agg_.cv < 0.02
         assert table.normalized["native"] == 1.0
+
+    def test_run_benchmark_table_rejects_unknown_set(self):
+        with pytest.raises(ConfigurationError, match="unknown benchmark set 'bogus'"):
+            run_benchmark_table("bogus", trials=1)

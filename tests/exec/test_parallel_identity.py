@@ -2,12 +2,19 @@
 
 Host parallelism must never affect simulated results — the entire fan-out
 is over (config, seed, trial, scenario) cells that are pure functions of
-their parameters. These tests run the same campaigns at ``jobs=1`` and
-``jobs=4`` and compare the full result structures (modulo
-``wall_seconds``, which measures the host, not the simulation).
+their parameters. These tests run the same campaigns at ``jobs=1`` (the
+dispatch in-process) and ``jobs=4`` (a cached worker pool) and compare the
+full result structures (modulo ``wall_seconds``, which measures the host,
+not the simulation); one small cell of **every registered job kind** is
+also compared as pickled bytes (literal bit-identity).
 """
 
+import pickle
+
 import numpy as np
+
+from repro.exec.jobs import SimJob, job_kinds
+from repro.exec.runner import ParallelRunner
 
 SEED = 20260806
 
@@ -90,3 +97,51 @@ def test_randomized_campaign_identical_across_jobs():
     assert serial == parallel
     agg = serial["aggregate"]
     assert 0.0 <= agg["survival_min"] <= agg["survival_mean"] <= agg["survival_max"] <= 1.0
+
+
+def _all_kind_cells():
+    """One deliberately small cell per registered job kind."""
+    cells = [
+        SimJob.make(
+            "selfish-profile", config="hafnium-kitten",
+            duration_s=0.02, threshold_us=1.0, seed=SEED,
+        ),
+        SimJob.make(
+            "bench-trial", benchmark_set="memory", benchmark="stream",
+            config="hafnium-kitten", trial=0, seed=SEED,
+        ),
+        SimJob.make("determinism-run", config="hafnium-kitten", seed=SEED),
+        SimJob.make(
+            "fault-scenario", config="hafnium-kitten", scenario="vm-panic",
+            seed=SEED,
+        ),
+        SimJob.make("containment", config="hafnium-kitten", seed=SEED),
+        SimJob.make(
+            "irq-latency", routing="forwarded", duration_s=0.01, seed=SEED,
+        ),
+        SimJob.make(
+            "interference", scheduler="kitten", benchmark="ep",
+            with_neighbor=False, seed=SEED,
+        ),
+        SimJob.make(
+            "randomized-faults", config="hafnium-kitten", seed=SEED, count=1,
+        ),
+        SimJob.make(
+            "cluster-run", config="hafnium-kitten", nodes=2, seed=SEED,
+            supersteps=2, step_compute_s=0.0008,
+        ),
+    ]
+    assert {c.kind for c in cells} == set(job_kinds())
+    return cells
+
+
+def _bits(results):
+    return [
+        pickle.dumps(r, protocol=pickle.HIGHEST_PROTOCOL) for r in results
+    ]
+
+
+def test_every_job_kind_pooled_matches_in_process_bit_for_bit():
+    serial = ParallelRunner(1).run(_all_kind_cells())
+    pooled = ParallelRunner(4).run(_all_kind_cells())
+    assert _bits(pooled) == _bits(serial)

@@ -1,5 +1,10 @@
 """SimJob descriptors and the ParallelRunner merge contract."""
 
+import inspect
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -79,3 +84,30 @@ def test_runner_pool_path_matches_in_process_results():
     parallel = ParallelRunner(jobs=2).run(jobs)
     assert serial == parallel
     assert list(serial) == [j.key for j in jobs]
+
+
+def test_in_process_run_never_loads_the_process_pool():
+    code = (
+        "import sys; from repro.exec import ParallelRunner, SimJob; "
+        "ParallelRunner(1).run([SimJob.make("
+        "'irq-latency', routing='direct', seed=1, duration_s=0.005)]); "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "False"
+
+def test_every_campaign_driver_defaults_to_one_job():
+    from repro.analysis.determinism import check_determinism
+    from repro.cluster.campaign import run_scaling
+    from repro.core.campaign import run_campaign
+    from repro.core.experiments import run_benchmark_table, run_selfish_profiles
+    from repro.faults.campaign import run_randomized_campaign, run_resilience
+
+    drivers = (
+        check_determinism, run_scaling, run_campaign, run_benchmark_table,
+        run_selfish_profiles, run_randomized_campaign, run_resilience,
+    )
+    for driver in drivers:
+        assert inspect.signature(driver).parameters["jobs"].default == 1, driver

@@ -4,10 +4,13 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import ms
+from repro.exec import SimJob
+from repro.faults import campaign
 from repro.faults.campaign import (
     HAFNIUM_SCENARIOS,
     NATIVE_SCENARIOS,
     run_containment,
+    run_resilience,
     run_scenario,
     run_smoke,
     scenarios_for,
@@ -30,6 +33,29 @@ class TestScenarioApplicability:
     def test_containment_rejects_native(self):
         with pytest.raises(ConfigurationError):
             run_containment("native", seed=SEED)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("field, names, kind", [
+        ("scenarios", ["vm-panic", "irq-drop", "vm-panic"], "scenario"),
+        ("configs", ["hafnium-kitten"] * 2, "configuration"),
+    ], ids=["scenarios", "configs"])
+    def test_repeated_campaign_names_rejected(self, jobs, field, names, kind):
+        kwargs = {"configs": ["hafnium-kitten"], field: names}
+        with pytest.raises(ConfigurationError,
+                           match=rf"^repeated {kind} name\(s\): {names[0]}$"):
+            run_resilience(seed=SEED, with_containment=False, jobs=jobs, **kwargs)
+
+    def test_in_process_cell_failure_names_its_job(self, monkeypatch):
+        def broken(config, scenario, **kwargs):
+            raise RuntimeError("cell blew up")
+
+        monkeypatch.setattr(campaign, "run_scenario", broken)
+        with pytest.raises(RuntimeError, match="cell blew up") as info:
+            run_resilience(seed=SEED, configs=["hafnium-kitten"],
+                           scenarios=["vm-panic"], with_containment=False, jobs=1)
+        key = SimJob.make("fault-scenario", config="hafnium-kitten",
+                          scenario="vm-panic", seed=SEED, trial=0).key
+        assert f"raised by job {key}" in info.value.__notes__
 
 
 class TestScenarioMetrics:
