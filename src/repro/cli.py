@@ -345,7 +345,6 @@ def _cmd_cluster(args) -> int:
             step_compute_s=args.step_ms / 1000.0,
             fail_rank=args.fail_rank,
             fail_at_ms=args.fail_at_ms,
-            collective_algo=args.collective_algo,
         )
     except (ConfigurationError, ValueError) as exc:
         print(f"repro cluster: {exc}", file=sys.stderr)
@@ -561,11 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fail-at-ms", type=float, default=None,
         help="when to kill it (simulated ms after start; default 1.0)",
-    )
-    p.add_argument(
-        "--collective-algo", choices=("linear", "tree"), default="tree",
-        help="allreduce/barrier implementation: binomial tree (default) or "
-        "the O(N)-at-the-root linear baseline",
     )
     p.add_argument("--output", "-o", type=str, default="")
     _add_jobs_flag(p)

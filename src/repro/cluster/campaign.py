@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, refuse_repeated
 from repro.common.units import ms, to_ms
 from repro.core.configs import ALL_CONFIGS, CONFIG_NATIVE
 from repro.cluster.bsp import BspClusterWorkload
@@ -44,19 +44,14 @@ def run_cluster(
     fail_rank: Optional[int] = None,
     fail_at_ms: Optional[float] = None,
     max_seconds: float = 120.0,
-    collective_algo: str = "tree",
 ) -> Dict[str, Any]:
     """Run one BSP scaling cell; returns a picklable, digestable report.
 
     With ``fail_rank``/``fail_at_ms`` set, a ``node-failure`` fault is
     armed through the PR-2 fault framework so cluster campaigns compose
-    with the resilience machinery. ``collective_algo`` selects the
-    allreduce implementation (binomial ``tree`` by default, ``linear``
-    for the O(N)-at-the-root baseline).
+    with the resilience machinery.
     """
-    cluster = Cluster(
-        config, nodes, seed=seed, trial=trial, collective_algo=collective_algo
-    )
+    cluster = Cluster(config, nodes, seed=seed, trial=trial)
     workload = BspClusterWorkload(
         cluster,
         supersteps=supersteps,
@@ -122,9 +117,8 @@ def run_cluster(
         "failed_ranks": list(cluster.failed),
         "aborted_ranks": sorted(workload.aborted),
         "fault_injections": len(injections),
-        "collective_algo": collective_algo,
         "fabric": cluster.fabric.stats(),
-        # The collective root's ingress port: the O(N) vs O(log N) hotspot.
+        # The collective root's ingress port: the fan-in hotspot.
         "root_port": cluster.fabric.port_stats(0),
         "digest": cluster.digest(),
     }
@@ -140,13 +134,15 @@ def run_scaling(
     step_compute_s: float = DEFAULT_STEP_COMPUTE_S,
     fail_rank: Optional[int] = None,
     fail_at_ms: Optional[float] = None,
-    collective_algo: str = "tree",
 ) -> Dict[str, Any]:
     """Sweep (config x node_count) cells over the parallel runner and
-    derive the slowdown / amplification table."""
+    derive the slowdown / amplification table. A name repeated in
+    ``configs`` is refused up front: its cells would collide in the
+    report."""
     from repro.exec import ParallelRunner, SimJob
 
     configs = list(configs if configs is not None else ALL_CONFIGS)
+    refuse_repeated("configuration", configs)
     counts = sorted(set(int(n) for n in node_counts))
     if not counts:
         raise ConfigurationError("node_counts must be non-empty")
@@ -160,7 +156,6 @@ def run_scaling(
             step_compute_s=step_compute_s,
             fail_rank=fail_rank,
             fail_at_ms=fail_at_ms,
-            collective_algo=collective_algo,
         )
         for config in configs
         for n in counts
@@ -206,7 +201,6 @@ def run_scaling(
         "step_compute_s": step_compute_s,
         "node_counts": counts,
         "configs": configs,
-        "collective_algo": collective_algo,
         "cells": cells,
         "rows": rows,
     }

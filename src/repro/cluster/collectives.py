@@ -12,34 +12,27 @@ BUSY from a saturated ingress port backs off exponentially
 (``base_backoff_ps << attempt``) up to ``max_attempts``; a non-busy
 failure (dead peer) breaks out immediately.
 
-Two collective algorithms share one calling convention, selected by
-``cluster.collective_algo``:
+Every collective runs as a binomial tree rooted at rank 0: each rank
+merges its subtree's *coverage* (a rank-keyed contribution dict) and
+forwards one message to its parent, so the root's ingress port handles
+O(log N) messages per collective rather than O(N). The reduction itself
+happens only at the root, over the rank-sorted contributions of the live
+set, so the values do not depend on the shape of the tree.
 
-* ``linear`` — the original flat gather rooted at rank 0: every rank
-  sends its contribution straight to the root, which reduces and sends
-  every result back. Simple, but the root's ingress port serializes
-  O(N) messages per collective.
-* ``tree`` (default) — a binomial tree: each rank merges its subtree's
-  *coverage* (a rank-keyed contribution dict) and forwards one message
-  to its parent, so the root port handles O(log N) messages. The
-  reduction itself still happens only at the root, over the same
-  rank-sorted contribution dict the linear algorithm builds — so the
-  two algorithms produce float-for-float identical values.
-
-Both are tolerant of node failure: in-band ``death`` notices wake
+Collectives tolerate node failure: in-band ``death`` notices wake
 blocked participants, gather membership is re-evaluated against the
 live set, and a dead root makes the collective return
-``{"ok": False, "error": "root-failed"}`` rather than deadlock. The
-tree additionally repairs around interior deaths: orphaned subtrees
-re-send their coverage to the nearest live ancestor (the binomial
-parent chain guarantees the orphan's ancestor path passes through the
-dead parent's own parent), and each rank keeps a small memory of
-recently completed collectives so a straggler's duplicate coverage is
-answered with the stored result instead of being lost. Remaining
-limitation: an orphan whose repair lands on a rank that has already
-finished its *entire* workload (nothing left to service the request)
-will hang until the cluster deadline — only reachable when a rank dies
-inside the final collective of a run.
+``{"ok": False, "error": "root-failed"}`` rather than deadlock. Interior
+deaths are repaired: orphaned subtrees re-send their coverage to the
+nearest live ancestor (the binomial parent chain guarantees the orphan's
+ancestor path passes through the dead parent's own parent), and each
+rank keeps a small memory of recently completed collectives so a
+straggler's duplicate coverage is answered with the stored result
+instead of being lost. Remaining limitation: an orphan whose repair
+lands on a rank that has already finished its *entire* workload
+(nothing left to service the request) will hang until the cluster
+deadline — only reachable when a rank dies inside the final collective
+of a run.
 """
 
 from __future__ import annotations
@@ -107,81 +100,6 @@ def recv_match(cluster, rank: int, match: Callable[[NetMessage], bool]):
         )
 
 
-def _want(kind: str, tag: Any) -> Callable[[NetMessage], bool]:
-    def match(msg: NetMessage) -> bool:
-        return (msg.kind == kind and msg.tag == tag) or msg.kind == MSG_DEATH
-    return match
-
-
-def _gather_broadcast(
-    cluster,
-    rank: int,
-    tag: Any,
-    *,
-    op: str,
-    value: Any,
-    combine: Callable[[Dict[int, Any]], Any],
-    root: int = COLLECTIVE_ROOT,
-    size_bytes: int = 64,
-    send_opts: Optional[Dict[str, Any]] = None,
-):
-    """Flat-tree gather + broadcast core shared by all collectives.
-
-    Non-roots send a ``contrib`` and await the ``result`` (or root
-    death); the root collects contributions from every currently-live
-    rank (membership re-checked whenever a death notice arrives), reduces
-    them in rank order, and broadcasts. Returns
-    ``{"ok", "value", "t_ps", "error"}``.
-    """
-    opts = dict(send_opts or {})
-    engine = cluster.engine
-    if not cluster.alive(root):
-        return {"ok": False, "value": None, "t_ps": engine.now,
-                "error": "root-failed"}
-
-    if rank == root:
-        contribs: Dict[int, Any] = {root: value}
-        match = _want("contrib", tag)
-        while any(r not in contribs for r in cluster.live_ranks()):
-            msg = yield from recv_match(cluster, rank, match)
-            if msg.kind == MSG_DEATH:
-                continue  # live_ranks() already shrank; re-evaluate need.
-            contribs[msg.src] = msg.payload
-        live = cluster.live_ranks()
-        result = combine({r: contribs[r] for r in live})
-        for dst in live:
-            if dst == root:
-                continue
-            yield from send_message(
-                cluster, root, dst, result,
-                kind="result", tag=tag, size_bytes=size_bytes, **opts,
-            )
-        cluster.record_collective(op, tag, rank)
-        return {"ok": True, "value": result, "t_ps": engine.now, "error": None}
-
-    sent = yield from send_message(
-        cluster, rank, root, value,
-        kind="contrib", tag=tag, size_bytes=size_bytes, **opts,
-    )
-    if not sent["ok"]:
-        return {"ok": False, "value": None, "t_ps": engine.now,
-                "error": sent["error"]}
-    match = _want("result", tag)
-    while True:
-        msg = yield from recv_match(cluster, rank, match)
-        if msg.kind != MSG_DEATH:
-            cluster.record_collective(op, tag, rank)
-            return {"ok": True, "value": msg.payload, "t_ps": engine.now,
-                    "error": None}
-        if not cluster.alive(root):
-            return {"ok": False, "value": None, "t_ps": engine.now,
-                    "error": "root-failed"}
-
-
-# ---------------------------------------------------------------------------
-# Binomial tree algorithm
-# ---------------------------------------------------------------------------
-
 #: Completed (tag -> result) entries each rank remembers for straggler
 #: servicing; oldest evicted beyond this.
 COLLECTIVE_MEMORY = 16
@@ -225,13 +143,14 @@ def _tree_gather_broadcast(
     size_bytes: int = 64,
     send_opts: Optional[Dict[str, Any]] = None,
 ):
-    """Binomial-tree gather + broadcast (see the module docstring).
+    """Binomial-tree gather + broadcast core shared by all collectives
+    (see the module docstring).
 
     Gather moves *coverage dicts* — ``{actual rank: contribution}`` for
     everything a subtree has heard from — up the tree; the reduction is
-    applied once, at the root, over the live ranks in sorted order, which
-    is exactly the linear algorithm's arithmetic. Results flow back down
-    along the edges that actually carried coverage.
+    applied once, at the root, over the live ranks in sorted order.
+    Results flow back down along the edges that actually carried
+    coverage. Returns ``{"ok", "value", "t_ps", "error"}``.
     """
     opts = dict(send_opts or {})
     engine = cluster.engine
@@ -295,8 +214,7 @@ def _tree_gather_broadcast(
         # rank has sent coverage up; ignore anything else defensively.
 
     if v == 0:
-        # Root: reduce in rank-sorted order over the live set — identical
-        # arithmetic to the linear algorithm's combine.
+        # Root: reduce in rank-sorted order over the live set.
         result = combine({r: coverage[r] for r in cluster.live_ranks()})
         remember(result)
         for dst in contrib_srcs:
@@ -380,22 +298,10 @@ def _tree_gather_broadcast(
     return {"ok": True, "value": result, "t_ps": engine.now, "error": None}
 
 
-def _collective(cluster, rank, tag, *, op, value, combine, root, size_bytes,
-                send_opts):
-    """Dispatch one collective through the cluster's selected algorithm."""
-    algo = getattr(cluster, "collective_algo", "linear")
-    core = _tree_gather_broadcast if algo == "tree" else _gather_broadcast
-    result = yield from core(
-        cluster, rank, tag, op=op, value=value, combine=combine,
-        root=root, size_bytes=size_bytes, send_opts=send_opts,
-    )
-    return result
-
-
 def barrier(cluster, rank: int, tag: Any, *, root: int = COLLECTIVE_ROOT,
             **send_opts):
     """All live ranks rendezvous; returns when every live rank arrived."""
-    result = yield from _collective(
+    result = yield from _tree_gather_broadcast(
         cluster, rank, tag, op="barrier", value=None,
         combine=lambda contribs: True, root=root,
         size_bytes=0, send_opts=send_opts,
@@ -413,7 +319,7 @@ def allreduce(cluster, rank: int, value: float, tag: Any, *,
             total += contribs[r]
         return total
 
-    result = yield from _collective(
+    result = yield from _tree_gather_broadcast(
         cluster, rank, tag, op="allreduce", value=value, combine=combine,
         root=root, size_bytes=size_bytes, send_opts=send_opts,
     )
@@ -427,7 +333,7 @@ def allgather(cluster, rank: int, value: Any, tag: Any, *,
     def combine(contribs: Dict[int, Any]) -> tuple:
         return tuple((r, contribs[r]) for r in sorted(contribs))
 
-    result = yield from _collective(
+    result = yield from _tree_gather_broadcast(
         cluster, rank, tag, op="allgather", value=value, combine=combine,
         root=root, size_bytes=size_bytes, send_opts=send_opts,
     )

@@ -91,17 +91,11 @@ class Cluster:
         bandwidth_bps: Optional[float] = None,
         port_capacity: Optional[int] = None,
         node_kwargs: Optional[Dict[str, Any]] = None,
-        collective_algo: str = "tree",
     ):
         if size < 2:
             raise ConfigurationError(f"cluster size must be >= 2, got {size}")
         if size >= TRIAL_STRIDE:
             raise ConfigurationError(f"cluster size must be < {TRIAL_STRIDE}")
-        if collective_algo not in ("linear", "tree"):
-            raise ConfigurationError(
-                f"collective_algo must be 'linear' or 'tree', "
-                f"got {collective_algo!r}"
-            )
         self.config = config
         self.size = size
         self.seed = seed
@@ -118,9 +112,6 @@ class Cluster:
         self.nodes: List[ClusterNode] = []
         self.failed: List[int] = []
         self.failures: List[Dict[str, Any]] = []
-        #: Which collective implementation the fragments dispatch through
-        #: (see repro.cluster.collectives): "tree" (default) or "linear".
-        self.collective_algo = collective_algo
         #: Per-rank memory of recently completed collectives (str(tag) ->
         #: result), used by the tree algorithm to answer stragglers whose
         #: gather parent died after the collective finished.

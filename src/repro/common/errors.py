@@ -15,6 +15,18 @@ class ConfigurationError(ReproError):
     """A platform/VM/workload configuration is invalid."""
 
 
+def refuse_repeated(kind: str, names) -> None:
+    """Raise :class:`ConfigurationError` naming every entry of ``names``
+    that appears more than once (campaign cells keyed by name would
+    collide in the report)."""
+    names = list(names)
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigurationError(
+            f"repeated {kind} name(s): {', '.join(repeated)}"
+        )
+
+
 class HardwareFault(ReproError):
     """A modeled hardware fault (bus error, translation abort, ...).
 

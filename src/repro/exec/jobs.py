@@ -178,8 +178,7 @@ def _randomized_faults(config, seed, count, trial=0):
 
 @handler("cluster-run")
 def _cluster_run(config, nodes, seed, trial=0, supersteps=6,
-                 step_compute_s=0.002, fail_rank=None, fail_at_ms=None,
-                 collective_algo="tree"):
+                 step_compute_s=0.002, fail_rank=None, fail_at_ms=None):
     """One (config, node-count, seed) cell of the cluster scaling sweep."""
     from repro.cluster.campaign import run_cluster
 
@@ -187,5 +186,4 @@ def _cluster_run(config, nodes, seed, trial=0, supersteps=6,
         config, nodes, seed,
         trial=trial, supersteps=supersteps, step_compute_s=step_compute_s,
         fail_rank=fail_rank, fail_at_ms=fail_at_ms,
-        collective_algo=collective_algo,
     )

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, refuse_repeated
 from repro.common.units import MiB, ms, to_us
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -440,14 +440,8 @@ def run_resilience(
                 f"scenario {scenario!r} is not applicable to any config "
                 f"(known: {', '.join(HAFNIUM_SCENARIOS)})"
             )
-    for kind, names in (
-        ("configuration", chosen_configs), ("scenario", list(scenarios or ())),
-    ):
-        repeated = sorted({n for n in names if names.count(n) > 1})
-        if repeated:
-            raise ConfigurationError(
-                f"repeated {kind} name(s): {', '.join(repeated)}"
-            )
+    refuse_repeated("configuration", chosen_configs)
+    refuse_repeated("scenario", scenarios or ())
     applicable_by_config = {
         config: [
             s for s in (scenarios or scenarios_for(config))

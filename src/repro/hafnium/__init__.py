@@ -32,8 +32,6 @@ from repro.hafnium.vm import Vm, Vcpu, VcpuState
 from repro.hafnium.mailbox import Mailbox, Message
 from repro.hafnium.spm import Spm, HypercallError
 from repro.hafnium.vgic import VgicCpu
-from repro.hafnium.pool import PoolAllocator
-from repro.hafnium.dynamic import DynamicVmManager
 
 __all__ = [
     "VmExit",
@@ -54,6 +52,4 @@ __all__ = [
     "Spm",
     "HypercallError",
     "VgicCpu",
-    "PoolAllocator",
-    "DynamicVmManager",
 ]

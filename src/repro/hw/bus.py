@@ -1,31 +1,22 @@
-"""DRAM bus arbiter: dynamic bandwidth sharing between streams.
+"""DRAM bus: the fault-injection hook for uncorrectable transfer errors.
 
-The paper's benchmarks run one workload at a time, so their phase models
-use a static per-thread share of the memory bus. Co-location experiments
-need the *dynamic* version: concurrently streaming cores split the
-controller's bandwidth, and a stream's share rises when others pause.
-
-A stream registers while it is actively consuming bandwidth (its phase is
-armed and on-CPU) and unregisters when it completes, blocks, or is
-preempted. Pricing is per slice; dynamic phases bound their slice length
-so shares re-converge quickly after membership changes.
+The paper's benchmarks run one workload at a time, so bandwidth sharing
+between cores is a static per-thread share that each memory phase
+carries (``MemoryPhase.bw_fraction``); the bus itself holds no
+arbitration state. What it does model is failure: the ``bus-error``
+fault kind raises an attributed :class:`HardwareFault` through it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set
-
-from repro.common.errors import HardwareFault, SimulationError
+from repro.common.errors import HardwareFault
 
 
 class DramBus:
-    """Tracks the set of active streaming clients on the memory bus."""
+    """The memory interconnect as a source of bus errors."""
 
     def __init__(self, name: str = "dram-bus"):
         self.name = name
-        self._active: Set[int] = set()
-        self.peak_streams = 0
-        self.registrations = 0
         self.bus_errors = 0
 
     def raise_bus_error(
@@ -42,23 +33,3 @@ class DramBus:
             cpu_index=cpu_index,
             origin_vm=origin_vm,
         )
-
-    def register(self, stream_id: int) -> None:
-        if stream_id in self._active:
-            raise SimulationError(f"{self.name}: stream {stream_id} already active")
-        self._active.add(stream_id)
-        self.registrations += 1
-        self.peak_streams = max(self.peak_streams, len(self._active))
-
-    def unregister(self, stream_id: int) -> None:
-        self._active.discard(stream_id)
-
-    def share(self, stream_id: int) -> float:
-        """The fair bandwidth fraction for `stream_id` right now (counts
-        the caller whether or not it has registered yet)."""
-        n = len(self._active) + (0 if stream_id in self._active else 1)
-        return 1.0 / max(1, n)
-
-    @property
-    def active_streams(self) -> int:
-        return len(self._active)

@@ -518,7 +518,6 @@ class KernelBase:
             base_key=ctx_key,
             trans=self.trans,
             jitter=jitter,
-            bus=self.machine.bus,
         )
 
     def _execute_phase(self, slot: CpuSlot, thread: Thread, phase: Phase) -> Generator:
@@ -531,9 +530,6 @@ class KernelBase:
                 continue
             core = self._core(slot)
             dur = phase.arm(self._pricing_ctx(slot, thread), engine.now)
-            truncated = phase.max_slice_ps is not None and dur > phase.max_slice_ps
-            if truncated:
-                dur = phase.max_slice_ps
             core.cpu_iface.set_masked(False)
             if self._irq_pending(slot):
                 # Unmasking revealed a latched interrupt: un-arm and handle.
@@ -547,9 +543,7 @@ class KernelBase:
                 core.cpu_iface.set_masked(True)
                 thread.cpu_time_ps += engine.now - t0
                 core.pmu.count_cycles_for(engine.now - t0, self.machine.soc.freq_hz)
-                phase.advance(engine.now - t0, engine.now, interrupted=truncated)
-                if truncated:
-                    phase.abandon_gap()  # a repricing boundary, not a detour
+                phase.advance(engine.now - t0, engine.now)
             except Interrupted:
                 core.cpu_iface.set_masked(True)
                 thread.cpu_time_ps += engine.now - t0

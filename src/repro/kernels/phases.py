@@ -19,7 +19,6 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.hw.bus import DramBus
 from repro.hw.perfmodel import MemContext, MemEnv, PerfModel, TranslationInfo
 
 
@@ -32,7 +31,6 @@ class PricingContext:
     base_key: tuple
     trans: TranslationInfo
     jitter: Callable[[], float]  # multiplicative noise factor, ~1.0
-    bus: Optional[DramBus] = None  # dynamic bandwidth arbiter (opt-in)
 
     def warm(self, tag) -> MemContext:
         """Warmth state of one data structure within this context."""
@@ -46,14 +44,10 @@ class PricingContext:
 class Phase:
     """Base phase. Subclasses define pricing and progress accounting."""
 
-    #: dynamic phases bound their slices so bus shares re-converge
-    max_slice_ps: Optional[int] = None
-
     def __init__(self):
         self._armed_rate: Optional[float] = None  # work units per ps
         self._armed_warmup_ps: int = 0
         self._gap_start: Optional[int] = None
-        self._bus: Optional["DramBus"] = None
         self.total_gap_ps = 0
 
     # -- protocol ------------------------------------------------------------
@@ -94,9 +88,6 @@ class Phase:
         """Account `elapsed_ps` of execution against the armed pricing."""
         if self._armed_rate is None:
             raise SimulationError("advance() before arm()")
-        if self._bus is not None:
-            self._bus.unregister(id(self))
-            self._bus = None
         productive = max(0, elapsed_ps - self._armed_warmup_ps)
         if not interrupted:
             # Completed the armed slice: all remaining armed work is done.
@@ -197,7 +188,7 @@ class MemoryPhase(Phase):
         total_bytes: Optional[float] = None,
         total_accesses: Optional[float] = None,
         compute_overlap_ns: float = 0.0,
-        bw_fraction: Optional[float] = 1.0,
+        bw_fraction: float = 1.0,
         ctx_tag: Optional[str] = None,
     ):
         super().__init__()
@@ -205,11 +196,7 @@ class MemoryPhase(Phase):
             raise ConfigurationError(f"unknown pattern {pattern!r}")
         if working_set <= 0:
             raise ConfigurationError("working_set must be positive")
-        if bw_fraction is None:
-            # Dynamic bus arbitration: short slices so the share tracks
-            # membership changes on the bus.
-            self.max_slice_ps = 5_000_000_000  # 5 ms
-        elif not 0.0 < bw_fraction <= 1.0:
+        if bw_fraction is None or not 0.0 < bw_fraction <= 1.0:
             raise ConfigurationError(f"bw_fraction {bw_fraction} outside (0,1]")
         self.pattern = pattern
         self.working_set = working_set
@@ -239,18 +226,10 @@ class MemoryPhase(Phase):
     def _price(self, ctx: PricingContext) -> Tuple[int, float, int]:
         perf = ctx.perf
         warm = ctx.warm(self.ctx_tag)
-        share = self.bw_fraction
-        if share is None:
-            if ctx.bus is None:
-                raise SimulationError(
-                    "dynamic bw_fraction needs a DramBus in the pricing context"
-                )
-            share = ctx.bus.share(id(self))
-            ctx.bus.register(id(self))
-            self._bus = ctx.bus
         if self.pattern == "seq":
             per_unit_ns = (
-                perf.stream_ns_per_byte(ctx.trans) / share + self.extra_ns
+                perf.stream_ns_per_byte(ctx.trans) / self.bw_fraction
+                + self.extra_ns
             )
             # Streaming rewarms the cache as a side effect of running, and
             # barely relies on it, so charge no explicit warm-up time.

@@ -21,7 +21,6 @@ from repro.workloads.npb import (
     NPB_SPECS,
     make_npb,
 )
-from repro.workloads.ftq import FtqBenchmark
 
 __all__ = [
     "Workload",
@@ -33,5 +32,4 @@ __all__ = [
     "NpbBenchmark",
     "NPB_SPECS",
     "make_npb",
-    "FtqBenchmark",
 ]

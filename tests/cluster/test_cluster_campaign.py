@@ -2,11 +2,15 @@
 --jobs level (including the 16-node cell required by the scaling
 sweep), smoke-run determinism, and fault composition."""
 
+import pytest
+
+from repro.cli import main
 from repro.cluster.campaign import (
     run_cluster,
     run_cluster_smoke,
     run_scaling,
 )
+from repro.common.errors import ConfigurationError
 
 SEED = 20260806
 
@@ -99,3 +103,19 @@ def test_node_failure_fault_composes_with_campaign():
         fail_at_ms=0.9,
     )
     assert res == res2
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_repeated_config_rejected_before_dispatch(jobs):
+    with pytest.raises(ConfigurationError,
+                       match=r"^repeated configuration name\(s\): native$"):
+        run_scaling(configs=["native", "hafnium-kitten", "native"], node_counts=[2],
+                    seed=SEED, jobs=jobs)
+
+
+def test_cli_repeated_config_is_a_clean_error(capsys):
+    rc = main(["cluster", "--jobs", "2", "--configs", "native,native"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "repro cluster: repeated configuration name(s): native\n"
+    )

@@ -1,17 +1,87 @@
 """Collective primitives: correctness, failure semantics, determinism."""
 
-from repro.cluster.collectives import allgather, allreduce, barrier
+import contextlib
+from unittest import mock
+
+from repro.cluster import collectives
+from repro.cluster.collectives import (
+    COLLECTIVE_ROOT, allgather, allreduce, barrier, recv_match, send_message,
+)
+from repro.cluster.fabric import MSG_DEATH
 from repro.cluster.node import Cluster
 from repro.kernels.thread import Thread
 
 SEED = 20260806
 
 
+def _linear_gather_broadcast(
+    cluster, rank, tag, *, op, value, combine, root=COLLECTIVE_ROOT,
+    size_bytes=64, send_opts=None,
+):
+    """Reference oracle for the binomial tree: a flat gather + broadcast.
+
+    Non-roots send a ``contrib`` straight to the root and await the
+    ``result`` (or root death); the root collects contributions from
+    every currently-live rank (membership re-checked whenever a death
+    notice arrives), reduces them in rank order, and broadcasts. Same
+    calling convention and return shape as the tree core it stands in
+    for; the root's port sees O(N) messages per collective.
+    """
+    opts = dict(send_opts or {})
+    engine = cluster.engine
+    if not cluster.alive(root):
+        return {"ok": False, "value": None, "t_ps": engine.now,
+                "error": "root-failed"}
+
+    def want(kind):
+        def match(msg):
+            return (msg.kind == kind and msg.tag == tag) or msg.kind == MSG_DEATH
+        return match
+
+    if rank == root:
+        contribs = {root: value}
+        while any(r not in contribs for r in cluster.live_ranks()):
+            msg = yield from recv_match(cluster, rank, want("contrib"))
+            if msg.kind == MSG_DEATH:
+                continue  # live_ranks() already shrank; re-evaluate need.
+            contribs[msg.src] = msg.payload
+        live = cluster.live_ranks()
+        result = combine({r: contribs[r] for r in live})
+        for dst in live:
+            if dst == root:
+                continue
+            yield from send_message(
+                cluster, root, dst, result,
+                kind="result", tag=tag, size_bytes=size_bytes, **opts,
+            )
+        cluster.record_collective(op, tag, rank)
+        return {"ok": True, "value": result, "t_ps": engine.now, "error": None}
+
+    sent = yield from send_message(
+        cluster, rank, root, value,
+        kind="contrib", tag=tag, size_bytes=size_bytes, **opts,
+    )
+    if not sent["ok"]:
+        return {"ok": False, "value": None, "t_ps": engine.now,
+                "error": sent["error"]}
+    while True:
+        msg = yield from recv_match(cluster, rank, want("result"))
+        if msg.kind != MSG_DEATH:
+            cluster.record_collective(op, tag, rank)
+            return {"ok": True, "value": msg.payload, "t_ps": engine.now,
+                    "error": None}
+        if not cluster.alive(root):
+            return {"ok": False, "value": None, "t_ps": engine.now,
+                    "error": "root-failed"}
+
+
 def _run_collectives(size, seed=SEED, fail_rank=None, fail_at_ps=None,
-                     algo="tree"):
+                     linear=False):
     """Drive one barrier + allreduce + allgather per rank; returns
-    (cluster, results-by-rank)."""
-    cluster = Cluster("native", size, seed=seed, collective_algo=algo)
+    (cluster, results-by-rank). ``linear=True`` swaps the tree core for
+    the linear oracle under the same public collectives, so both runs
+    share one set of combine functions."""
+    cluster = Cluster("native", size, seed=seed)
     results = {}
 
     def proxy(rank):
@@ -33,7 +103,14 @@ def _run_collectives(size, seed=SEED, fail_rank=None, fail_at_ps=None,
         cluster.engine.schedule_at(
             cluster.engine.now + fail_at_ps, cluster.fail, fail_rank
         )
-    cluster.run(threads, max_seconds=10.0)
+    core = (
+        mock.patch.object(
+            collectives, "_tree_gather_broadcast", _linear_gather_broadcast
+        )
+        if linear else contextlib.nullcontext()
+    )
+    with core:
+        cluster.run(threads, max_seconds=10.0)
     return cluster, results
 
 
@@ -132,8 +209,8 @@ def test_tree_topology_invariants():
 
 def test_tree_and_linear_agree_on_values():
     size = 8
-    _, tree = _run_collectives(size, algo="tree")
-    _, linear = _run_collectives(size, algo="linear")
+    _, tree = _run_collectives(size)
+    _, linear = _run_collectives(size, linear=True)
     assert sorted(tree) == sorted(linear) == list(range(size))
     for rank in range(size):
         for op in ("barrier", "allreduce", "allgather"):
@@ -145,8 +222,8 @@ def test_tree_and_linear_agree_on_values():
 
 def test_tree_cuts_root_port_messages():
     size = 8
-    ctree, _ = _run_collectives(size, algo="tree")
-    clinear, _ = _run_collectives(size, algo="linear")
+    ctree, _ = _run_collectives(size)
+    clinear, _ = _run_collectives(size, linear=True)
     tree_msgs = ctree.fabric.port_stats(0)["messages"]
     linear_msgs = clinear.fabric.port_stats(0)["messages"]
     # Linear: every rank hits rank 0 directly (O(N) per collective);
@@ -160,11 +237,11 @@ def test_tree_cuts_root_port_messages():
 def test_tree_and_linear_agree_under_interior_death():
     # Rank 2 of 4 is an interior tree node (child rank 3 must re-home to
     # the root): the orphan-repair path must converge on exactly the
-    # membership the linear algorithm sees.
+    # membership the linear oracle sees.
     size = 4
     kwargs = dict(fail_rank=2, fail_at_ps=1_000_000)
-    _, tree = _run_collectives(size, algo="tree", **kwargs)
-    _, linear = _run_collectives(size, algo="linear", **kwargs)
+    _, tree = _run_collectives(size, **kwargs)
+    _, linear = _run_collectives(size, linear=True, **kwargs)
     assert sorted(tree) == sorted(linear) == [0, 1, 3]
     for rank in (0, 1, 3):
         assert tree[rank]["allreduce"]["ok"]
@@ -172,23 +249,13 @@ def test_tree_and_linear_agree_under_interior_death():
         assert tree[rank]["allgather"]["value"] == linear[rank]["allgather"]["value"]
 
 
-def test_collective_algo_flows_through_campaign_cells():
+def test_campaign_cell_completes_through_tree_collectives():
     from repro.cluster.campaign import run_cluster
 
-    tree = run_cluster(
-        "native", 4, SEED, supersteps=2, step_compute_s=0.0005,
-        collective_algo="tree",
-    )
-    linear = run_cluster(
-        "native", 4, SEED, supersteps=2, step_compute_s=0.0005,
-        collective_algo="linear",
-    )
-    assert tree["collective_algo"] == "tree"
-    assert linear["collective_algo"] == "linear"
-    assert tree["root_port"]["messages"] < linear["root_port"]["messages"]
-    # Same BSP results either way: steps all complete, nobody fails.
-    assert tree["completed_steps"] == linear["completed_steps"] == 2
-    assert tree["failed_ranks"] == linear["failed_ranks"] == []
+    cell = run_cluster("native", 4, SEED, supersteps=2, step_compute_s=0.0005)
+    # Every BSP step passes its allreduce and nobody fails.
+    assert cell["completed_steps"] == 2
+    assert cell["failed_ranks"] == []
 
 
 def test_collectives_identical_with_and_without_observer_jobs():

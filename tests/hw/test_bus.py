@@ -1,108 +1,39 @@
-"""DRAM bus arbiter + dynamic bandwidth sharing end-to-end."""
+"""DRAM bandwidth is a static per-phase share, priced end to end."""
 
 import pytest
 
-from repro.common.errors import SimulationError
-from repro.common.units import MiB, ms, seconds, to_seconds
-from repro.core.configs import CONFIG_NATIVE, build_native_node
-from repro.hw.bus import DramBus
+from repro.common.units import MiB, to_seconds
+from repro.core.configs import build_native_node
+from repro.core.node import run_until_done
 from repro.kernels.phases import MemoryPhase
-from repro.kernels.thread import Sleep, Thread, ThreadState
+from repro.kernels.thread import Thread
 
 
-class TestArbiter:
-    def test_share_math(self):
-        bus = DramBus()
-        assert bus.share(1) == 1.0
-        bus.register(1)
-        assert bus.share(1) == 1.0      # own registration counted once
-        assert bus.share(2) == 0.5      # a second stream would halve it
-        bus.register(2)
-        assert bus.share(1) == 0.5
-        bus.unregister(2)
-        assert bus.share(1) == 1.0
+class TestStaticShareEndToEnd:
+    def _stream(self, bus_seconds, bw_fraction):
+        """Stream `bus_seconds` worth of full-bus traffic at a static
+        `bw_fraction`; returns (thread, end time)."""
+        node = build_native_node(seed=14)
+        bytes_ = bus_seconds * node.machine.soc.dram_bw_bytes_per_s
 
-    def test_double_register_rejected(self):
-        bus = DramBus()
-        bus.register(1)
-        with pytest.raises(SimulationError):
-            bus.register(1)
-
-    def test_unregister_idempotent(self):
-        bus = DramBus()
-        bus.register(1)
-        bus.unregister(1)
-        bus.unregister(1)
-        assert bus.active_streams == 0
-
-    def test_peak_tracking(self):
-        bus = DramBus()
-        for i in range(3):
-            bus.register(i)
-        assert bus.peak_streams == 3
-        assert bus.registrations == 3
-
-
-class TestDynamicSharingEndToEnd:
-    def _stream_thread(self, name, cpu, bytes_, start_delay_ps=0):
         def body():
-            if start_delay_ps:
-                yield Sleep(start_delay_ps)
             yield MemoryPhase(
-                "seq", working_set=32 * MiB, total_bytes=bytes_, bw_fraction=None
+                "seq", 32 * MiB, total_bytes=bytes_, bw_fraction=bw_fraction
             )
-
-        return Thread(name, body(), cpu=cpu, aspace=name)
-
-    def test_single_stream_gets_full_bandwidth(self):
-        node = build_native_node(seed=14)
-        bw = node.machine.soc.dram_bw_bytes_per_s
-        t = self._stream_thread("s", 0, 0.2 * bw)  # 0.2 s at full bus
-        node.spawn_workload_threads([t])
-        from repro.core.node import run_until_done
-
-        end = run_until_done(node, [t], max_seconds=5)
-        assert to_seconds(end) == pytest.approx(0.2, rel=0.05)
-
-    def test_two_streams_halve_each_other(self):
-        node = build_native_node(seed=14)
-        bw = node.machine.soc.dram_bw_bytes_per_s
-        a = self._stream_thread("a", 0, 0.1 * bw)
-        b = self._stream_thread("b", 1, 0.1 * bw)
-        node.spawn_workload_threads([a, b])
-        from repro.core.node import run_until_done
-
-        end = run_until_done(node, [a, b], max_seconds=5)
-        # Two concurrent streams at half bandwidth each: ~0.2 s total.
-        assert to_seconds(end) == pytest.approx(0.2, rel=0.08)
-        assert node.machine.bus.peak_streams == 2
-        assert node.machine.bus.active_streams == 0  # all drained
-
-    def test_late_joiner_slows_first_stream(self):
-        node = build_native_node(seed=14)
-        bw = node.machine.soc.dram_bw_bytes_per_s
-        a = self._stream_thread("a", 0, 0.1 * bw)
-        b = self._stream_thread("b", 1, 0.1 * bw, start_delay_ps=ms(50))
-        node.spawn_workload_threads([a, b])
-        from repro.core.node import run_until_done
-
-        run_until_done(node, [a, b], max_seconds=5)
-        # a: 50 ms alone (0.05 bw-s) + shares the rest -> finishes after
-        # 50ms + 2*50ms = ~150 ms rather than 100 ms.
-        a_end = a.cpu_time_ps
-        assert to_seconds(a_end) == pytest.approx(0.15, rel=0.12)
-
-    def test_static_share_unaffected_by_bus(self):
-        """The paper-benchmark phases (static bw_fraction) ignore the
-        arbiter entirely — calibration safety."""
-        node = build_native_node(seed=14)
-
-        def body():
-            yield MemoryPhase("seq", 32 * MiB, total_bytes=1e8, bw_fraction=0.25)
 
         t = Thread("s", body(), cpu=0, aspace="s")
         node.spawn_workload_threads([t])
-        from repro.core.node import run_until_done
+        return t, run_until_done(node, [t], max_seconds=5)
 
-        run_until_done(node, [t], max_seconds=5)
-        assert node.machine.bus.registrations == 0
+    def test_full_share_streams_at_bus_bandwidth(self):
+        _, end = self._stream(0.2, 1.0)
+        assert to_seconds(end) == pytest.approx(0.2, rel=0.05)
+
+    def test_static_share_unaffected_by_bus(self):
+        """The paper-benchmark phases price their static share and
+        nothing else: a quarter share streams four times as long."""
+        full, _ = self._stream(0.05, 1.0)
+        quarter, _ = self._stream(0.05, 0.25)
+        assert quarter.cpu_time_ps == pytest.approx(
+            4 * full.cpu_time_ps, rel=0.02
+        )

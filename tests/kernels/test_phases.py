@@ -141,6 +141,8 @@ class TestMemoryPhase:
             MemoryPhase("rand", 1024)  # missing total_accesses
         with pytest.raises(ConfigurationError):
             MemoryPhase("seq", 1024, total_bytes=1, bw_fraction=0)
+        with pytest.raises(ConfigurationError):
+            MemoryPhase("seq", 1024, total_bytes=1, bw_fraction=None)
 
     @given(
         st.floats(min_value=1e3, max_value=1e7),
