@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.units import seconds
@@ -12,6 +12,10 @@ from repro.kernels.base import KernelBase
 from repro.kernels.thread import Thread, ThreadState
 from repro.tee.boot import BootChain
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.kitten.control import ControlTask
+    from repro.linuxk.driver import HafniumDriver
+
 
 class Node:
     """A booted node: machine + (optional) SPM + kernels.
@@ -19,6 +23,10 @@ class Node:
     ``workload_kernel`` is wherever benchmarks run: the native kernel in
     the baseline configuration, the secondary-VM guest kernel under
     Hafnium.
+
+    The primary's management plane is ``control_task`` (a Kitten primary)
+    or ``driver`` (a Linux primary); ``vm_pinnings`` maps each launched VM
+    to its physical core per VCPU. All three stay unset on native nodes.
     """
 
     def __init__(
@@ -30,6 +38,9 @@ class Node:
         kernels: Optional[Dict[str, KernelBase]] = None,
         workload_kernel: Optional[KernelBase] = None,
         config_name: str = "unknown",
+        control_task: Optional["ControlTask"] = None,
+        driver: Optional["HafniumDriver"] = None,
+        vm_pinnings: Optional[Dict[str, List[int]]] = None,
     ):
         self.machine = machine
         self.boot_chain = boot_chain
@@ -37,10 +48,19 @@ class Node:
         self.kernels = kernels or {}
         self.workload_kernel = workload_kernel
         self.config_name = config_name
+        self.control_task = control_task
+        self.driver = driver
+        self.vm_pinnings = vm_pinnings or {}
 
     @property
     def engine(self):
         return self.machine.engine
+
+    def vcpu_threads(self, vm_name: str) -> Optional[List[Thread]]:
+        """The primary's VCPU threads for ``vm_name``; None when the node
+        has no management plane or never launched that VM."""
+        plane = self.control_task if self.control_task is not None else self.driver
+        return None if plane is None else plane.vcpu_threads.get(vm_name)
 
     def spawn_workload_threads(self, threads: List[Thread]) -> List[Thread]:
         if self.workload_kernel is None:

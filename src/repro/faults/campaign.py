@@ -28,40 +28,46 @@ isolation contrast the paper's architecture exists to fix.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.analysis.determinism import trace_digest
 from repro.common.errors import ConfigurationError, refuse_repeated
 from repro.common.units import MiB, ms, to_us
+from repro.core.configs import (
+    ALL_CONFIGS,
+    CONFIG_HAFNIUM_KITTEN,
+    CONFIG_NATIVE,
+    HAFNIUM_SCHEDULERS,
+    LOGIN_VM_NAME,
+    _boot_hafnium,
+    _machine,
+    build_native_node,
+    kitten_guest,
+    linux_login,
+)
+from repro.core.node import Node
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import RecoveryManager
-from repro.faults.watchdog import Watchdog
-from repro.hafnium.spm import PRIMARY_VM_ID, Spm
+from repro.faults.watchdog import FailureRecord, Watchdog
+from repro.hafnium.spm import PRIMARY_VM_ID
+from repro.hw.soc import PINE_A64
 from repro.kernels.phases import ComputePhase
 from repro.kernels.thread import Thread
 
 VICTIM_VM = "vma"
 BYSTANDER_VM = "vmb"
 
-#: Scenarios applicable per configuration class.
+#: Scenarios applicable per configuration class. Bare metal has no VCPU
+#: threads, no mailboxes and no post-boot image re-verification.
 HAFNIUM_SCENARIOS = (
-    "mem-bit-flip",
-    "bus-error",
-    "irq-drop",
-    "irq-storm",
-    "vcpu-stall",
-    "vcpu-crash",
-    "vm-panic",
-    "mailbox-storm",
-    "attestation-tamper",
+    "mem-bit-flip", "bus-error", "irq-drop", "irq-storm", "vcpu-stall",
+    "vcpu-crash", "vm-panic", "mailbox-storm", "attestation-tamper",
 )
-NATIVE_SCENARIOS = (
-    "mem-bit-flip",
-    "bus-error",
-    "irq-drop",
-    "irq-storm",
-    "vcpu-stall",
-    "vm-panic",
+NATIVE_SCENARIOS = tuple(
+    k for k in HAFNIUM_SCENARIOS
+    if k not in ("vcpu-crash", "mailbox-storm", "attestation-tamper")
 )
 
 #: Campaign timeline (relative to post-boot t0).
@@ -84,95 +90,24 @@ def build_faults_node(
     seed: int = 0xC0FFEE,
     trial: int = 0,
     trace_categories=None,
-):
+) -> Node:
     """The two-tenant resilience topology: primary on all cores, victim VM
     (2 VCPUs, cores 0-1), bystander VM (2 VCPUs, cores 2-3), and the login
     super-secondary (core 0)."""
-    from repro.core.configs import build_node  # noqa: F401  (import cycle guard)
-    from repro.core.node import Node
-    from repro.hafnium.manifest import Manifest, PartitionSpec, VmRole
-    from repro.hw.machine import Machine
-    from repro.kitten.control import ControlTask, JobSpec
-    from repro.kitten.kernel import KittenKernel
-    from repro.linuxk.driver import HafniumDriver
-    from repro.linuxk.kernel import LinuxKernel
-    from repro.linuxk.kthreads import BackgroundPopulation
-    from repro.common.rng import RngHub
-    from repro.hw.soc import PINE_A64
-    from repro.sim.trace import Tracer
-    from repro.tee.boot import BootChain
-
-    if scheduler not in ("kitten", "linux"):
-        raise ConfigurationError(f"unknown scheduler {scheduler!r}")
-    soc = PINE_A64
-    machine = Machine(
-        soc, rng=RngHub(seed, trial=trial), tracer=Tracer(trace_categories)
-    )
-    boot = BootChain(machine)
-
-    def kitten_guest_factory(mach, spec, role):
-        return KittenKernel(mach, f"kitten-{spec.name}", role=role, num_cpus=spec.vcpus)
-
-    def primary_factory(mach, spec, role):
-        cls = KittenKernel if scheduler == "kitten" else LinuxKernel
-        return cls(mach, f"{scheduler}-primary", role=role, num_cpus=spec.vcpus)
-
-    def login_factory(mach, spec, role):
-        return LinuxKernel(mach, "linux-login", role=role, num_cpus=spec.vcpus)
-
-    manifest = Manifest(
-        [
-            PartitionSpec("primary", VmRole.PRIMARY, soc.num_cores, 192 * MiB,
-                          kernel_factory=primary_factory,
-                          image=b"primary:faults"),
-            PartitionSpec("login", VmRole.SUPER_SECONDARY, 1, 96 * MiB,
-                          kernel_factory=login_factory,
-                          image=b"linux:super-secondary:login"),
-            PartitionSpec(VICTIM_VM, VmRole.SECONDARY, 2, 128 * MiB,
-                          kernel_factory=kitten_guest_factory,
-                          image=b"kitten:secondary:vma"),
-            PartitionSpec(BYSTANDER_VM, VmRole.SECONDARY, 2, 128 * MiB,
-                          kernel_factory=kitten_guest_factory,
-                          image=b"kitten:secondary:vmb"),
-        ]
-    )
-    spm = Spm(machine, manifest)
-    boot.run()
-    primary_kernel = spm.boot_primary()
-    victim_pinning = [0, 1]
-    bystander_pinning = [2, 3]
-    node = Node(
-        machine,
-        boot_chain=boot,
-        spm=spm,
-        kernels={
-            "primary": primary_kernel,
-            "login": spm.vm_by_name("login").kernel,
-            VICTIM_VM: spm.vm_by_name(VICTIM_VM).kernel,
-            BYSTANDER_VM: spm.vm_by_name(BYSTANDER_VM).kernel,
-        },
-        workload_kernel=spm.vm_by_name(VICTIM_VM).kernel,
+    return _boot_hafnium(
+        _machine(PINE_A64, seed, trial, None, trace_categories),
+        scheduler=scheduler,
+        primary_mem=192 * MiB,
+        primary_image=b"primary:faults",
+        partitions=[
+            linux_login(96 * MiB),
+            kitten_guest(VICTIM_VM, 2, 128 * MiB, image=b"kitten:secondary:vma"),
+            kitten_guest(BYSTANDER_VM, 2, 128 * MiB, image=b"kitten:secondary:vmb"),
+        ],
+        launches=[(LOGIN_VM_NAME, [0]), (VICTIM_VM, [0, 1]), (BYSTANDER_VM, [2, 3])],
         config_name=f"faults-{scheduler}",
+        workload_vm=VICTIM_VM,
     )
-    if scheduler == "kitten":
-        control = ControlTask(primary_kernel, cpu=0)
-        control.submit(JobSpec("launch", VICTIM_VM, vcpu_cpus=victim_pinning))
-        control.submit(JobSpec("launch", BYSTANDER_VM, vcpu_cpus=bystander_pinning))
-        node.control_task = control
-    else:
-        BackgroundPopulation().spawn(primary_kernel)
-        driver = HafniumDriver(primary_kernel)
-        driver.launch_vm("login", vcpu_cpus=[0])
-        driver.launch_vm(VICTIM_VM, vcpu_cpus=victim_pinning)
-        driver.launch_vm(BYSTANDER_VM, vcpu_cpus=bystander_pinning)
-        node.driver = driver
-    node.vm_pinnings = {
-        "login": [0],
-        VICTIM_VM: victim_pinning,
-        BYSTANDER_VM: bystander_pinning,
-    }
-    machine.engine.run_until(machine.engine.now + 50_000_000_000)  # settle 50 ms
-    return node
 
 
 def per_vm_digest(node, kernel_name: str) -> str:
@@ -193,17 +128,11 @@ def per_vm_digest(node, kernel_name: str) -> str:
     return h.hexdigest()
 
 
-def _full_digest(node) -> str:
-    from repro.analysis.determinism import trace_digest
-
-    return trace_digest(node)
-
-
 def _spawn_jobs(
-    node,
+    node: Node,
     recovery: Optional[RecoveryManager],
     completed: Dict[str, int],
-    job_compute_s: float = JOB_COMPUTE_S,
+    job_compute_s: float,
 ) -> List[str]:
     """One compute job per VCPU per tenant VM (or per core natively).
     Registers the victim/bystander templates with the recovery manager so
@@ -211,16 +140,7 @@ def _spawn_jobs(
     soc = node.machine.soc
     ops = job_compute_s * soc.ipc * soc.freq_hz
     submitted: List[str] = []
-    if node.spm is None:
-        kernel = node.workload_kernel
-        for cpu in range(len(kernel.slots)):
-            name = f"job.native.{cpu}"
-            kernel.spawn(
-                Thread(name, _job_body(name, ops, completed), cpu=cpu, aspace="faults")
-            )
-            submitted.append(name)
-        return submitted
-    for vm_name in (VICTIM_VM, BYSTANDER_VM):
+    for vm_name in (VICTIM_VM, BYSTANDER_VM) if node.spm is not None else ("native",):
         kernel = node.kernels[vm_name]
         templates: List[Tuple[str, Callable, int]] = []
         for cpu in range(len(kernel.slots)):
@@ -236,36 +156,87 @@ def _spawn_jobs(
     return submitted
 
 
-def _attach_resilience(node) -> Tuple[Optional[Watchdog], Optional[RecoveryManager]]:
-    if node.spm is None:
-        return None, None
-    watchdog = Watchdog(node.spm)
-    watchdog.start()
-    recovery = RecoveryManager(node, watchdog)
-    for vm_name, pinning in sorted(getattr(node, "vm_pinnings", {}).items()):
-        recovery.set_pinning(vm_name, pinning)
-    return watchdog, recovery
+@dataclass
+class _FaultedRun:
+    """One finished faulted run: the node and everything attached to it.
+    Native runs have no watchdog or recovery manager."""
+
+    node: Node
+    t0: int
+    watchdog: Optional[Watchdog]
+    recovery: Optional[RecoveryManager]
+    completed: Dict[str, int]
+    submitted: List[str]
+    injector: Optional[FaultInjector]
+
+    def failures(self, vm_name: Optional[str] = None) -> List[FailureRecord]:
+        """Watchdog declarations, for one VM or for all."""
+        return [
+            f for f in (self.watchdog.failures if self.watchdog is not None else [])
+            if vm_name in (None, f.vm_name)
+        ]
+
+    def restarts(self, vm_name: Optional[str] = None) -> List[Dict[str, Any]]:
+        """Restart events, for one VM or for all."""
+        return [
+            e for e in (self.recovery.events if self.recovery is not None else [])
+            if e["action"] == "restart" and vm_name in (None, e["vm"])
+        ]
+
+    def job_metrics(self) -> Dict[str, Any]:
+        done = sum(1 for name in self.submitted if self.completed.get(name))
+        total = len(self.submitted)
+        return {
+            "jobs_total": total,
+            "jobs_completed": done,
+            "job_survival_rate": (done / total) if total else 1.0,
+        }
 
 
-def _build_for(config: str, seed: int, trial: int = 0):
-    from repro.core.configs import (
-        CONFIG_HAFNIUM_KITTEN,
-        CONFIG_HAFNIUM_LINUX,
-        CONFIG_NATIVE,
-        build_native_node,
-    )
-
+def _faulted_run(
+    config: str,
+    seed: int,
+    trial: int,
+    make_plan: Callable[[Node, int], Optional[FaultPlan]],
+    *,
+    horizon_ps: int = HORIZON_PS,
+    job_compute_s: float = JOB_COMPUTE_S,
+) -> _FaultedRun:
+    """Build the node, attach the watchdog and recovery manager (Hafnium
+    only), spawn the job mix, arm ``make_plan(node, t0)`` (no injector when
+    it returns None), run to ``t0 + horizon_ps`` and stop the watchdog."""
     if config == CONFIG_NATIVE:
-        return build_native_node(seed=seed, trial=trial)
-    if config == CONFIG_HAFNIUM_KITTEN:
-        return build_faults_node(scheduler="kitten", seed=seed, trial=trial)
-    if config == CONFIG_HAFNIUM_LINUX:
-        return build_faults_node(scheduler="linux", seed=seed, trial=trial)
-    raise ConfigurationError(f"unknown configuration {config!r}")
+        node = build_native_node(seed=seed, trial=trial)
+    elif config in HAFNIUM_SCHEDULERS:
+        node = build_faults_node(
+            scheduler=HAFNIUM_SCHEDULERS[config], seed=seed, trial=trial
+        )
+    else:
+        raise ConfigurationError(f"unknown configuration {config!r}")
+    engine = node.machine.engine
+    t0 = engine.now
+    watchdog = recovery = None
+    if node.spm is not None:
+        watchdog = Watchdog(node.spm)
+        watchdog.start()
+        recovery = RecoveryManager(node, watchdog)
+        for vm_name, pinning in sorted(node.vm_pinnings.items()):
+            recovery.set_pinning(vm_name, pinning)
+    completed: Dict[str, int] = {}
+    submitted = _spawn_jobs(node, recovery, completed, job_compute_s)
+    plan = make_plan(node, t0)
+    injector = None
+    if plan is not None:
+        injector = FaultInjector(node, plan)
+        injector.arm()
+    engine.run_until(t0 + horizon_ps)
+    if watchdog is not None:
+        watchdog.stop()
+    return _FaultedRun(node, t0, watchdog, recovery, completed, submitted, injector)
 
 
 def scenarios_for(config: str) -> Tuple[str, ...]:
-    return NATIVE_SCENARIOS if config == "native" else HAFNIUM_SCENARIOS
+    return NATIVE_SCENARIOS if config == CONFIG_NATIVE else HAFNIUM_SCENARIOS
 
 
 def run_scenario(
@@ -276,77 +247,47 @@ def run_scenario(
     trial: int = 0,
     inject_delay_ps: int = INJECT_DELAY_PS,
     horizon_ps: int = HORIZON_PS,
-    job_compute_s: Optional[float] = None,
+    job_compute_s: float = JOB_COMPUTE_S,
 ) -> Dict[str, Any]:
     """One (config, scenario) resilience run; returns the metrics dict."""
     if scenario not in scenarios_for(config):
         raise ConfigurationError(
             f"scenario {scenario!r} is not applicable to config {config!r}"
         )
-    node = _build_for(config, seed, trial)
-    engine = node.machine.engine
-    t0 = engine.now
-    watchdog, recovery = _attach_resilience(node)
-    completed: Dict[str, int] = {}
-    submitted = _spawn_jobs(
-        node, recovery, completed,
-        JOB_COMPUTE_S if job_compute_s is None else job_compute_s,
+    target = VICTIM_VM if config != CONFIG_NATIVE else "native"
+    run = _faulted_run(
+        config, seed, trial,
+        lambda node, t0: FaultPlan.scenario(scenario, target, t0 + inject_delay_ps),
+        horizon_ps=horizon_ps,
+        job_compute_s=job_compute_s,
     )
-    target = VICTIM_VM if node.spm is not None else "native"
-    inject_at = t0 + inject_delay_ps
-    plan = FaultPlan.scenario(scenario, target, inject_at)
-    injector = FaultInjector(node, plan)
-    injector.arm()
-    engine.run_until(t0 + horizon_ps)
-    if watchdog is not None:
-        watchdog.stop()
-
-    victim_failures = (
-        [f for f in watchdog.failures if f.vm_name == target]
-        if watchdog is not None
-        else []
-    )
-    detection_latency_ps = (
-        victim_failures[0].detected_at_ps - inject_at if victim_failures else None
-    )
-    restart_events = (
-        [e for e in recovery.events if e["vm"] == target and e["action"] == "restart"]
-        if recovery is not None
-        else []
-    )
-    recovery_time_ps = (
-        restart_events[0]["recovery_time_ps"] if restart_events else None
-    )
-    jobs_done = sum(1 for name in submitted if completed.get(name))
-    busy = (
-        node.spm.mailboxes[PRIMARY_VM_ID].busy_rejections
-        if node.spm is not None
-        else 0
-    )
+    node, recovery = run.node, run.recovery
+    victim_failures = run.failures(target)
+    restart_events = run.restarts(target)
     return {
         "config": config,
         "scenario": scenario,
         "seed": seed,
-        "faults_injected": len(injector.injections),
-        "injections": injector.injections,
+        "faults_injected": len(run.injector.injections),
+        "injections": run.injector.injections,
         "detected": bool(victim_failures),
         "detection_latency_us": (
-            to_us(detection_latency_ps) if detection_latency_ps is not None else None
+            to_us(victim_failures[0].detected_at_ps - (run.t0 + inject_delay_ps))
+            if victim_failures else None
         ),
         "recovery_time_us": (
-            to_us(recovery_time_ps) if recovery_time_ps is not None else None
+            to_us(restart_events[0]["recovery_time_ps"]) if restart_events else None
         ),
         "restarts": len(restart_events),
-        "degraded": (
-            target in recovery.degraded if recovery is not None else False
+        "degraded": recovery is not None and target in recovery.degraded,
+        **run.job_metrics(),
+        "mailbox_busy_rejections": (
+            node.spm.mailboxes[PRIMARY_VM_ID].busy_rejections
+            if node.spm is not None else 0
         ),
-        "jobs_total": len(submitted),
-        "jobs_completed": jobs_done,
-        "job_survival_rate": (jobs_done / len(submitted)) if submitted else 1.0,
-        "mailbox_busy_rejections": busy,
         "irq_drops": sum(node.machine.gic.dropped.values()),
-        "end_ps": engine.now,
-        "digest": _full_digest(node),
+        "end_ps": node.machine.engine.now,
+        "digest": trace_digest(node),
     }
 
 
@@ -361,28 +302,22 @@ def run_containment(
 ) -> Dict[str, Any]:
     """Fault-vs-baseline differential run: the bystander VM's per-VM trace
     digest must be bit-identical with and without the victim's fault."""
-    if config == "native":
+    if config == CONFIG_NATIVE:
         raise ConfigurationError("containment check needs a Hafnium config")
 
     def one_run(with_fault: bool) -> Dict[str, Any]:
-        node = _build_for(config, seed, trial)
-        engine = node.machine.engine
-        t0 = engine.now
-        watchdog, recovery = _attach_resilience(node)
-        completed: Dict[str, int] = {}
-        _spawn_jobs(node, recovery, completed)
-        if with_fault:
-            injector = FaultInjector(
-                node, FaultPlan.scenario(scenario, VICTIM_VM, t0 + inject_delay_ps)
-            )
-            injector.arm()
-        engine.run_until(t0 + horizon_ps)
-        if watchdog is not None:
-            watchdog.stop()
+        run = _faulted_run(
+            config, seed, trial,
+            lambda node, t0: (
+                FaultPlan.scenario(scenario, VICTIM_VM, t0 + inject_delay_ps)
+                if with_fault else None
+            ),
+            horizon_ps=horizon_ps,
+        )
         return {
-            "victim": per_vm_digest(node, f"kitten-{VICTIM_VM}"),
-            "bystander": per_vm_digest(node, f"kitten-{BYSTANDER_VM}"),
-            "completed": dict(sorted(completed.items())),
+            "victim": per_vm_digest(run.node, f"kitten-{VICTIM_VM}"),
+            "bystander": per_vm_digest(run.node, f"kitten-{BYSTANDER_VM}"),
+            "completed": dict(sorted(run.completed.items())),
         }
 
     baseline = one_run(False)
@@ -399,7 +334,7 @@ def run_containment(
         # nr_running quantum scaling), so recovery activity on the
         # victim's cores may lawfully shift bystander timing — there,
         # `contained` is a measurement, not an invariant.
-        "strict_isolation_expected": config == "hafnium-kitten",
+        "strict_isolation_expected": config == CONFIG_HAFNIUM_KITTEN,
         "bystander_digest": faulted["bystander"],
         "baseline": baseline,
         "faulted": faulted,
@@ -424,7 +359,6 @@ def run_resilience(
     repeated in ``configs`` or ``scenarios`` is refused up front: its
     cells would collide in the report.
     """
-    from repro.core.configs import ALL_CONFIGS
     from repro.exec import ParallelRunner, SimJob
 
     chosen_configs = list(configs) if configs else list(ALL_CONFIGS)
@@ -450,7 +384,7 @@ def run_resilience(
         for config in chosen_configs
     }
     containment_configs = (
-        [c for c in chosen_configs if c != "native"] if with_containment else []
+        [c for c in chosen_configs if c != CONFIG_NATIVE] if with_containment else []
     )
     sim_jobs = [
         SimJob.make(
@@ -501,54 +435,37 @@ def run_randomized(
     Same (config, seed, trial) → same plan → same trace; the randomness
     is *inside* the deterministic replay boundary.
     """
-    node = _build_for(config, seed, trial)
-    engine = node.machine.engine
-    t0 = engine.now
-    watchdog, recovery = _attach_resilience(node)
-    completed: Dict[str, int] = {}
-    submitted = _spawn_jobs(node, recovery, completed)
-    if node.spm is not None:
+    if config != CONFIG_NATIVE:
         chosen_targets = list(targets or (VICTIM_VM, BYSTANDER_VM))
         chosen_kinds = list(kinds or RANDOMIZED_KINDS)
     else:
         chosen_targets = list(targets or ("native",))
-        chosen_kinds = list(
-            kinds or (k for k in NATIVE_SCENARIOS if k != "attestation-tamper")
-        )
-    plan = FaultPlan.randomized(
-        node.machine.rng,
-        chosen_kinds,
-        chosen_targets,
-        start_ps=t0 + inject_delay_ps,
-        window_ps=window_ps,
-        count=count,
+        chosen_kinds = list(kinds or NATIVE_SCENARIOS)
+    run = _faulted_run(
+        config, seed, trial,
+        lambda node, t0: FaultPlan.randomized(
+            node.machine.rng,
+            chosen_kinds,
+            chosen_targets,
+            start_ps=t0 + inject_delay_ps,
+            window_ps=window_ps,
+            count=count,
+        ),
+        horizon_ps=horizon_ps,
     )
-    injector = FaultInjector(node, plan)
-    injector.arm()
-    engine.run_until(t0 + horizon_ps)
-    if watchdog is not None:
-        watchdog.stop()
-
-    detections = len(watchdog.failures) if watchdog is not None else 0
-    restart_events = (
-        [e for e in recovery.events if e["action"] == "restart"]
-        if recovery is not None
-        else []
-    )
-    jobs_done = sum(1 for name in submitted if completed.get(name))
+    node, t0, watchdog, recovery = run.node, run.t0, run.watchdog, run.recovery
+    engine = node.machine.engine
+    detections = len(run.failures())
+    restart_events = run.restarts()
 
     # MTTF / availability over the observation span [t0, horizon).
     # "Failure" means a *detected* VM failure (watchdog declaration);
     # downtime per failure runs detection -> recovery, and a degraded VM
     # stays down through the end of the horizon. Availability is averaged
-    # over the tenant VMs the watchdog covers (victim + bystander).
+    # over the two tenant VMs the watchdog covers (victim + bystander).
     span_ps = engine.now - t0
-    if watchdog is None:
-        mttf_ms = None
-        availability = None
-        downtime_ms = None
-    else:
-        n_tenants = 2 if node.spm is not None else 1
+    mttf_ms = availability = downtime_ms = None
+    if watchdog is not None:
         downtime_ps = sum(e["recovery_time_ps"] for e in restart_events)
         for e in recovery.events:
             if e["action"] == "degrade":
@@ -557,7 +474,7 @@ def run_randomized(
             round(span_ps / detections / 1e9, 3) if detections else None
         )
         availability = round(
-            max(0.0, 1.0 - downtime_ps / (n_tenants * span_ps)), 6
+            max(0.0, 1.0 - downtime_ps / (2 * span_ps)), 6
         )
         downtime_ms = round(downtime_ps / 1e9, 3)
 
@@ -565,26 +482,24 @@ def run_randomized(
         "config": config,
         "seed": seed,
         "trial": trial,
-        "plan": plan.describe(),
-        "faults_injected": len(injector.injections),
+        "plan": run.injector.plan.describe(),
+        "faults_injected": len(run.injector.injections),
         "detections": detections,
         "restarts": len(restart_events),
         "degraded": sorted(recovery.degraded) if recovery is not None else [],
-        "jobs_total": len(submitted),
-        "jobs_completed": jobs_done,
-        "job_survival_rate": (jobs_done / len(submitted)) if submitted else 1.0,
+        **run.job_metrics(),
         "span_ms": round(span_ps / 1e9, 3),
         "mttf_ms": mttf_ms,
         "downtime_ms": downtime_ms,
         "availability": availability,
         "end_ps": engine.now,
-        "digest": _full_digest(node),
+        "digest": trace_digest(node),
     }
 
 
 def run_randomized_campaign(
     *,
-    config: str = "hafnium-kitten",
+    config: str = CONFIG_HAFNIUM_KITTEN,
     seed: int = 0xC0FFEE,
     campaigns: int = 3,
     count: int = 3,
@@ -609,7 +524,7 @@ def run_randomized_campaign(
     # Pooled MTTF: total observed time over total detected failures —
     # the per-run estimator is undefined for zero-failure runs, pooling
     # uses their observation time anyway.
-    span_total_ms = sum(r["span_ms"] for r in runs if r["span_ms"] is not None)
+    span_total_ms = sum(r["span_ms"] for r in runs)
     availabilities = [
         r["availability"] for r in runs if r["availability"] is not None
     ]
@@ -657,12 +572,6 @@ def run_smoke(seed: int = 0xC0FFEE) -> Dict[str, Any]:
         horizon_ps=ms(700),
         job_compute_s=0.04,
     )
-    return {
-        "config": result["config"],
-        "scenario": result["scenario"],
-        "seed": seed,
-        "detected": result["detected"],
-        "restarts": result["restarts"],
-        "job_survival_rate": result["job_survival_rate"],
-        "digest": result["digest"],
-    }
+    keys = ("config", "scenario", "seed", "detected", "restarts",
+            "job_survival_rate", "digest")
+    return {k: result[k] for k in keys}

@@ -243,7 +243,7 @@ class FaultInjector:
 
     def _do_vcpu_crash(self, spec: FaultSpec) -> Dict[str, Any]:
         idx = int(spec.param("vcpu", 0))
-        threads = self._driver_threads(spec.target)
+        threads = self.node.vcpu_threads(spec.target)
         if threads is None or idx >= len(threads):
             raise ConfigurationError(
                 f"vcpu-crash: no driver thread {spec.target}#{idx}"
@@ -251,15 +251,6 @@ class FaultInjector:
         primary = self.node.kernels.get("primary") or self.node.workload_kernel
         primary.kill_thread(threads[idx], reason="vcpu-crash")
         return {"vcpu": idx, "thread": threads[idx].name}
-
-    def _driver_threads(self, vm_name: str) -> Optional[List[Thread]]:
-        control = getattr(self.node, "control_task", None)
-        if control is not None:
-            return control.vcpu_threads.get(vm_name)
-        driver = getattr(self.node, "driver", None)
-        if driver is not None:
-            return driver.vcpu_threads.get(vm_name)
-        return None
 
     def _do_vm_panic(self, spec: FaultSpec) -> Dict[str, Any]:
         kernel = self._target_kernel(spec)

@@ -114,17 +114,8 @@ class RecoveryManager:
             self.quiesce_poll_ps, self._await_quiesce, record, self.quiesce_limit
         )
 
-    def _driver_threads(self, vm_name: str) -> List[Thread]:
-        control = getattr(self.node, "control_task", None)
-        if control is not None:
-            return control.vcpu_threads.get(vm_name, [])
-        driver = getattr(self.node, "driver", None)
-        if driver is not None:
-            return driver.vcpu_threads.get(vm_name, [])
-        return []
-
     def _await_quiesce(self, record: FailureRecord, polls_left: int) -> None:
-        threads = self._driver_threads(record.vm_name)
+        threads = self.node.vcpu_threads(record.vm_name) or []
         if any(t.state != ThreadState.DEAD for t in threads):
             if polls_left <= 0:
                 self._degrade(record, "quiesce timeout")
@@ -151,16 +142,15 @@ class RecoveryManager:
         vm = self.node.spm.reset_vm(vm_name)
         self.node.kernels[vm_name] = vm.kernel
         pinning = self._pinning.get(vm_name)
-        control = getattr(self.node, "control_task", None)
+        control, driver = self.node.control_task, self.node.driver
         if control is not None:
             from repro.kitten.control import JobSpec
 
             control.submit(JobSpec("launch", vm_name, vcpu_cpus=pinning))
-        else:
-            driver = getattr(self.node, "driver", None)
-            if driver is None:
-                raise ConfigurationError("node has neither control task nor driver")
+        elif driver is not None:
             driver.launch_vm(vm_name, vcpu_cpus=pinning)
+        else:
+            raise ConfigurationError("node has neither control task nor driver")
         for job_name, factory, cpu in self.job_templates.get(vm_name, []):
             vm.kernel.spawn(Thread(job_name, factory(), cpu=cpu, aspace="faults"))
         self.restarted[vm_name] = self.restarted.get(vm_name, 0) + 1
