@@ -71,11 +71,16 @@ def _cmd_npb(args) -> int:
 
 
 def _cmd_irq_routing(args) -> int:
-    from repro.core.experiments import run_irq_latency
+    from repro.exec import ParallelRunner, SimJob
 
+    modes = ("forwarded", "direct")
+    sim_jobs = [
+        SimJob.make("irq-latency", routing=mode, duration_s=args.duration, seed=args.seed)
+        for mode in modes
+    ]
+    results = ParallelRunner(_jobs(args)).run_values(sim_jobs)
     print("device-IRQ delivery latency into the Login VM:")
-    for mode in ("forwarded", "direct"):
-        r = run_irq_latency(routing=mode, duration_s=args.duration, seed=args.seed)
+    for mode, r in zip(modes, results):
         print(
             f"  {mode:>10s}: mean {r['mean_us']:.2f} us, max {r['max_us']:.2f} us "
             f"over {int(r['n'])} interrupts"
@@ -84,19 +89,25 @@ def _cmd_irq_routing(args) -> int:
 
 
 def _cmd_interference(args) -> int:
-    from repro.core.experiments import run_interference
+    from repro.exec import ParallelRunner, SimJob
 
+    scheds, benches = ("kitten", "linux"), ("ep", "lu")
+    sim_jobs = [
+        SimJob.make(
+            "interference", scheduler=sched, benchmark=bench,
+            with_neighbor=with_neighbor, seed=args.seed,
+        )
+        for sched in scheds
+        for bench in benches
+        for with_neighbor in (False, True)
+    ]
+    merged = iter(ParallelRunner(_jobs(args)).run_values(sim_jobs))
     print("co-located tenant throughput (fraction of solo run; fair share 0.5):")
-    for sched in ("kitten", "linux"):
+    for sched in scheds:
         row = [f"  {sched:>8s}:"]
-        for bench in ("ep", "lu"):
-            alone = run_interference(
-                scheduler=sched, benchmark=bench, with_neighbor=False, seed=args.seed
-            )
-            shared = run_interference(
-                scheduler=sched, benchmark=bench, with_neighbor=True, seed=args.seed
-            )
-            row.append(f"{bench}={shared['metric'] / alone['metric']:.3f}")
+        for bench in benches:
+            alone, shared = next(merged)["metric"], next(merged)["metric"]
+            row.append(f"{bench}={shared / alone:.3f}")
         print(" ".join(row))
     return 0
 
@@ -457,9 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("irq-routing", help="selective-routing extension")
     p.add_argument("--duration", type=float, default=1.0)
+    _add_jobs_flag(p)
     p.set_defaults(fn=_cmd_irq_routing)
 
     p = sub.add_parser("interference", help="co-location isolation extension")
+    _add_jobs_flag(p)
     p.set_defaults(fn=_cmd_interference)
 
     p = sub.add_parser("boot", help="show the measured boot chain")

@@ -15,6 +15,10 @@ class ConfigurationError(ReproError):
     """A platform/VM/workload configuration is invalid."""
 
 
+class HypercallError(ReproError):
+    """A hypercall was rejected (privilege, arguments, or state)."""
+
+
 def refuse_repeated(kind: str, names) -> None:
     """Raise :class:`ConfigurationError` naming every entry of ``names``
     that appears more than once (campaign cells keyed by name would

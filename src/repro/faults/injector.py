@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.common.errors import ConfigurationError, HardwareFault
+from repro.common.errors import ConfigurationError, HardwareFault, HypercallError
 from repro.common.units import ms
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.hafnium.spm import PRIMARY_VM_ID
@@ -113,8 +113,6 @@ class FaultInjector:
     # -- target resolution ----------------------------------------------------
 
     def _target_vm(self, spec: FaultSpec) -> Optional[Vm]:
-        from repro.hafnium.spm import HypercallError
-
         spm = self.node.spm
         if spm is None:
             return None

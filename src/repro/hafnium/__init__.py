@@ -18,7 +18,8 @@ Sections III-b and IV-c):
   denied the scheduling hypercalls.
 """
 
-from repro.hafnium.exits import (
+from repro.common.errors import HypercallError
+from repro.kernels.exits import (
     VmExit,
     VmExitIntr,
     VmExitWfi,
@@ -30,7 +31,7 @@ from repro.hafnium.exits import (
 from repro.hafnium.manifest import Manifest, PartitionSpec, VmRole
 from repro.hafnium.vm import Vm, Vcpu, VcpuState
 from repro.hafnium.mailbox import Mailbox, Message
-from repro.hafnium.spm import Spm, HypercallError
+from repro.hafnium.spm import Spm
 from repro.hafnium.vgic import VgicCpu
 
 __all__ = [

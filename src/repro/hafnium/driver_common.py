@@ -5,16 +5,19 @@ kernel thread for each VCPU belonging to a particular VM. Each kernel
 thread holds a handle to a single VCPU context ... and so can direct
 Hafnium to context switch to that VCPU instance via a dedicated
 hypercall" (paper Section II-a). Kitten's port uses the identical pattern
-(Section IV-a), so the thread body lives here and both kernels' drivers
-wrap it.
+(Section IV-a), so the thread body and the launcher that spawns one
+thread per VCPU live here and both kernels' drivers call them.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import TYPE_CHECKING, Generator, List, Optional
 
 from repro.common.errors import SimulationError
-from repro.kernels.thread import Hypercall, WaitEvent
+from repro.kernels.thread import Hypercall, Thread, WaitEvent
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.kernels.base import KernelBase
 
 
 def vcpu_thread_body(vm_id: int, vcpu_idx: int) -> Generator:
@@ -37,3 +40,29 @@ def vcpu_thread_body(vm_id: int, vcpu_idx: int) -> Generator:
         if kind in ("halt", "abort"):
             return exit_info
         raise SimulationError(f"vcpu{vcpu_idx}: unknown exit {kind!r}")
+
+
+def spawn_vcpu_threads(
+    kernel: "KernelBase",
+    vm_name: str,
+    vm_id: int,
+    n_vcpus: int,
+    vcpu_cpus: Optional[List[int]] = None,
+) -> List[Thread]:
+    """Create and spawn one kernel thread per VCPU of a VM. ``vcpu_cpus``
+    pins VCPU ``i`` to physical core ``vcpu_cpus[i]``; by default "these
+    VCPUs are spread across available CPU cores incrementally" (Section
+    IV-a)."""
+    threads = []
+    for idx in range(n_vcpus):
+        cpu = vcpu_cpus[idx] if vcpu_cpus is not None else idx % len(kernel.slots)
+        thread = Thread(
+            f"vcpu.{vm_name}.{idx}",
+            vcpu_thread_body(vm_id, idx),
+            cpu=cpu,
+            priority=100,   # plain fair-class threads, like the real driver
+            kind="vcpu",
+        )
+        kernel.spawn(thread)
+        threads.append(thread)
+    return threads

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional
 
-from repro.common.errors import ConfigurationError, ReproError, SimulationError
-from repro.hafnium.exits import (
+from repro.common.errors import ConfigurationError, HypercallError, SimulationError
+from repro.kernels.exits import (
     VmExit,
     VmExitAbort,
     VmExitHalt,
@@ -60,10 +60,6 @@ from repro.sim.process import Interrupted, Timeout
 PRIMARY_VM_ID = 1
 SUPER_SECONDARY_VM_ID = 2
 FIRST_SECONDARY_VM_ID = 3
-
-
-class HypercallError(ReproError):
-    """A hypercall was rejected (privilege, arguments, or state)."""
 
 
 class Spm:
@@ -168,11 +164,7 @@ class Spm:
     def _register_device_irq(self, dev_name: str, vm: Vm) -> None:
         device = self.machine.devices.get(dev_name)
         if device is not None and device.spi is not None:
-            self.device_irq_to_vm[device.spi] = vm
-            if not vm.is_primary:
-                # Models the owner's driver registering its handler: the
-                # virtual IRQ becomes deliverable on the VM's boot VCPU.
-                vm.vcpus[0].vgic.enable(device.spi)
+            self.assign_device_irq(device.spi, vm.name)
 
     def _guest_translation(self, kernel: KernelBase) -> TranslationInfo:
         s1 = kernel.trans
@@ -196,10 +188,14 @@ class Spm:
                 f"{vm.name}: kernel has {len(kernel.slots)} CPU slots but the "
                 f"manifest defines {len(vm.vcpus)} VCPUs"
             )
+        if kernel.role != role:
+            # The timer channel and exit behaviour follow the built role.
+            raise ConfigurationError(
+                f"{vm.name}: kernel factory built a {kernel.role!r} kernel "
+                f"for a {role!r} partition (pass the role through)"
+            )
         kernel.spm = self
         kernel.vm_id = vm.vm_id
-        kernel.role = role
-        kernel.is_guest = role in (ROLE_SECONDARY, ROLE_SUPER)
         # Everything under Hafnium translates through two stages.
         kernel.trans = self._guest_translation(kernel)
         vm.kernel = kernel
@@ -458,8 +454,6 @@ class Spm:
             raise HypercallError(
                 f"VCPU {target.name}#{vcpu_idx} is already running elsewhere"
             )
-        perf = self.machine.perf
-        host_kernel = self.primary_vm.kernel
         while True:
             if target.halt_requested or vcpu.state == VcpuState.HALTED:
                 vcpu.state = VcpuState.HALTED
@@ -470,10 +464,7 @@ class Spm:
             # --- world/VM switch in -------------------------------------
             self.stats["vcpu_runs"] += 1
             vcpu.runs += 1
-            entry_cost = perf.event_cost("vm_entry")
-            if target.secure:
-                entry_cost += perf.event_cost("world_switch")
-            yield Timeout(entry_cost)
+            yield Timeout(self._switch_cost("vm_entry", target))
             core.env.pollute("vm_switch")
             vcpu.state = VcpuState.RUNNING
             vcpu.resident_core = core
@@ -497,10 +488,7 @@ class Spm:
             # --- world/VM switch out -------------------------------------
             vcpu.state = VcpuState.READY
             vcpu.resident_core = None
-            exit_cost = perf.event_cost("vm_exit")
-            if target.secure:
-                exit_cost += perf.event_cost("world_switch")
-            yield Timeout(exit_cost)
+            yield Timeout(self._switch_cost("vm_exit", target))
             core.env.pollute("vm_switch")
             core.set_context(
                 ExceptionLevel.EL1,
@@ -551,6 +539,14 @@ class Spm:
                 return {"reason": "abort", "detail": exit_exc.detail}
             raise SimulationError(f"unclassified VM exit {exit_exc!r}")
 
+    def _switch_cost(self, event: str, vm: Vm) -> int:
+        """VM entry/exit cost; a secure VM adds the EL3 world switch."""
+        perf = self.machine.perf
+        cost = perf.event_cost(event)
+        if vm.secure:
+            cost += perf.event_cost("world_switch")
+        return cost
+
     def _try_internal_irq(self, core: Core, vcpu: Vcpu) -> Generator:
         """Handle guest-owned interrupts entirely at EL2.
 
@@ -564,23 +560,20 @@ class Spm:
         if irq is None:
             core.take_doorbell()
             return False
-        if irq == PPI_VIRT_TIMER and self._vtimer_owner.get(core.core_id) is vcpu:
-            yield Timeout(self.machine.perf.cycles(500))
-            iface.ack()
+        if irq == PPI_VIRT_TIMER:
+            ours, cycles = self._vtimer_owner.get(core.core_id) is vcpu, 500
+        else:
+            ours, cycles = self.device_irq_to_vm.get(irq) is vcpu.vm, 600
+        if not ours:
+            return False
+        yield Timeout(self.machine.perf.cycles(cycles))
+        iface.ack()
+        if irq == PPI_VIRT_TIMER:
             core.timer["virt"].stop()  # deassert; the guest re-arms its tick
-            iface.eoi(irq)
-            core.take_doorbell()
-            vcpu.inject_virq(PPI_VIRT_TIMER)
-            return True
-        owner_vm = self.device_irq_to_vm.get(irq)
-        if owner_vm is not None and owner_vm is vcpu.vm:
-            yield Timeout(self.machine.perf.cycles(600))
-            iface.ack()
-            iface.eoi(irq)
-            core.take_doorbell()
-            vcpu.inject_virq(irq)
-            return True
-        return False
+        iface.eoi(irq)
+        core.take_doorbell()
+        vcpu.vgic.inject(irq)
+        return True
 
     # ------------------------------------------------------------------
     # Asynchronous notifications (from host kernels / guest kernels)
@@ -600,11 +593,10 @@ class Spm:
         """The virtual timer of a (currently off-core) guest fired; inject
         it para-virtually and wake the VCPU's kernel thread."""
         vcpu = self._vtimer_owner.get(core.core_id)
-        if vcpu is None:
-            core.timer["virt"].stop()
-            return
         core.timer["virt"].stop()
-        vcpu.inject_virq(PPI_VIRT_TIMER)
+        if vcpu is None:
+            return
+        vcpu.vgic.inject(PPI_VIRT_TIMER)
         self.vcpu_work_available(vcpu.vm.vm_id, vcpu.idx)
 
     def deliver_device_irq(self, irq: int, direct: bool = False) -> bool:
@@ -616,8 +608,7 @@ class Spm:
         vm = self.device_irq_to_vm.get(irq)
         if vm is None or vm.is_primary:
             return False
-        vcpu = vm.vcpus[0]
-        vcpu.inject_virq(irq)
+        vm.vcpus[0].vgic.inject(irq)
         self.stats["direct_device_irqs" if direct else "forwarded_device_irqs"] += 1
         self.vcpu_work_available(vm.vm_id, 0)
         return True
@@ -631,6 +622,8 @@ class Spm:
         vm = self.vm_by_name(vm_name)
         self.device_irq_to_vm[irq] = vm
         if not vm.is_primary:
+            # Models the owner's driver registering its handler: the
+            # virtual IRQ becomes deliverable on the VM's boot VCPU.
             vm.vcpus[0].vgic.enable(irq)
 
     def set_irq_routing(self, mode: str) -> None:
@@ -657,9 +650,5 @@ class Spm:
             yield Timeout(self.machine.perf.cycles(450))
             iface.ack()
             iface.eoi(irq)
-            owner.vcpus[0].inject_virq(irq)
-            self.stats["direct_device_irqs"] += 1
-            self.machine.trace(
-                "spm.direct_irq", "spm", irq=irq, vm=owner.name
-            )
-            self.vcpu_work_available(owner.vm_id, 0)
+            self.machine.trace("spm.direct_irq", "spm", irq=irq, vm=owner.name)
+            self.deliver_device_irq(irq, direct=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.common.errors import SimulationError
+from repro.hw.gic import highest_priority
 
 
 class VgicCpu:
@@ -52,14 +53,7 @@ class VgicCpu:
         — the model delivers one at a time, like a GIC without nesting)."""
         if self.active is not None:
             return None
-        best = None
-        for virq in self._pending:
-            if virq not in self.enabled:
-                continue
-            prio = self.priority.get(virq, 0xA0)
-            if best is None or (prio, virq) < best:
-                best = (prio, virq)
-        return best[1] if best else None
+        return highest_priority(self._pending, self.enabled, self.priority)
 
     def ack(self) -> Optional[int]:
         virq = self.next_deliverable()

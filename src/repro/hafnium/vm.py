@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import List, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.hafnium.manifest import PartitionSpec, VmRole
 from repro.hafnium.vgic import VgicCpu
@@ -37,14 +37,6 @@ class Vcpu:
         self.slot: Optional["CpuSlot"] = None  # the guest kernel's CPU slot
         self.runs = 0
         self.exits = {"interrupt": 0, "wfi": 0, "yield": 0, "halt": 0, "abort": 0}
-
-    def inject_virq(self, virq: int) -> None:
-        """Queue a virtual interrupt (para-virtual interrupt controller)."""
-        self.vgic.inject(virq)
-
-    @property
-    def pending_virqs(self) -> List[int]:
-        return self.vgic.pending
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Vcpu({self.vm.name}#{self.idx}, {self.state.value})"

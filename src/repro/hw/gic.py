@@ -15,7 +15,7 @@ Software then ``ack``s (get the IRQ id, mark active) and ``eoi``s it.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 
@@ -31,6 +31,23 @@ PPI_PHYS_TIMER = 30
 class IrqTrigger(Enum):
     EDGE = "edge"
     LEVEL = "level"
+
+
+def highest_priority(
+    pending: Collection[int], enabled: Collection[int], priority: Dict[int, int]
+) -> Optional[int]:
+    """The one selection rule of the GIC CPU interface and the vGIC: the
+    enabled pending IRQ with the lowest ``(priority, irq)``, or None. The
+    keys are unique, so the minimum is independent of iteration order and
+    a set needs no sort. A plain loop: it runs on every IRQ-pending check."""
+    best = None
+    best_prio = 0
+    for irq in pending:
+        if irq in enabled:
+            prio = priority.get(irq, 0xA0)
+            if best is None or prio < best_prio or (prio == best_prio and irq < best):
+                best, best_prio = irq, prio
+    return best
 
 
 class Gic:
@@ -205,33 +222,20 @@ class GicCpuInterface:
     def clear_pending(self, irq: int) -> None:
         self.pending.discard(irq)
 
-    def _deliverable(self) -> Optional[int]:
-        best: Optional[Tuple[int, int]] = None
-        # sorted(): set order is insertion/hash dependent; the min-reduction
-        # result is order-independent, but iterating deterministically keeps
-        # replay traces bit-identical if the reduction ever grows side effects.
-        for irq in sorted(self.pending):
-            if irq not in self.gic.enabled:
-                continue
-            prio = self.gic.priority.get(irq, 0xA0)
-            if best is None or (prio, irq) < best:
-                best = (prio, irq)
-        return best[1] if best else None
-
-    def _maybe_signal(self) -> None:
-        if self.masked or self.irq_entry is None:
-            return
-        if self._deliverable() is not None:
-            self.irq_entry()
-
-    def has_deliverable(self) -> bool:
-        return self._deliverable() is not None
-
     def peek(self) -> Optional[int]:
         """Highest-priority deliverable IRQ without acknowledging it (the
         hypervisor uses this to classify an exit before deciding whether
         to handle the interrupt at EL2 or bounce it to the primary)."""
-        return self._deliverable()
+        return highest_priority(self.pending, self.gic.enabled, self.gic.priority)
+
+    def _maybe_signal(self) -> None:
+        if self.masked or self.irq_entry is None:
+            return
+        if self.peek() is not None:
+            self.irq_entry()
+
+    def has_deliverable(self) -> bool:
+        return self.peek() is not None
 
     # -- software interface ----------------------------------------------------
 
@@ -243,7 +247,7 @@ class GicCpuInterface:
 
     def ack(self) -> Optional[int]:
         """Read IAR: highest-priority deliverable IRQ -> active. None = spurious."""
-        irq = self._deliverable()
+        irq = self.peek()
         if irq is None:
             return None
         self.pending.discard(irq)

@@ -9,8 +9,15 @@ three configurations:
   kernel may invoke hypercalls (``vcpu_run`` from its per-VCPU threads);
 * **secondary / super-secondary (guest)** — the *same loop generator* is
   driven by the SPM inside the primary's VCPU thread; instead of handling
-  physical interrupts or idling, it raises :class:`~repro.hafnium.exits.VmExit`
+  physical interrupts or idling, it raises :class:`~repro.kernels.exits.VmExit`
   exceptions that the SPM catches (the VM-exit path).
+
+The interrupt path has one copy of each step: ``_wait_unmasked`` is the
+only interruptible point (phases, barrier spins and idle all wait through
+it, and an interruption lands in ``_on_interruption``: the host IRQ path,
+or a ``VmExitIntr`` for guests); ``_tick`` is the one tick handler (the
+physical timer PPI on hosts, the injected virtual timer on guests);
+``_resched`` and ``_retire`` are the one resched-IPI and thread-death steps.
 
 All persistent execution state (current thread, in-progress phase,
 scheduler bookkeeping) lives in :class:`CpuSlot`/:class:`Thread` objects,
@@ -24,12 +31,20 @@ plus their tick rate and handler-cost class.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Generator, List, Optional, TYPE_CHECKING
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import (
+    ConfigurationError,
+    HardwareFault,
+    HypercallError,
+    SecurityViolation,
+    SimulationError,
+)
 from repro.common.units import hz_to_period_ps, ms
 from repro.hw.cpu import Core
-from repro.hw.gic import PPI_VIRT_TIMER
+from repro.hw.gic import PPI_PHYS_TIMER, PPI_VIRT_TIMER
+from repro.hw.pmu import EVT_IRQS, PmuTrapError
+from repro.kernels.exits import VmExitAbort, VmExitIntr, VmExitWfi
 from repro.kernels.phases import Phase, PricingContext
 from repro.kernels.thread import (
     BarrierWait,
@@ -122,7 +137,6 @@ class KernelBase:
         self.threads: List[Thread] = []
         self.spm: Optional["Spm"] = None        # set when under Hafnium
         self.vm_id: Optional[int] = None
-        self.irq_handlers: Dict[int, Callable] = {}
         self.shutdown = False
         #: fault injection: a requested kernel panic (reason string). The
         #: next dispatch boundary raises it — guests abort their VM, hosts
@@ -130,6 +144,7 @@ class KernelBase:
         #: argument is about containing).
         self.panic_requested: Optional[str] = None
         self._timer_channel = "virt" if self.is_guest else "phys"
+        self._tick_ppi = PPI_VIRT_TIMER if self.is_guest else PPI_PHYS_TIMER
         self._jitter_stream = machine.rng.stream(f"jitter.{name}")
         self._jitter_sigma = jitter_sigma
         self.stats = {
@@ -196,9 +211,7 @@ class KernelBase:
         set need_resched, and (cross-core, host kernels) send an SGI."""
         slot.wake_signal.fire(woken)
         if slot.current is not None and self.should_preempt_on_wake(slot, woken):
-            slot.need_resched = True
-            if not self.is_guest and slot.core is not None:
-                self.machine.gic.send_sgi(SGI_RESCHED, slot.core.core_id)
+            self._resched(slot)
         if self.is_guest and self.spm is not None and self.vm_id is not None:
             # A VCPU sitting in WFI must be re-run by the primary.
             self.spm.vcpu_work_available(self.vm_id, slot.index)
@@ -208,11 +221,20 @@ class KernelBase:
         the Linux model rounds to its jiffy grid (timer-wheel behaviour)."""
         self.machine.engine.schedule(delay_ps, self.wake, thread)
 
-    def _thread_exited(self, slot: CpuSlot, thread: Thread) -> None:
+    def _resched(self, slot: CpuSlot) -> None:
+        """Ask `slot` to reschedule at its next boundary; a host core is
+        also sent the resched SGI so a running phase is interrupted."""
+        slot.need_resched = True
+        if not self.is_guest and slot.core is not None:
+            self.machine.gic.send_sgi(SGI_RESCHED, slot.core.core_id)
+
+    def _retire(self, slot: CpuSlot, thread: Thread, category: str, **payload: Any) -> None:
+        """Thread death (exit or kill): mark, trace, fire the done signal."""
         thread.state = ThreadState.DEAD
-        slot.current = None
+        if slot.current is thread:
+            slot.current = None
         self.machine.trace(
-            "thread.exit", f"{self.name}", thread=thread.name, cpu=slot.index
+            category, self.name, thread=thread.name, cpu=slot.index, **payload
         )
         if thread.done_signal is not None:
             thread.done_signal.fire(thread.exit_value)
@@ -229,9 +251,7 @@ class KernelBase:
         thread.crashed = reason
         slot = self.slots[thread.cpu]
         if thread.state is ThreadState.RUNNING:
-            slot.need_resched = True
-            if not self.is_guest and slot.core is not None:
-                self.machine.gic.send_sgi(SGI_RESCHED, slot.core.core_id)
+            self._resched(slot)
             return
         if thread in slot.runqueue:
             slot.runqueue.remove(thread)
@@ -240,18 +260,7 @@ class KernelBase:
     def _reap_crashed(self, slot: CpuSlot, thread: Thread) -> None:
         thread.body.close()
         thread.current_item = None
-        thread.state = ThreadState.DEAD
-        if slot.current is thread:
-            slot.current = None
-        self.machine.trace(
-            "thread.killed",
-            f"{self.name}",
-            thread=thread.name,
-            cpu=slot.index,
-            reason=thread.crashed or "killed",
-        )
-        if thread.done_signal is not None:
-            thread.done_signal.fire(thread.exit_value)
+        self._retire(slot, thread, "thread.killed", reason=thread.crashed or "killed")
 
     # ------------------------------------------------------------------
     # Boot
@@ -268,13 +277,8 @@ class KernelBase:
             )
         gic = self.machine.gic
         gic.enable(SGI_RESCHED)
-        from repro.hw.gic import PPI_PHYS_TIMER  # local to avoid cycle noise
-
         gic.enable(PPI_PHYS_TIMER)
         gic.enable(PPI_VIRT_TIMER)
-        for spi in self.irq_handlers:
-            if spi >= 32:
-                gic.enable(spi)
         for slot, core in zip(self.slots, cores):
             slot.core = core
             proc = Process(
@@ -297,13 +301,10 @@ class KernelBase:
         """One full scheduling pass; hosts loop it forever, the SPM drives
         it for guests until a VmExit escapes."""
         if self.is_guest and not slot.tick_armed:
-            # First entry of this VCPU: enable the virtual interrupts this
-            # kernel implements and start the periodic tick on the
-            # para-virtual timer channel.
+            # First entry of this VCPU: enable the virtual timer and start
+            # the periodic tick on the para-virtual timer channel.
             if slot.vcpu is not None:
                 slot.vcpu.vgic.enable(PPI_VIRT_TIMER, priority=0x20)
-                for spi in self.irq_handlers:
-                    slot.vcpu.vgic.enable(spi)
             self._arm_tick(slot)
         while not self.shutdown:
             if self.panic_requested is not None:
@@ -365,7 +366,7 @@ class KernelBase:
             if item is None:
                 item = thread.next_item()
                 if item is None:
-                    self._thread_exited(slot, thread)
+                    self._retire(slot, thread, "thread.exit")
                     return
                 thread.current_item = item
             yield from self._process_item(slot, thread, item)
@@ -435,9 +436,6 @@ class KernelBase:
     def _touch_memory(self, slot: CpuSlot, thread: Thread, item: TouchMemory) -> Generator:
         """Perform a functional memory access in the current translation
         context; a guest fault becomes a stage-2 abort (VM exit)."""
-        from repro.common.errors import HardwareFault, SecurityViolation
-        from repro.hafnium.exits import VmExitAbort
-
         core = self._core(slot)
         yield from self._consume(slot, self.machine.perf.cycles(10))
         try:
@@ -458,13 +456,9 @@ class KernelBase:
 
     def _read_pmu(self, slot: CpuSlot, thread: Thread, item: ReadPmu) -> Generator:
         """Architectural PMU access: trapped for secondary VMs."""
-        from repro.hw.pmu import PmuTrapError
-
         core = self._core(slot)
         yield from self._consume(slot, self.machine.perf.cycles(30))
         if self.is_guest:
-            from repro.hafnium.exits import VmExitAbort
-
             trap = PmuTrapError("PMU", self.name)
             self.machine.trace(
                 "pmu.trap", f"{self.name}.cpu{slot.index}", thread=thread.name
@@ -477,9 +471,6 @@ class KernelBase:
             raise SimulationError(
                 f"{self.name}: hypercall {call.name!r} without a hypervisor"
             )
-        from repro.hafnium.spm import HypercallError
-        from repro.hafnium.exits import VmExitAbort
-
         try:
             result = yield from self.spm.hypercall(
                 self, slot, thread, call.name, call.args
@@ -528,32 +519,22 @@ class KernelBase:
             if self._irq_pending(slot):
                 yield from self._poll_irqs(slot)
                 continue
-            core = self._core(slot)
             dur = phase.arm(self._pricing_ctx(slot, thread), engine.now)
-            core.cpu_iface.set_masked(False)
-            if self._irq_pending(slot):
+            waited = yield from self._wait_unmasked(slot, Timeout(dur))
+            if waited is None:
                 # Unmasking revealed a latched interrupt: un-arm and handle.
-                core.cpu_iface.set_masked(True)
                 phase.advance(0, engine.now, interrupted=True)
                 phase.abandon_gap()
                 continue
-            t0 = engine.now
-            try:
-                yield Timeout(dur)
-                core.cpu_iface.set_masked(True)
-                thread.cpu_time_ps += engine.now - t0
-                core.pmu.count_cycles_for(engine.now - t0, self.machine.soc.freq_hz)
-                phase.advance(engine.now - t0, engine.now)
-            except Interrupted:
-                core.cpu_iface.set_masked(True)
-                thread.cpu_time_ps += engine.now - t0
-                core.pmu.count_cycles_for(engine.now - t0, self.machine.soc.freq_hz)
-                phase.advance(engine.now - t0, engine.now, interrupted=True)
+            elapsed, interrupted = waited
+            thread.cpu_time_ps += elapsed
+            self._core(slot).pmu.count_cycles_for(elapsed, self.machine.soc.freq_hz)
+            phase.advance(elapsed, engine.now, interrupted=interrupted)
+            if interrupted:
                 yield from self._on_interruption(slot)
 
     def _barrier_wait(self, slot: CpuSlot, thread: Thread, item: BarrierWait) -> Generator:
         barrier = item.barrier
-        engine = self.machine.engine
         if not item.arrived:
             item.arrived = True
             item.start_gen = barrier.generation
@@ -566,21 +547,34 @@ class KernelBase:
             if self._irq_pending(slot):
                 yield from self._poll_irqs(slot)
                 continue
-            core = self._core(slot)
-            core.cpu_iface.set_masked(False)
-            if self._irq_pending(slot):
-                core.cpu_iface.set_masked(True)
+            waited = yield from self._wait_unmasked(slot, WaitSignal(barrier.signal))
+            if waited is None:
                 continue
-            t0 = engine.now
-            try:
-                yield WaitSignal(barrier.signal)
-                core.cpu_iface.set_masked(True)
-                thread.cpu_time_ps += engine.now - t0  # spin-waiting burns CPU
-            except Interrupted:
-                core.cpu_iface.set_masked(True)
-                thread.cpu_time_ps += engine.now - t0
+            elapsed, interrupted = waited
+            thread.cpu_time_ps += elapsed  # spin-waiting burns CPU
+            if interrupted:
                 yield from self._on_interruption(slot)
         item.satisfied = True
+
+    def _wait_unmasked(self, slot: CpuSlot, wait: Any) -> Generator:
+        """The loop's one interruptible point: yield `wait` with IRQs
+        unmasked and return ``(elapsed_ps, interrupted)`` with them masked
+        again; the caller accounts, then calls :meth:`_on_interruption`.
+        None (nothing yielded) when unmasking revealed a latched IRQ."""
+        iface = self._core(slot).cpu_iface
+        iface.set_masked(False)
+        if self._irq_pending(slot):
+            iface.set_masked(True)
+            return None
+        engine = self.machine.engine
+        t0 = engine.now
+        try:
+            yield wait
+            interrupted = False
+        except Interrupted:
+            interrupted = True
+        iface.set_masked(True)
+        return engine.now - t0, interrupted
 
     # ------------------------------------------------------------------
     # Idle
@@ -588,24 +582,14 @@ class KernelBase:
 
     def _idle(self, slot: CpuSlot) -> Generator:
         if self.is_guest:
-            from repro.hafnium.exits import VmExitWfi
-
             raise VmExitWfi()
-        core = self._core(slot)
-        engine = self.machine.engine
-        core.cpu_iface.set_masked(False)
-        if self._irq_pending(slot):
-            core.cpu_iface.set_masked(True)
+        waited = yield from self._wait_unmasked(slot, WaitSignal(slot.wake_signal))
+        if waited is None:
             yield from self._poll_irqs(slot)
             return
-        t0 = engine.now
-        try:
-            yield WaitSignal(slot.wake_signal)
-            core.cpu_iface.set_masked(True)
-            slot.idle_ps += engine.now - t0
-        except Interrupted:
-            core.cpu_iface.set_masked(True)
-            slot.idle_ps += engine.now - t0
+        elapsed, interrupted = waited
+        slot.idle_ps += elapsed
+        if interrupted:
             yield from self._on_interruption(slot)
 
     # ------------------------------------------------------------------
@@ -622,13 +606,9 @@ class KernelBase:
             return
         self.panic_requested = reason
         for slot in self.slots:
-            slot.need_resched = True
-            if not self.is_guest and slot.core is not None:
-                self.machine.gic.send_sgi(SGI_RESCHED, slot.core.core_id)
+            self._resched(slot)
 
     def _do_panic(self, slot: CpuSlot) -> Generator:
-        from repro.hafnium.exits import VmExitAbort
-
         reason = self.panic_requested or "panic"
         self.machine.trace(
             "kernel.panic", f"{self.name}.cpu{slot.index}", reason=reason
@@ -693,8 +673,6 @@ class KernelBase:
         """A physical interrupt demands attention on this slot's core."""
         if self.is_guest:
             # Guests cannot handle physical interrupts: trap to the SPM.
-            from repro.hafnium.exits import VmExitIntr
-
             raise VmExitIntr()
         yield from self._irq_path(slot)
 
@@ -718,8 +696,6 @@ class KernelBase:
             if irq is None:
                 break
             self.stats["irqs"] += 1
-            from repro.hw.pmu import EVT_IRQS
-
             core.pmu.count(EVT_IRQS, 1)
             yield from self.handle_irq(slot, irq)
             core.cpu_iface.eoi(irq)
@@ -729,14 +705,9 @@ class KernelBase:
         """Host-side interrupt dispatch."""
         core = self._core(slot)
         perf = self.machine.perf
-        if irq == self._tick_ppi():
+        if irq == self._tick_ppi:
             core.timer[self._timer_channel].stop()  # deassert the line
-            yield from self._consume(slot, perf.cycles(self.TICK_HANDLER_CYCLES))
-            core.env.pollute(self.TICK_POLLUTION)
-            slot.ticks += 1
-            self.stats["ticks"] += 1
-            self.on_tick(slot)
-            self._arm_tick(slot)
+            yield from self._tick(slot, self.TICK_HANDLER_CYCLES)
         elif irq == SGI_RESCHED:
             yield from self._consume(slot, perf.cycles(200))
             slot.need_resched = True
@@ -745,8 +716,6 @@ class KernelBase:
             # hand it to the SPM for injection.
             yield from self._consume(slot, perf.cycles(300))
             self.spm.vtimer_fired(core)
-        elif irq in self.irq_handlers:
-            yield from self.irq_handlers[irq](slot)
         elif self.spm is not None and self.spm.device_irq_owner(irq) is not None:
             # Interim super-secondary design: the primary receives every
             # device interrupt and forwards it to the owning VM. (Under
@@ -782,17 +751,10 @@ class KernelBase:
             yield from self._consume(slot, perf.event_cost("irq_exit"))
 
     def handle_virq(self, slot: CpuSlot, virq: int) -> Generator:
-        core = self._core(slot)
-        perf = self.machine.perf
         if virq == PPI_VIRT_TIMER:
-            yield from self._consume(slot, perf.cycles(self.VIRQ_HANDLER_CYCLES))
-            core.env.pollute(self.TICK_POLLUTION)
-            slot.ticks += 1
-            self.stats["ticks"] += 1
-            self.on_tick(slot)
-            self._arm_tick(slot)
+            yield from self._tick(slot, self.VIRQ_HANDLER_CYCLES)
         else:
-            yield from self._consume(slot, perf.cycles(400))
+            yield from self._consume(slot, self.machine.perf.cycles(400))
             self.machine.trace(
                 "virq.unclaimed", f"{self.name}.vcpu{slot.index}", virq=virq
             )
@@ -801,10 +763,16 @@ class KernelBase:
     # Tick management
     # ------------------------------------------------------------------
 
-    def _tick_ppi(self) -> int:
-        from repro.hw.gic import PPI_PHYS_TIMER
-
-        return PPI_VIRT_TIMER if self._timer_channel == "virt" else PPI_PHYS_TIMER
+    def _tick(self, slot: CpuSlot, handler_cycles: int) -> Generator:
+        """The tick handler, for the physical timer PPI (hosts) and the
+        injected virtual timer (guests) alike: handler cost, cache
+        pollution, scheduler accounting, re-arm."""
+        yield from self._consume(slot, self.machine.perf.cycles(handler_cycles))
+        self._core(slot).env.pollute(self.TICK_POLLUTION)
+        slot.ticks += 1
+        self.stats["ticks"] += 1
+        self.on_tick(slot)
+        self._arm_tick(slot)
 
     def _arm_tick(self, slot: CpuSlot) -> None:
         if self.tick_period_ps <= 0 or slot.core is None:

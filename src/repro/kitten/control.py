@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Generator, List, Optional
 
 from repro.common.errors import SimulationError
-from repro.hafnium.driver_common import vcpu_thread_body
+from repro.hafnium.driver_common import spawn_vcpu_threads
 from repro.kernels.base import KernelBase
 from repro.kernels.thread import Hypercall, Thread, WaitEvent
 from repro.sim.engine import Signal
@@ -65,7 +65,6 @@ class ControlTask:
 
     def _body(self) -> Generator:
         kernel = self.kernel
-        spm = kernel.spm
         # Boot-time behaviour: enumerate partitions, auto-launch the
         # super-secondary if one is configured (paper Section IV-a).
         info = yield Hypercall("vm_list")
@@ -91,28 +90,10 @@ class ControlTask:
 
     def _launch(self, vm_name: str, vcpu_cpus: Optional[List[int]]) -> Generator:
         info = yield Hypercall("vm_info", vm_name=vm_name)
-        vm_id = info["vm_id"]
         n_vcpus = info["vcpus"]
-        threads = []
-        for idx in range(n_vcpus):
-            # Default placement: spread incrementally across cores
-            # ("By default these VCPUs are spread across available CPU
-            # cores incrementally", Section IV-a).
-            cpu = (
-                vcpu_cpus[idx]
-                if vcpu_cpus is not None
-                else idx % len(self.kernel.slots)
-            )
-            t = Thread(
-                f"vcpu.{vm_name}.{idx}",
-                vcpu_thread_body(vm_id, idx),
-                cpu=cpu,
-                priority=100,
-                kind="vcpu",
-            )
-            self.kernel.spawn(t)
-            threads.append(t)
-        self.vcpu_threads[vm_name] = threads
+        self.vcpu_threads[vm_name] = spawn_vcpu_threads(
+            self.kernel, vm_name, info["vm_id"], n_vcpus, vcpu_cpus
+        )
         self.launched.append(vm_name)
         self.kernel.machine.trace(
             "control.launch", self.kernel.name, vm=vm_name, vcpus=n_vcpus

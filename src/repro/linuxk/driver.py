@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.common.errors import SimulationError
-from repro.hafnium.driver_common import vcpu_thread_body
+from repro.hafnium.driver_common import spawn_vcpu_threads
 from repro.kernels.base import KernelBase
 from repro.kernels.thread import Thread
 
@@ -28,20 +28,10 @@ class HafniumDriver:
 
     def launch_vm(self, vm_name: str, vcpu_cpus: Optional[List[int]] = None) -> List[Thread]:
         """Create one kernel thread per VCPU and make them runnable."""
-        spm = self.kernel.spm
-        vm = spm.vm_by_name(vm_name)
-        threads = []
-        for idx in range(len(vm.vcpus)):
-            cpu = vcpu_cpus[idx] if vcpu_cpus is not None else idx % len(self.kernel.slots)
-            t = Thread(
-                f"vcpu.{vm_name}.{idx}",
-                vcpu_thread_body(vm.vm_id, idx),
-                cpu=cpu,
-                priority=100,   # plain fair-class threads, like the real driver
-                kind="vcpu",
-            )
-            self.kernel.spawn(t)
-            threads.append(t)
+        vm = self.kernel.spm.vm_by_name(vm_name)
+        threads = spawn_vcpu_threads(
+            self.kernel, vm_name, vm.vm_id, len(vm.vcpus), vcpu_cpus
+        )
         self.vcpu_threads[vm_name] = threads
         self.kernel.machine.trace(
             "driver.launch", self.kernel.name, vm=vm_name, vcpus=len(threads)

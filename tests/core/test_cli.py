@@ -49,3 +49,18 @@ def test_selfish_command_runs(capsys):
 def test_seed_is_global_flag():
     args = build_parser().parse_args(["--seed", "7", "boot"])
     assert args.seed == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["irq-routing", "--duration", "0.05"],
+    ["interference"],
+])
+def test_extension_commands_identical_across_jobs(capsys, argv):
+    """irq-routing and interference dispatch their cells through the
+    ParallelRunner: the printed table does not depend on --jobs."""
+    outs = []
+    for jobs in ("1", "2"):
+        assert main([*argv, "--jobs", jobs]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "interrupts" in outs[0] or "fair share" in outs[0]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.hafnium.driver_common import vcpu_thread_body
-from repro.hafnium.exits import (
+from repro.kernels.exits import (
     ExitReason,
     VmExit,
     VmExitAbort,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.common.units import MiB, seconds
 from repro.core.configs import (
     CONFIG_HAFNIUM_KITTEN,
@@ -16,10 +17,13 @@ from repro.hafnium.spm import (
     SUPER_SECONDARY_VM_ID,
     Spm,
 )
+from repro.hafnium.manifest import Manifest, PartitionSpec, VmRole
 from repro.hafnium.vm import VcpuState
+from repro.hw.machine import Machine
 from repro.hw.mmu import TranslationFault
 from repro.kernels.phases import ComputePhase
 from repro.kernels.thread import Hypercall, Thread, ThreadState, TouchMemory
+from repro.kitten.kernel import KittenKernel
 
 
 def drain(gen):
@@ -87,6 +91,27 @@ class TestPartitionConstruction:
         assert guest.trans.two_stage
         assert guest.trans.page_size == 4096  # min(2M guest, 4K stage-2)
         assert guest.trans.walk_refs == (2 + 1) * (3 + 1) - 1
+
+    def test_factory_ignoring_role_is_refused(self):
+        """A kernel built for the wrong role would keep the timer channel
+        of that role (a guest ticking on the physical timer), so the SPM
+        refuses it instead of relabelling it."""
+        machine = Machine()
+
+        def native_kernel(mach, spec, role):
+            return KittenKernel(mach, f"kitten-{spec.name}", num_cpus=spec.vcpus)
+
+        def guest_aware(mach, spec, role):
+            return KittenKernel(mach, "primary", role=role, num_cpus=spec.vcpus)
+
+        manifest = Manifest([
+            PartitionSpec("primary", VmRole.PRIMARY, machine.soc.num_cores,
+                          64 * MiB, kernel_factory=guest_aware),
+            PartitionSpec("tenant", VmRole.SECONDARY, 1, 64 * MiB,
+                          kernel_factory=native_kernel),
+        ])
+        with pytest.raises(ConfigurationError, match="tenant"):
+            Spm(machine, manifest)
 
 
 class TestPrivileges:

@@ -1,6 +1,7 @@
 """GIC routing/ack/eoi semantics and generic-timer behaviour."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.hw.gic import (
@@ -8,6 +9,7 @@ from repro.hw.gic import (
     IrqTrigger,
     PPI_PHYS_TIMER,
     PPI_VIRT_TIMER,
+    highest_priority,
 )
 from repro.hw.timer import GenericTimer
 from repro.sim.engine import Engine
@@ -222,3 +224,19 @@ class TestGenericTimer:
         timer.stop_all()
         assert not timer["phys"].armed
         assert not timer["virt"].armed
+
+
+@settings(deadline=None)
+@given(
+    pending=st.lists(st.integers(0, 63), unique=True),
+    enabled=st.sets(st.integers(0, 63)),
+    priority=st.dictionaries(st.integers(0, 63), st.sampled_from([0x20, 0xA0, 0xF0])),
+)
+def test_highest_priority_is_the_min_key_in_any_order(pending, enabled, priority):
+    """The shared GIC/vGIC selection rule is the minimum over unique
+    (priority, irq) keys, whatever order the pending IRQs come in."""
+    keys = [(priority.get(irq, 0xA0), irq) for irq in pending if irq in enabled]
+    expected = min(keys)[1] if keys else None
+    assert highest_priority(pending, enabled, priority) == expected
+    assert highest_priority(pending[::-1], enabled, priority) == expected
+    assert highest_priority(set(pending), enabled, priority) == expected
