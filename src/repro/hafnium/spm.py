@@ -24,7 +24,7 @@ Responsibilities, mirroring the architecture the paper describes:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, HypercallError, SimulationError
 from repro.kernels.exits import (
@@ -101,6 +101,18 @@ class Spm:
         #: selective-routing future design (the SPM claims device IRQs at
         #: EL2 and injects them into the owner without primary handling).
         self.irq_routing_mode = "forwarded"
+        # Fixed path costs, priced once as ready waits. Unlike the kernel's,
+        # these are yielded even at zero cost.
+        perf = machine.perf
+        self._hypercall_cost = Timeout(perf.event_cost("hypercall"))
+        self._mailbox_copy = Timeout(perf.cycles(400))
+        self._vtimer_claim = Timeout(perf.cycles(500))
+        self._device_claim = Timeout(perf.cycles(600))
+        self._direct_claim = Timeout(perf.cycles(450))
+        #: vm_id -> (entry, exit) waits, priced when the VM's kernel is attached
+        self._switch: Dict[int, Tuple[Timeout, Timeout]] = {}
+        #: vm_id -> the VM's one translation regime, built with its stage 2
+        self._regime: Dict[int, TranslationRegime] = {}
         self._build_partitions()
 
     # ------------------------------------------------------------------
@@ -131,6 +143,9 @@ class Spm:
             )
             vm_id = self._assign_vm_id(spec, next_secondary)
             vm = Vm(vm_id, spec, region, stage2, machine.engine)
+            # The stage-2 table outlives a VM reset, so one regime serves
+            # every entry of the VM.
+            self._regime[vm_id] = TranslationRegime(stage2=stage2, name=f"{spec.name}.regime")
             self.vms[vm_id] = vm
             self._by_name[spec.name] = vm
             self.mailboxes[vm_id] = Mailbox(machine.engine, spec.name)
@@ -196,6 +211,7 @@ class Spm:
             )
         kernel.spm = self
         kernel.vm_id = vm.vm_id
+        self._switch[vm.vm_id] = self._switch_waits(vm)
         # Everything under Hafnium translates through two stages.
         kernel.trans = self._guest_translation(kernel)
         vm.kernel = kernel
@@ -216,7 +232,7 @@ class Spm:
             core.set_context(
                 ExceptionLevel.EL1,
                 SecurityWorld.NONSECURE,
-                TranslationRegime(stage2=primary.stage2, name=f"{primary.name}.regime"),
+                self._regime[PRIMARY_VM_ID],
             )
         kernel.boot_on_cores(self.machine.cores)
         for vcpu, core in zip(primary.vcpus, self.machine.cores):
@@ -272,7 +288,7 @@ class Spm:
     ) -> Generator:
         vm = self.vm_of_kernel(kernel)
         self._check_privilege(vm, name)
-        yield Timeout(self.machine.perf.event_cost("hypercall"))
+        yield self._hypercall_cost
         if slot.core is not None:
             slot.core.env.pollute("hypercall")
         handler = getattr(self, f"_hyp_{name}", None)
@@ -399,7 +415,7 @@ class Spm:
     ) -> Generator:
         if dest_vm_id not in self.vms:
             raise HypercallError(f"mailbox_send to unknown VM id {dest_vm_id}")
-        yield Timeout(self.machine.perf.cycles(400))  # copy into the RX buffer
+        yield self._mailbox_copy  # copy into the RX buffer
         box = self.mailboxes[dest_vm_id]
         ok = box.deliver(vm.vm_id, payload, size_bytes)
         if ok:
@@ -454,6 +470,9 @@ class Spm:
             raise HypercallError(
                 f"VCPU {target.name}#{vcpu_idx} is already running elsewhere"
             )
+        entry_cost, exit_cost = self._switch[vm_id]
+        guest_regime = self._regime[vm_id]
+        primary_regime = self._regime[PRIMARY_VM_ID]
         while True:
             if target.halt_requested or vcpu.state == VcpuState.HALTED:
                 vcpu.state = VcpuState.HALTED
@@ -464,7 +483,7 @@ class Spm:
             # --- world/VM switch in -------------------------------------
             self.stats["vcpu_runs"] += 1
             vcpu.runs += 1
-            yield Timeout(self._switch_cost("vm_entry", target))
+            yield entry_cost
             core.env.pollute("vm_switch")
             vcpu.state = VcpuState.RUNNING
             vcpu.resident_core = core
@@ -473,7 +492,7 @@ class Spm:
             core.set_context(
                 ExceptionLevel.EL1,
                 SecurityWorld.SECURE if target.secure else SecurityWorld.NONSECURE,
-                TranslationRegime(stage2=target.stage2, name=f"{target.name}.regime"),
+                guest_regime,
             )
             exit_exc: Optional[VmExit] = None
             try:
@@ -488,16 +507,9 @@ class Spm:
             # --- world/VM switch out -------------------------------------
             vcpu.state = VcpuState.READY
             vcpu.resident_core = None
-            yield Timeout(self._switch_cost("vm_exit", target))
+            yield exit_cost
             core.env.pollute("vm_switch")
-            core.set_context(
-                ExceptionLevel.EL1,
-                SecurityWorld.NONSECURE,
-                TranslationRegime(
-                    stage2=self.primary_vm.stage2,
-                    name=f"{self.primary_vm.name}.regime",
-                ),
-            )
+            core.set_context(ExceptionLevel.EL1, SecurityWorld.NONSECURE, primary_regime)
             # --- classify ------------------------------------------------
             if isinstance(exit_exc, VmExitIntr):
                 handled = yield from self._try_internal_irq(core, vcpu)
@@ -539,13 +551,15 @@ class Spm:
                 return {"reason": "abort", "detail": exit_exc.detail}
             raise SimulationError(f"unclassified VM exit {exit_exc!r}")
 
-    def _switch_cost(self, event: str, vm: Vm) -> int:
-        """VM entry/exit cost; a secure VM adds the EL3 world switch."""
+    def _switch_waits(self, vm: Vm) -> Tuple[Timeout, Timeout]:
+        """The VM's (entry, exit) waits; a secure VM adds the EL3 world
+        switch to each."""
         perf = self.machine.perf
-        cost = perf.event_cost(event)
-        if vm.secure:
-            cost += perf.event_cost("world_switch")
-        return cost
+        world = perf.event_cost("world_switch") if vm.secure else 0
+        return (
+            Timeout(perf.event_cost("vm_entry") + world),
+            Timeout(perf.event_cost("vm_exit") + world),
+        )
 
     def _try_internal_irq(self, core: Core, vcpu: Vcpu) -> Generator:
         """Handle guest-owned interrupts entirely at EL2.
@@ -561,12 +575,12 @@ class Spm:
             core.take_doorbell()
             return False
         if irq == PPI_VIRT_TIMER:
-            ours, cycles = self._vtimer_owner.get(core.core_id) is vcpu, 500
+            ours, cost = self._vtimer_owner.get(core.core_id) is vcpu, self._vtimer_claim
         else:
-            ours, cycles = self.device_irq_to_vm.get(irq) is vcpu.vm, 600
+            ours, cost = self.device_irq_to_vm.get(irq) is vcpu.vm, self._device_claim
         if not ours:
             return False
-        yield Timeout(self.machine.perf.cycles(cycles))
+        yield cost
         iface.ack()
         if irq == PPI_VIRT_TIMER:
             core.timer["virt"].stop()  # deassert; the guest re-arms its tick
@@ -638,16 +652,15 @@ class Spm:
         SPM (at EL2) acknowledges pending device interrupts owned by
         other VMs and injects them para-virtually — "timer interrupts are
         delivered to the primary VM, while device IRQs are instead routed
-        to the super-secondary"."""
-        if self.irq_routing_mode != "direct":
-            return
+        to the super-secondary". The kernel's IRQ path enters it only in
+        "direct" routing mode."""
         iface = core.cpu_iface
         while True:
             irq = iface.peek()
             owner = self.device_irq_owner(irq) if irq is not None else None
             if owner is None:
                 return
-            yield Timeout(self.machine.perf.cycles(450))
+            yield self._direct_claim
             iface.ack()
             iface.eoi(irq)
             self.machine.trace("spm.direct_irq", "spm", irq=irq, vm=owner.name)

@@ -93,6 +93,7 @@ class Gic:
         kind = self.classify(irq)
         self.trigger[irq] = trigger
         self.priority[irq] = priority
+        self._invalidate_all()
         if kind == "spi":
             if not 0 <= target_core < self.num_cores:
                 raise ConfigurationError(f"SPI {irq} target core {target_core} invalid")
@@ -102,12 +103,19 @@ class Gic:
         if irq not in self.trigger:
             self.configure(irq)
         self.enabled.add(irq)
+        self._invalidate_all()
         # A line already asserted becomes deliverable on enable.
         if self.level_state.get(irq):
             self._repropagate(irq)
 
     def disable(self, irq: int) -> None:
         self.enabled.discard(irq)
+        self._invalidate_all()
+
+    def _invalidate_all(self) -> None:
+        """An enable or priority write can change every core's answer."""
+        for iface in self.cpu_ifaces:
+            iface._best = _STALE
 
     def retarget_spi(self, irq: int, core: int) -> None:
         """Change SPI routing (the selective-routing experiment's hook)."""
@@ -164,8 +172,9 @@ class Gic:
         self.level_state[irq] = False
         dropped = False
         for c in self._targets(irq, core):
-            if irq in self.cpu_ifaces[c].pending:
-                self.cpu_ifaces[c].pending.discard(irq)
+            iface = self.cpu_ifaces[c]
+            if irq in iface.pending:
+                iface.clear_pending(irq)
                 dropped = True
         if dropped:
             self.dropped[irq] = self.dropped.get(irq, 0) + 1
@@ -197,8 +206,18 @@ class Gic:
         return True
 
 
+#: ``GicCpuInterface._best`` before :meth:`GicCpuInterface.peek` recomputes it.
+_STALE = object()
+
+
 class GicCpuInterface:
-    """Per-core view: pending/active sets + delivery callback."""
+    """Per-core view: pending/active sets + delivery callback.
+
+    :meth:`peek` caches its answer, since it runs on every IRQ-pending
+    check. Every write that can change it invalidates the cache: the
+    pending-set writes below and the distributor's enable, disable and
+    configure. Write ``pending`` only through these methods.
+    """
 
     def __init__(self, gic: Gic, core_id: int):
         self.gic = gic
@@ -208,6 +227,7 @@ class GicCpuInterface:
         # Installed by the Core model: called when a deliverable IRQ appears.
         self.irq_entry: Optional[Callable[[], None]] = None
         self.masked = True  # cores boot with IRQs masked
+        self._best = _STALE  # cached peek() answer
 
     # -- signal path ---------------------------------------------------------
 
@@ -217,16 +237,22 @@ class GicCpuInterface:
         if irq in self.active:
             return  # already being handled; level stays noted via gic state
         self.pending.add(irq)
+        self._best = _STALE
         self._maybe_signal()
 
     def clear_pending(self, irq: int) -> None:
         self.pending.discard(irq)
+        self._best = _STALE
 
     def peek(self) -> Optional[int]:
         """Highest-priority deliverable IRQ without acknowledging it (the
         hypervisor uses this to classify an exit before deciding whether
         to handle the interrupt at EL2 or bounce it to the primary)."""
-        return highest_priority(self.pending, self.gic.enabled, self.gic.priority)
+        best = self._best
+        if best is _STALE:
+            gic = self.gic
+            best = self._best = highest_priority(self.pending, gic.enabled, gic.priority)
+        return best
 
     def _maybe_signal(self) -> None:
         if self.masked or self.irq_entry is None:
@@ -251,6 +277,7 @@ class GicCpuInterface:
         if irq is None:
             return None
         self.pending.discard(irq)
+        self._best = _STALE
         self.active.add(irq)
         self.gic.stats_delivered[irq] = self.gic.stats_delivered.get(irq, 0) + 1
         return irq
@@ -262,4 +289,5 @@ class GicCpuInterface:
         self.active.discard(irq)
         if self.gic.level_state.get(irq):
             self.pending.add(irq)
+            self._best = _STALE
             self._maybe_signal()

@@ -173,6 +173,8 @@ class MemEnv:
         self.log_tlb_keep = 0.0
         self.log_cache_keep = 0.0
         self.pollution_events = 0
+        #: kind -> (log TLB keep, log cache keep), priced on first use
+        self._log_keep: Dict[str, Tuple[float, float]] = {}
 
     def context(self, key: Tuple) -> MemContext:
         """The (synced) warmth state for one data structure."""
@@ -184,10 +186,15 @@ class MemEnv:
 
     def pollute(self, kind: str) -> None:
         """An event of class `kind` ran on this core; cool every context."""
-        tlb_frac = min(_MAX_FRAC, self.params.pollution_tlb_frac.get(kind, 0.1))
-        cache_frac = min(_MAX_FRAC, self.params.pollution_cache_frac.get(kind, 0.1))
-        self.log_tlb_keep += math.log1p(-tlb_frac)
-        self.log_cache_keep += math.log1p(-cache_frac)
+        keep = self._log_keep.get(kind)
+        if keep is None:
+            p = self.params
+            keep = self._log_keep[kind] = (
+                math.log1p(-min(_MAX_FRAC, p.pollution_tlb_frac.get(kind, 0.1))),
+                math.log1p(-min(_MAX_FRAC, p.pollution_cache_frac.get(kind, 0.1))),
+            )
+        self.log_tlb_keep += keep[0]
+        self.log_cache_keep += keep[1]
         self.pollution_events += 1
 
     def flush_all(self) -> None:
@@ -205,6 +212,18 @@ class PerfModel:
         self.params = params or CostParams()
         #: per-trial memory-system efficiency factor (set by Machine)
         self.trial_factor = 1.0
+        p = self.params
+        #: event_cost's table, priced once
+        self._event_ps = {
+            "irq_entry": self.cycles(p.irq_entry_cycles),
+            "irq_exit": self.cycles(p.irq_exit_cycles),
+            "ctxsw": self.cycles(p.context_switch_cycles),
+            "vm_exit": self.cycles(p.vm_exit_cycles),
+            "vm_entry": self.cycles(p.vm_entry_cycles),
+            "hypercall": self.cycles(p.hypercall_cycles),
+            "el2_irq_bounce": self.cycles(p.el2_irq_bounce_cycles),
+            "world_switch": self.cycles(p.world_switch_cycles),
+        }
 
     # -- simple conversions --------------------------------------------------
 
@@ -221,20 +240,9 @@ class PerfModel:
     # -- event costs -----------------------------------------------------------
 
     def event_cost(self, name: str) -> int:
-        """Fixed path costs, by name (cycles constants above)."""
-        p = self.params
-        table = {
-            "irq_entry": p.irq_entry_cycles,
-            "irq_exit": p.irq_exit_cycles,
-            "ctxsw": p.context_switch_cycles,
-            "vm_exit": p.vm_exit_cycles,
-            "vm_entry": p.vm_entry_cycles,
-            "hypercall": p.hypercall_cycles,
-            "el2_irq_bounce": p.el2_irq_bounce_cycles,
-            "world_switch": p.world_switch_cycles,
-        }
+        """Fixed path costs, by name (cycles constants above), in ps."""
         try:
-            return self.cycles(table[name])
+            return self._event_ps[name]
         except KeyError:
             raise ConfigurationError(f"unknown event cost {name!r}") from None
 

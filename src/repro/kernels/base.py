@@ -14,8 +14,8 @@ three configurations:
 
 The interrupt path has one copy of each step: ``_wait_unmasked`` is the
 only interruptible point (phases, barrier spins and idle all wait through
-it, and an interruption lands in ``_on_interruption``: the host IRQ path,
-or a ``VmExitIntr`` for guests); ``_tick`` is the one tick handler (the
+it, and an interruption lands in ``_irq_path``: the host IRQ path, or a
+``VmExitIntr`` for guests); ``_tick`` is the one tick handler (the
 physical timer PPI on hosts, the injected virtual timer on guests);
 ``_resched`` and ``_retire`` are the one resched-IPI and thread-death steps.
 
@@ -76,6 +76,12 @@ ROLE_SECONDARY = "secondary"
 ROLE_SUPER = "super-secondary"
 
 GUEST_ROLES = (ROLE_SECONDARY, ROLE_SUPER)
+
+
+def _priced(ps: int) -> Optional[Timeout]:
+    """A ``CostParams`` path cost as a ready wait, or None when it is
+    zero: the path then yields nothing for it."""
+    return Timeout(ps) if ps > 0 else None
 
 
 class CpuSlot:
@@ -147,6 +153,27 @@ class KernelBase:
         self._tick_ppi = PPI_VIRT_TIMER if self.is_guest else PPI_PHYS_TIMER
         self._jitter_stream = machine.rng.stream(f"jitter.{name}")
         self._jitter_sigma = jitter_sigma
+        # Every fixed kernel-path cost (these paths run IRQ-masked), priced
+        # once as a ready wait. CostParams may zero the first four (see
+        # _priced); the handler constants below them are never zero.
+        perf = machine.perf
+        self._irq_entry = _priced(perf.event_cost("irq_entry"))
+        self._irq_exit = _priced(perf.event_cost("irq_exit"))
+        self._el2_bounce = _priced(perf.event_cost("el2_irq_bounce"))
+        self._ctxsw = _priced(perf.event_cost("ctxsw"))
+        self._tick_handler = Timeout(perf.cycles(self.TICK_HANDLER_CYCLES))
+        self._vtick_handler = Timeout(perf.cycles(self.VIRQ_HANDLER_CYCLES))
+        self._sgi_handler = Timeout(perf.cycles(200))
+        self._vtimer_handler = Timeout(perf.cycles(300))
+        self._device_handler = {
+            "direct": Timeout(perf.cycles(450)),
+            "forwarded": Timeout(perf.cycles(700)),
+        }
+        self._unclaimed_handler = Timeout(perf.cycles(150))
+        self._unclaimed_virq_handler = Timeout(perf.cycles(400))
+        self._touch = Timeout(perf.cycles(10))
+        self._pmu_access = Timeout(perf.cycles(30))
+        self._panic_dump = Timeout(perf.cycles(5_000))
         self.stats = {
             "irqs": 0,
             "ticks": 0,
@@ -340,7 +367,8 @@ class KernelBase:
         thread.last_dispatch_ps = self.machine.engine.now
         if slot.last_thread is not None and slot.last_thread is not thread:
             self.stats["ctxsw"] += 1
-            yield from self._consume(slot, self.machine.perf.event_cost("ctxsw"))
+            if self._ctxsw is not None:
+                yield self._ctxsw
             if slot.core is not None:
                 slot.core.env.pollute("ctxsw")
         if slot.last_thread is not thread:
@@ -437,7 +465,7 @@ class KernelBase:
         """Perform a functional memory access in the current translation
         context; a guest fault becomes a stage-2 abort (VM exit)."""
         core = self._core(slot)
-        yield from self._consume(slot, self.machine.perf.cycles(10))
+        yield self._touch
         try:
             thread.pending_send = core.touch(item.va, item.access)
         except (HardwareFault, SecurityViolation) as fault:
@@ -457,7 +485,7 @@ class KernelBase:
     def _read_pmu(self, slot: CpuSlot, thread: Thread, item: ReadPmu) -> Generator:
         """Architectural PMU access: trapped for secondary VMs."""
         core = self._core(slot)
-        yield from self._consume(slot, self.machine.perf.cycles(30))
+        yield self._pmu_access
         if self.is_guest:
             trap = PmuTrapError("PMU", self.name)
             self.machine.trace(
@@ -531,7 +559,7 @@ class KernelBase:
             self._core(slot).pmu.count_cycles_for(elapsed, self.machine.soc.freq_hz)
             phase.advance(elapsed, engine.now, interrupted=interrupted)
             if interrupted:
-                yield from self._on_interruption(slot)
+                yield from self._irq_path(slot)
 
     def _barrier_wait(self, slot: CpuSlot, thread: Thread, item: BarrierWait) -> Generator:
         barrier = item.barrier
@@ -553,13 +581,13 @@ class KernelBase:
             elapsed, interrupted = waited
             thread.cpu_time_ps += elapsed  # spin-waiting burns CPU
             if interrupted:
-                yield from self._on_interruption(slot)
+                yield from self._irq_path(slot)
         item.satisfied = True
 
     def _wait_unmasked(self, slot: CpuSlot, wait: Any) -> Generator:
         """The loop's one interruptible point: yield `wait` with IRQs
         unmasked and return ``(elapsed_ps, interrupted)`` with them masked
-        again; the caller accounts, then calls :meth:`_on_interruption`.
+        again; the caller accounts, then calls :meth:`_irq_path`.
         None (nothing yielded) when unmasking revealed a latched IRQ."""
         iface = self._core(slot).cpu_iface
         iface.set_masked(False)
@@ -590,7 +618,7 @@ class KernelBase:
         elapsed, interrupted = waited
         slot.idle_ps += elapsed
         if interrupted:
-            yield from self._on_interruption(slot)
+            yield from self._irq_path(slot)
 
     # ------------------------------------------------------------------
     # Fault injection: panic and stall
@@ -614,7 +642,7 @@ class KernelBase:
             "kernel.panic", f"{self.name}.cpu{slot.index}", reason=reason
         )
         # Panic path: dump state, then stop. Modeled as a fixed cost.
-        yield from self._consume(slot, self.machine.perf.cycles(5_000))
+        yield self._panic_dump
         if self.is_guest:
             raise VmExitAbort({"panic": reason, "vm": self.name})
         self.shutdown = True
@@ -646,7 +674,7 @@ class KernelBase:
             try:
                 yield Timeout(min(remaining, ms(1)))
             except Interrupted:
-                yield from self._on_interruption(slot)
+                yield from self._irq_path(slot)
         slot.stall_until_ps = 0
 
     # ------------------------------------------------------------------
@@ -667,69 +695,70 @@ class KernelBase:
         if not self._irq_pending(slot):
             return
         self._core(slot).take_doorbell()
-        yield from self._on_interruption(slot)
+        yield from self._irq_path(slot)
 
-    def _on_interruption(self, slot: CpuSlot) -> Generator:
+    def _irq_path(self, slot: CpuSlot) -> Generator:
         """A physical interrupt demands attention on this slot's core."""
         if self.is_guest:
             # Guests cannot handle physical interrupts: trap to the SPM.
             raise VmExitIntr()
-        yield from self._irq_path(slot)
-
-    def _irq_path(self, slot: CpuSlot) -> Generator:
         core = self._core(slot)
-        perf = self.machine.perf
+        iface = core.cpu_iface
         core.take_doorbell()
         if self.role == ROLE_PRIMARY:
             # Hafnium owns EL2: physical IRQs bounce through the hypervisor
             # before reaching the primary VM (paper Section II-a). Under
-            # selective routing, EL2 claims device IRQs for their owning
-            # VMs here, before the primary's handler ever runs.
-            yield from self._consume(slot, perf.event_cost("el2_irq_bounce"))
-            if self.spm is not None:
-                yield from self.spm.el2_claim_device_irqs(core)
-                if not core.cpu_iface.has_deliverable():
+            # selective ("direct") routing, EL2 claims device IRQs for
+            # their owning VMs here, before the primary's handler runs.
+            if self._el2_bounce is not None:
+                yield self._el2_bounce
+            spm = self.spm
+            if spm is not None:
+                if spm.irq_routing_mode == "direct":
+                    yield from spm.el2_claim_device_irqs(core)
+                if not iface.has_deliverable():
                     return  # everything pending was claimed at EL2
-        yield from self._consume(slot, perf.event_cost("irq_entry"))
+        if self._irq_entry is not None:
+            yield self._irq_entry
         while True:
-            irq = core.cpu_iface.ack()
+            irq = iface.ack()
             if irq is None:
                 break
             self.stats["irqs"] += 1
             core.pmu.count(EVT_IRQS, 1)
             yield from self.handle_irq(slot, irq)
-            core.cpu_iface.eoi(irq)
-        yield from self._consume(slot, perf.event_cost("irq_exit"))
+            iface.eoi(irq)
+        if self._irq_exit is not None:
+            yield self._irq_exit
 
     def handle_irq(self, slot: CpuSlot, irq: int) -> Generator:
         """Host-side interrupt dispatch."""
         core = self._core(slot)
-        perf = self.machine.perf
         if irq == self._tick_ppi:
             core.timer[self._timer_channel].stop()  # deassert the line
-            yield from self._tick(slot, self.TICK_HANDLER_CYCLES)
+            yield from self._tick(slot, self._tick_handler)
         elif irq == SGI_RESCHED:
-            yield from self._consume(slot, perf.cycles(200))
+            yield self._sgi_handler
             slot.need_resched = True
         elif irq == PPI_VIRT_TIMER and self.spm is not None:
             # A guest's virtual timer fired while the guest was off-core:
             # hand it to the SPM for injection.
-            yield from self._consume(slot, perf.cycles(300))
+            yield self._vtimer_handler
             self.spm.vtimer_fired(core)
         elif self.spm is not None and self.spm.device_irq_owner(irq) is not None:
             # Interim super-secondary design: the primary receives every
             # device interrupt and forwards it to the owning VM. (Under
             # selective routing this only catches IRQs that pended after
             # the EL2 claim pass; account them to the direct path.)
-            direct = self.spm.irq_routing_mode == "direct"
-            yield from self._consume(slot, perf.cycles(450 if direct else 700))
-            self.spm.deliver_device_irq(irq, direct=direct)
+            mode = self.spm.irq_routing_mode
+            yield self._device_handler[mode]
+            self.spm.deliver_device_irq(irq, direct=mode == "direct")
         else:
             # Spurious / unclaimed: count it, nothing else.
             self.machine.trace(
                 "irq.unclaimed", f"{self.name}.cpu{slot.index}", irq=irq
             )
-            yield from self._consume(slot, perf.cycles(150))
+            yield self._unclaimed_handler
 
     # ------------------------------------------------------------------
     # Guest-side virtual interrupts
@@ -739,22 +768,23 @@ class KernelBase:
         vcpu = slot.vcpu
         if vcpu is None:
             return
-        perf = self.machine.perf
         while True:
             virq = vcpu.vgic.ack()
             if virq is None:
                 break
             self.stats["virqs"] += 1
-            yield from self._consume(slot, perf.event_cost("irq_entry"))
+            if self._irq_entry is not None:
+                yield self._irq_entry
             yield from self.handle_virq(slot, virq)
             vcpu.vgic.eoi(virq)
-            yield from self._consume(slot, perf.event_cost("irq_exit"))
+            if self._irq_exit is not None:
+                yield self._irq_exit
 
     def handle_virq(self, slot: CpuSlot, virq: int) -> Generator:
         if virq == PPI_VIRT_TIMER:
-            yield from self._tick(slot, self.VIRQ_HANDLER_CYCLES)
+            yield from self._tick(slot, self._vtick_handler)
         else:
-            yield from self._consume(slot, self.machine.perf.cycles(400))
+            yield self._unclaimed_virq_handler
             self.machine.trace(
                 "virq.unclaimed", f"{self.name}.vcpu{slot.index}", virq=virq
             )
@@ -763,11 +793,11 @@ class KernelBase:
     # Tick management
     # ------------------------------------------------------------------
 
-    def _tick(self, slot: CpuSlot, handler_cycles: int) -> Generator:
+    def _tick(self, slot: CpuSlot, handler: Timeout) -> Generator:
         """The tick handler, for the physical timer PPI (hosts) and the
         injected virtual timer (guests) alike: handler cost, cache
         pollution, scheduler accounting, re-arm."""
-        yield from self._consume(slot, self.machine.perf.cycles(handler_cycles))
+        yield handler
         self._core(slot).env.pollute(self.TICK_POLLUTION)
         slot.ticks += 1
         self.stats["ticks"] += 1
@@ -783,11 +813,6 @@ class KernelBase:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-
-    def _consume(self, slot: CpuSlot, ps: int) -> Generator:
-        """Uninterruptible kernel-path time (handlers run IRQ-masked)."""
-        if ps > 0:
-            yield Timeout(ps)
 
     def runnable_count(self, slot: CpuSlot) -> int:
         return len(slot.runqueue) + (1 if slot.current is not None else 0)

@@ -26,8 +26,13 @@ class Interrupted(Exception):
     """Thrown into a process generator at its wait point by ``interrupt()``."""
 
     def __init__(self, reason: Any = None):
-        super().__init__(f"interrupted: {reason!r}")
+        # The message is formatted only when asked for: an interrupt lands
+        # on every hardware IRQ, and almost none is ever printed.
+        super().__init__(reason)
         self.reason = reason
+
+    def __str__(self) -> str:
+        return f"interrupted: {self.reason!r}"
 
 
 class Timeout:
@@ -70,21 +75,23 @@ class Process:
         self._pending_signal: Optional[Signal] = None
         self._signal_cb: Optional[Callable] = None
         self._joiners: List[Callable[[Any], None]] = []
-        self._started = False
-        self._pending_event = engine.schedule(0, self._resume, ("start", None))
+        self._pending_event = engine.schedule(0, self._step)
 
     # -- lifecycle -------------------------------------------------------
 
-    def _resume(self, token) -> None:
-        kind, payload = token
+    def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
+        """Resume the generator: send ``send`` into it, or throw ``throw``.
+
+        A ``Timeout`` (and the start) schedules the bound method with no
+        arguments, so the engine drain takes its plain ``fn()`` call.
+        """
         self._pending_event = None
         self._pending_signal = None
-        self._started = True
         try:
-            if kind == "throw":
-                item = self._gen.throw(payload)
+            if throw is not None:
+                item = self._gen.throw(throw)
             else:
-                item = self._gen.send(payload if kind == "send" else None)
+                item = self._gen.send(send)
         except StopIteration as stop:
             self._finish(result=getattr(stop, "value", None))
             return
@@ -111,7 +118,7 @@ class Process:
     def _arm(self, item: Any) -> None:
         if isinstance(item, Timeout):
             self._pending_event = self.engine.schedule(
-                item.delay, self._resume, ("send", None), priority=item.priority
+                item.delay, self._step, priority=item.priority
             )
         elif isinstance(item, WaitSignal):
             sig = item.signal
@@ -119,7 +126,7 @@ class Process:
             def _cb(payload, _self=self):
                 _self._signal_cb = None
                 _self._pending_signal = None
-                _self._resume(("send", payload))
+                _self._step(payload)
 
             self._signal_cb = _cb
             self._pending_signal = sig
@@ -127,13 +134,9 @@ class Process:
         elif isinstance(item, Process):
             other = item
             if not other.alive:
-                self._pending_event = self.engine.schedule(
-                    0, self._resume, ("send", other.result)
-                )
+                self._pending_event = self.engine.schedule(0, self._step, other.result)
             else:
-                other._joiners.append(
-                    lambda result, _self=self: _self._resume(("send", result))
-                )
+                other._joiners.append(self._step)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported item {item!r}"
@@ -168,7 +171,7 @@ class Process:
             self._pending_signal = None
         else:
             return False
-        self.engine.schedule(0, self._resume, ("throw", Interrupted(reason)))
+        self.engine.schedule(0, self._step, None, Interrupted(reason))
         return True
 
     def kill(self) -> None:

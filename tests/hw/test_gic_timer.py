@@ -1,7 +1,7 @@
 """GIC routing/ack/eoi semantics and generic-timer behaviour."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.hw.gic import (
@@ -240,3 +240,57 @@ def test_highest_priority_is_the_min_key_in_any_order(pending, enabled, priority
     assert highest_priority(pending, enabled, priority) == expected
     assert highest_priority(pending[::-1], enabled, priority) == expected
     assert highest_priority(set(pending), enabled, priority) == expected
+
+
+_GIC_IRQS = (1, PPI_VIRT_TIMER, 33, 34)
+_GIC_OPS = (
+    "set", "clear", "ack", "eoi", "assert", "drop_pending", "arm_drop_next",
+    "enable", "disable", "configure",
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(ops=st.lists(
+    st.tuples(
+        st.sampled_from(_GIC_OPS),
+        st.sampled_from(_GIC_IRQS),
+        st.integers(0, 1),
+        st.sampled_from([0x20, 0xA0, 0xF0]),
+    ),
+    max_size=40,
+))
+# The level re-pend in eoi needs this exact assert -> ack -> eoi chain.
+@example(ops=[
+    ("assert", PPI_VIRT_TIMER, 0, 0xA0), ("ack", 1, 0, 0xA0), ("eoi", PPI_VIRT_TIMER, 0, 0xA0),
+])
+def test_cached_peek_matches_the_selection_rule(ops):
+    """peek() caches its answer; after any sequence of pending, ack/EOI,
+    drop and distributor writes it equals a fresh recomputation."""
+    gic = Gic(num_cores=2)
+    for irq in _GIC_IRQS:
+        gic.enable(irq)
+    for op, irq, core, prio in ops:
+        iface = gic.cpu_ifaces[core]
+        if op == "set":
+            iface.set_pending(irq)
+        elif op == "clear":
+            iface.clear_pending(irq)
+        elif op == "ack":
+            iface.ack()
+        elif op == "eoi":
+            if irq in iface.active:
+                iface.eoi(irq)
+        elif op == "assert":
+            gic.assert_level(irq, core=core)
+        elif op == "drop_pending":
+            gic.drop_pending(irq, core=core)
+        elif op == "arm_drop_next":
+            gic.arm_drop_next(irq, core=core)
+        elif op == "enable":
+            gic.enable(irq)
+        elif op == "disable":
+            gic.disable(irq)
+        else:
+            gic.configure(irq, priority=prio, target_core=core)
+        for each in gic.cpu_ifaces:
+            assert each.peek() == highest_priority(each.pending, gic.enabled, gic.priority)

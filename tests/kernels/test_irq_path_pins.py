@@ -23,6 +23,7 @@ from repro.core.experiments import (
     run_single_trial,
 )
 from repro.faults.campaign import run_scenario
+from repro.hw.perfmodel import CostParams
 from repro.workloads.randomaccess import RandomAccessBenchmark
 
 
@@ -66,8 +67,11 @@ def _fault(config, scenario):
     return lambda: _sha(sorted(run_scenario(config, scenario).items()))
 
 
-def _selfish():
-    p = run_selfish_profile("hafnium-linux", duration_s=0.2, seed=DEFAULT_SEED)
+def _selfish(params=None):
+    p = run_selfish_profile(
+        "hafnium-linux", duration_s=0.2, seed=DEFAULT_SEED,
+        node_kwargs={"params": params} if params is not None else None,
+    )
     return _sha((
         p.config, p.times_us.tobytes(), p.latencies_us.tobytes(),
         sorted(p.summary.items()), p.interarrival_cv,
@@ -93,6 +97,10 @@ CELLS = {
     },
     "faults-native-vm-panic": _fault(CONFIG_NATIVE, "vm-panic"),
     "selfish-hafnium-linux-0.2s": _selfish,
+    # Zero IRQ-entry and EL2-bounce costs: those kernel paths yield nothing.
+    "selfish-hafnium-linux-0.2s-zero-irq-cost": lambda: _selfish(
+        CostParams(irq_entry_cycles=0, el2_irq_bounce_cycles=0)
+    ),
     "cluster-hafnium-kitten-4x3": _cluster,
 }
 
@@ -116,6 +124,7 @@ PINNED = {
     'npb-lu-native': '48cb94d0d346eb95e6f711ea0694e11342541971b975e82fae0a8cf6a97636d0',
     'randomaccess-hafnium-kitten-secure': 'c908edf0220afe0fa58fba3719b872947b46e96b68dca75e3c4ff02c9c90ad75',
     'selfish-hafnium-linux-0.2s': 'ee409cbe1086c0d62f1abfce7f900119bf621b926436a113d2572bbc05041711',
+    'selfish-hafnium-linux-0.2s-zero-irq-cost': 'b0e6164e41b8bfba24b2f6e6aa830e63af5026f13f23816887ab7280e626d5cd',
 }
 
 

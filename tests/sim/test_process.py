@@ -1,5 +1,7 @@
 """Coroutine process semantics: timeouts, signals, join, interrupt, kill."""
 
+import pickle
+
 import pytest
 
 from repro.common.errors import SimulationError
@@ -109,6 +111,41 @@ def test_interrupt_timeout_wait():
     eng.schedule(300, p.interrupt, "preempt")
     eng.run()
     assert log == [("interrupted", "preempt", 300), ("resumed", 310)]
+
+
+def test_interrupt_during_timeout_lands_at_once_and_stale_handle_is_inert():
+    """A Timeout resumes through the no-arg path; an interrupt during the
+    wait is thrown in at the same instant; and cancel() on the wait's
+    now-stale handle cancels nothing."""
+    eng = Engine()
+    log = []
+
+    def body():
+        try:
+            yield Timeout(1000)
+        except Interrupted as exc:
+            log.append(("interrupted", eng.now, str(exc)))
+        yield Timeout(50)
+        log.append(("resumed", eng.now))
+
+    p = Process(eng, body())
+    eng.run_until(0)
+    stale = p._pending_event
+    assert stale.pending and stale.args == ()
+    eng.schedule(300, p.interrupt, "irq")
+    eng.run_until(300)
+    assert log == [("interrupted", 300, "interrupted: 'irq'")]
+    assert not stale.pending
+    stale.cancel()
+    assert p._pending_event is not stale and p._pending_event.pending
+    eng.run()
+    assert log == [("interrupted", 300, "interrupted: 'irq'"), ("resumed", 350)]
+
+
+def test_interrupted_message_and_pickle():
+    exc = Interrupted(("core", 3))
+    assert str(exc) == "interrupted: ('core', 3)"
+    assert pickle.loads(pickle.dumps(exc)).reason == ("core", 3)
 
 
 def test_interrupt_signal_wait():
