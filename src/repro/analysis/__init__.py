@@ -15,12 +15,13 @@ produces bit-identical traces):
   reentrancy guard) plus model validators for stage-2 mappings, GIC state,
   and TrustZone world configuration. Enabled with ``--sanitize`` or
   ``REPRO_SANITIZE=1``.
-* :mod:`repro.analysis.determinism` — replay checker that runs a config
-  twice with the same seed and diffs trace digests
-  (``python -m repro check-determinism``).
+* :mod:`repro.analysis.golden` — the golden corpus: short simulation
+  cells whose result digests are committed in ``GOLDEN.json`` and
+  checked across commits (``python -m repro check-golden``). Not
+  imported here, so ``repro lint`` never loads the model stack.
 """
 
-from repro.analysis.determinism import check_determinism, trace_digest
+from repro.analysis.determinism import trace_digest
 from repro.analysis.invariants import InvariantChecker
 from repro.analysis.rules import Diagnostic, Rule, Severity, all_rules
 from repro.analysis.simlint import lint_paths, lint_source
@@ -32,7 +33,6 @@ __all__ = [
     "Rule",
     "Severity",
     "all_rules",
-    "check_determinism",
     "lint_paths",
     "lint_source",
     "trace_digest",

@@ -15,7 +15,7 @@ experiments without writing any Python:
 plus the correctness tooling from ``repro.analysis``:
 
     python -m repro lint                    # simlint static analysis
-    python -m repro check-determinism       # same-seed replay digest diff
+    python -m repro check-golden            # golden-corpus digest check
     python -m repro --sanitize <command>    # run with runtime invariant checks
 """
 
@@ -173,48 +173,28 @@ def _cmd_lint(args) -> int:
     return 1 if errors else 0
 
 
-def _cmd_check_determinism(args) -> int:
-    from repro.analysis.determinism import check_determinism
-    from repro.common.errors import ConfigurationError
+def _cmd_check_golden(args) -> int:
+    from repro.analysis.golden import CORPUS, GOLDEN_PATH, check_golden
 
     try:
-        result = check_determinism(
-            config=args.config, seed=args.seed, runs=args.runs,
-            jobs=_jobs(args), seeds=args.seeds,
-        )
-    except ConfigurationError as exc:
-        print(f"repro check-determinism: {exc}", file=sys.stderr)
+        report = check_golden(jobs=_jobs(args), update=args.update)
+    except (OSError, ValueError) as exc:
+        print(f"repro check-golden: cannot read {GOLDEN_PATH}: {exc}",
+              file=sys.stderr)
         return 2
-    if "sweep" in result:
-        for name, entry in result["sweep"].items():
-            status = "ok" if entry["identical"] else "DIVERGED"
-            print(f"  {name:16s} {entry['digests'][0][:16]}... {status}")
-        if result["identical"]:
-            print(
-                f"determinism OK: all configs + fault-injection smoke replayed "
-                f"bit-identically over {args.runs} same-seed runs"
-            )
-            return 0
-        print("DETERMINISM VIOLATION: see diverged entries above")
+    for kind, entries in report.items():
+        for key, old, new in entries:
+            print(f"  {kind} {key}: {(old or '(none)')[:16]} -> "
+                  f"{(new or '(none)')[:16]}")
+    if args.update:
+        print(f"wrote {GOLDEN_PATH}")
+    elif any(report.values()):
+        print("GOLDEN MISMATCH: a change that means to move simulated "
+              "results reruns check-golden --update")
         return 1
-    for i, (digest, run) in enumerate(zip(result["digests"], result["runs"])):
-        print(
-            f"run {i}: digest {digest[:16]}... "
-            f"({run['records']} records, {run['events']} events, "
-            f"end t={run['end_ps']} ps)"
-        )
-    if result["identical"]:
-        print(
-            f"determinism OK: {args.runs} same-seed runs of "
-            f"{args.config!r} produced identical trace digests"
-        )
-        return 0
-    print(
-        f"DETERMINISM VIOLATION: same-seed runs of {args.config!r} diverged "
-        "(an unmanaged RNG, wall-clock read, or unordered iteration leaked "
-        "into the event order — run `repro lint` and bisect with traces)"
-    )
-    return 1
+    else:
+        print(f"golden OK: {len(CORPUS)} cells match {GOLDEN_PATH.name}")
+    return 0
 
 
 def _cmd_faults(args) -> int:
@@ -224,7 +204,6 @@ def _cmd_faults(args) -> int:
     from repro.faults.campaign import (
         run_randomized_campaign,
         run_resilience,
-        run_smoke,
         scenarios_for,
     )
 
@@ -277,19 +256,6 @@ def _cmd_faults(args) -> int:
         )
         return 0
 
-    if args.smoke:
-        first = run_smoke(seed=args.seed)
-        second = run_smoke(seed=args.seed)
-        print(json.dumps(first, indent=2))
-        if first["digest"] != second["digest"]:
-            print(
-                "FAULT-CAMPAIGN DETERMINISM VIOLATION: two same-seed smoke "
-                "runs diverged",
-                file=sys.stderr,
-            )
-            return 1
-        print("smoke OK: two same-seed runs produced identical digests")
-        return 0
     configs = args.configs.split(",") if args.configs else None
     scenarios = args.scenarios.split(",") if args.scenarios else None
     try:
@@ -501,18 +467,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser(
-        "check-determinism",
-        help="run a config twice with one seed and diff trace digests "
-        "(--config all sweeps every config + a fault-injection scenario)",
+        "check-golden",
+        help="rerun the golden corpus and compare every cell's result "
+        "digest with the committed GOLDEN.json",
     )
-    p.add_argument("--config", type=str, default="hafnium-kitten")
-    p.add_argument("--runs", type=int, default=2)
     p.add_argument(
-        "--seeds", type=int, default=1,
-        help="with --config all: sweep this many root seeds (seed, seed+1, ...)",
+        "--update", action="store_true",
+        help="rewrite GOLDEN.json from this checkout (declares a model change)",
     )
     _add_jobs_flag(p)
-    p.set_defaults(fn=_cmd_check_determinism)
+    p.set_defaults(fn=_cmd_check_golden)
 
     p = sub.add_parser(
         "faults",
@@ -531,10 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-containment", action="store_true",
         help="skip the per-VM trace-digest containment check",
-    )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="CI mode: one small scenario run twice; exit 1 on digest drift",
     )
     p.add_argument(
         "--randomized", type=int, default=0, metavar="N",

@@ -21,7 +21,7 @@ from repro.cluster.collectives import (
     send_message,
 )
 from repro.cluster.bsp import BspClusterWorkload
-from repro.cluster.campaign import run_cluster, run_cluster_smoke, run_scaling
+from repro.cluster.campaign import run_cluster, run_scaling
 
 __all__ = [
     "NetworkFabric",
@@ -36,6 +36,5 @@ __all__ = [
     "allgather",
     "BspClusterWorkload",
     "run_cluster",
-    "run_cluster_smoke",
     "run_scaling",
 ]

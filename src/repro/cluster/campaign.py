@@ -40,10 +40,8 @@ def run_cluster(
     trial: int = 0,
     supersteps: int = DEFAULT_SUPERSTEPS,
     step_compute_s: float = DEFAULT_STEP_COMPUTE_S,
-    halo_bytes: int = 8 * 1024,
     fail_rank: Optional[int] = None,
     fail_at_ms: Optional[float] = None,
-    max_seconds: float = 120.0,
 ) -> Dict[str, Any]:
     """Run one BSP scaling cell; returns a picklable, digestable report.
 
@@ -53,10 +51,7 @@ def run_cluster(
     """
     cluster = Cluster(config, nodes, seed=seed, trial=trial)
     workload = BspClusterWorkload(
-        cluster,
-        supersteps=supersteps,
-        step_compute_s=step_compute_s,
-        halo_bytes=halo_bytes,
+        cluster, supersteps=supersteps, step_compute_s=step_compute_s
     )
     threads = workload.spawn()
 
@@ -75,7 +70,7 @@ def run_cluster(
         injector.arm()
         injections = injector.injections
 
-    cluster.run(threads, max_seconds=max_seconds)
+    cluster.run(threads)
 
     root_steps_ps = workload.step_durations_ps(rank=0)
     # Root may be the failed rank: fall back to the lowest live rank's
@@ -204,15 +199,3 @@ def run_scaling(
         "cells": cells,
         "rows": rows,
     }
-
-
-def run_cluster_smoke(seed: int) -> Dict[str, Any]:
-    """Small fixed cluster cell for the ``check-determinism`` sweep."""
-    return run_cluster(
-        "hafnium-kitten",
-        3,
-        seed,
-        supersteps=3,
-        step_compute_s=0.0008,
-        max_seconds=30.0,
-    )

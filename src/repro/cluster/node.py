@@ -86,11 +86,6 @@ class Cluster:
         *,
         seed: int = 0xC0FFEE,
         trial: int = 0,
-        engine: Optional[Engine] = None,
-        latency_ps: Optional[int] = None,
-        bandwidth_bps: Optional[float] = None,
-        port_capacity: Optional[int] = None,
-        node_kwargs: Optional[Dict[str, Any]] = None,
     ):
         if size < 2:
             raise ConfigurationError(f"cluster size must be >= 2, got {size}")
@@ -100,15 +95,8 @@ class Cluster:
         self.size = size
         self.seed = seed
         self.trial = trial
-        self.engine = engine if engine is not None else Engine()
-        fabric_kwargs: Dict[str, Any] = {}
-        if latency_ps is not None:
-            fabric_kwargs["latency_ps"] = latency_ps
-        if bandwidth_bps is not None:
-            fabric_kwargs["bandwidth_bps"] = bandwidth_bps
-        if port_capacity is not None:
-            fabric_kwargs["port_capacity"] = port_capacity
-        self.fabric = NetworkFabric(self.engine, size, **fabric_kwargs)
+        self.engine = Engine()
+        self.fabric = NetworkFabric(self.engine, size)
         self.nodes: List[ClusterNode] = []
         self.failed: List[int] = []
         self.failures: List[Dict[str, Any]] = []
@@ -126,7 +114,6 @@ class Cluster:
                 seed=seed,
                 trial=trial * TRIAL_STRIDE + rank,
                 engine=self.engine,
-                **dict(node_kwargs or {}),
             )
             self.nodes.append(ClusterNode(self, rank, node))
 
@@ -167,20 +154,14 @@ class Cluster:
             "cluster.collective", f"rank{rank}", op=op, tag=str(tag)
         )
 
-    def run(
-        self,
-        threads: List[Thread],
-        *,
-        max_seconds: float = 120.0,
-        slice_ms: float = 50.0,
-    ) -> int:
+    def run(self, threads: List[Thread], *, max_seconds: float = 120.0) -> int:
         """Advance the shared engine until every thread on a still-live
         rank is dead (threads stranded on failed ranks are frozen by the
         host panic and don't count). Raises on deadline, naming the
         stuck threads — same contract as ``core.node.run_until_done``."""
         engine = self.engine
         deadline = engine.now + seconds(max_seconds)
-        step = max(1, seconds(slice_ms / 1000.0))
+        step = seconds(0.05)  # polling slice
 
         def pending() -> List[Thread]:
             dead_set = self.failed

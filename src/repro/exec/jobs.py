@@ -117,22 +117,9 @@ def _bench_trial(benchmark_set, benchmark, config, trial, seed, node_kwargs=None
     )
 
 
-@handler("determinism-run")
-def _determinism_run(config, seed, run=0):
-    """One replay of the determinism quickstart (or the fault smoke).
-
-    ``run`` only differentiates job keys: same-seed replays are the whole
-    point of the determinism check.
-    """
-    del run
-    if config == "faults-smoke":
-        from repro.faults.campaign import run_smoke
-
-        return run_smoke(seed)
-    if config == "cluster-smoke":
-        from repro.cluster.campaign import run_cluster_smoke
-
-        return run_cluster_smoke(seed)
+@handler("quickstart")
+def _quickstart(config, seed):
+    """The determinism quickstart: compute + barrier supersteps on every core."""
     from repro.analysis.determinism import run_quickstart
 
     return run_quickstart(config, seed)

@@ -1,10 +1,11 @@
-"""Determinism replay checker: digest sensitivity and same-seed identity."""
+"""Trace digests and the quickstart workload: digest sensitivity and
+same-seed identity."""
 
 from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.determinism import check_determinism, run_quickstart, trace_digest
+from repro.analysis.determinism import run_quickstart, trace_digest
 from repro.common.errors import ConfigurationError
 
 
@@ -44,19 +45,17 @@ def test_digest_sees_terminal_engine_state():
     )
 
 
-def test_unknown_config_and_too_few_runs_rejected():
+def test_unknown_config_rejected():
     with pytest.raises(ConfigurationError, match="unknown config"):
         run_quickstart("no-such-config", seed=1)
-    with pytest.raises(ConfigurationError, match="at least 2"):
-        check_determinism(runs=1)
 
 
 def test_same_seed_runs_produce_identical_digests():
-    result = check_determinism(config="hafnium-kitten", seed=123, runs=2)
-    assert result["identical"]
-    assert len(set(result["digests"])) == 1
-    assert result["runs"][0]["events"] > 0
-    assert result["runs"][0]["records"] > 0
+    a = run_quickstart("hafnium-kitten", seed=123)
+    b = run_quickstart("hafnium-kitten", seed=123)
+    assert a == b
+    assert a["events"] > 0
+    assert a["records"] > 0
 
 
 def test_different_seeds_produce_different_digests():
@@ -65,41 +64,3 @@ def test_different_seeds_produce_different_digests():
     a = run_quickstart("hafnium-kitten", seed=1)
     b = run_quickstart("hafnium-kitten", seed=2)
     assert a["digest"] != b["digest"]
-
-
-def test_cli_check_determinism_reports_ok(capsys):
-    from repro.cli import main
-
-    assert main(["check-determinism", "--config", "hafnium-kitten"]) == 0
-    assert "determinism OK" in capsys.readouterr().out
-
-
-def test_cli_check_determinism_clean_error_on_bad_args(capsys):
-    from repro.cli import main
-
-    assert main(["check-determinism", "--config", "bogus"]) == 2
-    assert "unknown config" in capsys.readouterr().err
-    assert main(["check-determinism", "--runs", "1"]) == 2
-    assert "at least 2" in capsys.readouterr().err
-
-
-def test_all_sweep_covers_configs_and_fault_scenario():
-    result = check_determinism(config="all", seed=123, runs=2)
-    assert result["identical"]
-    expected = {
-        "native", "hafnium-kitten", "hafnium-linux",
-        "faults-smoke", "cluster-smoke",
-    }
-    assert set(result["sweep"]) == expected
-    for entry in result["sweep"].values():
-        assert entry["identical"]
-        assert len(set(entry["digests"])) == 1
-
-
-def test_cli_check_determinism_all_sweep(capsys):
-    from repro.cli import main
-
-    assert main(["check-determinism", "--config", "all"]) == 0
-    out = capsys.readouterr().out
-    assert "faults-smoke" in out
-    assert "fault-injection smoke replayed" in out

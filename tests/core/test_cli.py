@@ -19,7 +19,7 @@ def test_parser_has_all_commands():
         "boot",
         "campaign",
         "lint",
-        "check-determinism",
+        "check-golden",
         "faults",
         "bench",
         "cluster",

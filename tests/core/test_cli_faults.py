@@ -5,16 +5,6 @@ import json
 from repro.cli import main
 
 
-def test_smoke_mode_runs_twice_and_passes(capsys):
-    assert main(["faults", "--smoke"]) == 0
-    out = capsys.readouterr().out
-    assert "smoke OK" in out
-    payload = json.loads(out[: out.rindex("}") + 1])
-    assert payload["scenario"] == "vm-panic"
-    assert payload["detected"] is True
-    assert payload["restarts"] == 1
-
-
 def test_targeted_scenario_run_prints_metrics(capsys):
     rc = main(
         [

@@ -33,7 +33,7 @@ def test_job_kinds_cover_the_campaign_cells():
     assert {
         "selfish-profile",
         "bench-trial",
-        "determinism-run",
+        "quickstart",
         "fault-scenario",
         "containment",
         "irq-latency",
@@ -66,8 +66,8 @@ def test_duplicate_job_keys_rejected():
 
 def test_runner_merge_is_keyed_by_submission_order():
     jobs = [
-        SimJob.make("determinism-run", config="native", seed=11, run=i)
-        for i in range(2)
+        SimJob.make("quickstart", config="native", seed=seed)
+        for seed in (11, 12)
     ]
     serial = ParallelRunner(jobs=1).run(jobs)
     assert list(serial) == [j.key for j in jobs]
@@ -99,14 +99,14 @@ def test_in_process_run_never_loads_the_process_pool():
     assert out.stdout.strip() == "False"
 
 def test_every_campaign_driver_defaults_to_one_job():
-    from repro.analysis.determinism import check_determinism
+    from repro.analysis.golden import check_golden
     from repro.cluster.campaign import run_scaling
     from repro.core.campaign import run_campaign
     from repro.core.experiments import run_benchmark_table, run_selfish_profiles
     from repro.faults.campaign import run_randomized_campaign, run_resilience
 
     drivers = (
-        check_determinism, run_scaling, run_campaign, run_benchmark_table,
+        check_golden, run_scaling, run_campaign, run_benchmark_table,
         run_selfish_profiles, run_randomized_campaign, run_resilience,
     )
     for driver in drivers:
