@@ -25,9 +25,6 @@ from repro.core.configs import ALL_CONFIGS, CONFIG_NATIVE
 from repro.cluster.bsp import BspClusterWorkload
 from repro.cluster.node import Cluster
 
-#: Node counts swept by the paper-style scaling experiment (2..64).
-SCALING_NODE_COUNTS = (2, 4, 8, 16, 32, 64)
-
 DEFAULT_SUPERSTEPS = 6
 DEFAULT_STEP_COMPUTE_S = 0.002
 

@@ -18,9 +18,8 @@ from repro.core.configs import (
     ALL_CONFIGS,
 )
 from repro.core.metrics import TrialResult, Aggregate, aggregate, normalize_to
-from repro.core.noise import NoiseAnalysis, compare_configs, from_profile
 from repro.core.timeline import Interval, Timeline
-from repro.core.campaign import run_campaign, save_campaign, load_campaign
+from repro.core.campaign import run_campaign, save_campaign
 
 __all__ = [
     "Node",
@@ -37,12 +36,8 @@ __all__ = [
     "Aggregate",
     "aggregate",
     "normalize_to",
-    "NoiseAnalysis",
-    "compare_configs",
-    "from_profile",
     "Interval",
     "Timeline",
     "run_campaign",
     "save_campaign",
-    "load_campaign",
 ]

@@ -130,11 +130,6 @@ def save_campaign(results: Dict[str, Any], path: str) -> None:
         json.dump(results, fh, indent=1, sort_keys=True)
 
 
-def load_campaign(path: str) -> Dict[str, Any]:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def summarize(results: Dict[str, Any]) -> str:
     """A terse human summary of a campaign result dict."""
     lines = [f"campaign seed={results['seed']} trials={results['trials']}"]

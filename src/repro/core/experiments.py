@@ -23,7 +23,7 @@ from repro.core.configs import ALL_CONFIGS, PAPER_LABELS, build_node
 from repro.core.metrics import Aggregate, TrialResult, aggregate, normalize_to
 from repro.workloads.base import Workload, WorkloadRun
 from repro.workloads.hpcg import HpcgBenchmark
-from repro.workloads.npb import make_npb
+from repro.workloads.npb import PAPER_SUBSET, make_npb
 from repro.workloads.randomaccess import RandomAccessBenchmark
 from repro.workloads.selfish import SelfishDetour
 from repro.workloads.stream import StreamBenchmark
@@ -124,7 +124,7 @@ MEMORY_BENCHMARKS: Dict[str, WorkloadFactory] = {
 }
 
 NPB_BENCHMARKS: Dict[str, WorkloadFactory] = {
-    name: (lambda n=name: make_npb(n)) for name in ("lu", "bt", "cg", "ep", "sp")
+    name: (lambda n=name: make_npb(n)) for name in PAPER_SUBSET
 }
 
 #: Named registries so parallel workers can resolve factories by name —

@@ -1,20 +1,18 @@
 """Hardware substrate: an ARMv8 SoC model.
 
 This package models the machine the paper evaluates on (a Pine A64-LTS:
-4x Cortex-A53 @ 1.152 GHz, 2 GiB DRAM, GICv2) plus the other platforms the
-Kitten ARM64 port supports (Raspberry Pi 3, the QEMU ``virt`` profile).
+4x Cortex-A53 @ 1.152 GHz, 2 GiB DRAM, GICv2) plus QEMU's ``virt``
+profile (GICv3), another platform the Kitten ARM64 port supports.
 
 Functional components (page tables, GIC, TrustZone address-space
 controller, timers) are real data structures with the architectural rules
-enforced in code; timing comes from the analytic cost model in
-:mod:`repro.hw.perfmodel`.
+enforced in code; timing, including TLB/cache warmth, comes from the
+analytic cost model in :mod:`repro.hw.perfmodel`.
 """
 
-from repro.hw.soc import SoCConfig, PINE_A64, RPI3, QEMU_VIRT, Platform
+from repro.hw.soc import SoCConfig, PINE_A64, QEMU_VIRT
 from repro.hw.memory import MemoryRegion, PhysicalMemoryMap, RegionKind
 from repro.hw.mmu import PageTable, PageAttrs, TranslationRegime, TranslationFault
-from repro.hw.tlb import TlbModel
-from repro.hw.cache import CacheModel
 from repro.hw.gic import Gic, GicCpuInterface, IrqTrigger
 from repro.hw.timer import GenericTimer, TimerChannel
 from repro.hw.cpu import Core, ExceptionLevel, SecurityWorld
@@ -28,9 +26,7 @@ from repro.hw.pmu import Pmu, DebugRegisters, PmuTrapError
 __all__ = [
     "SoCConfig",
     "PINE_A64",
-    "RPI3",
     "QEMU_VIRT",
-    "Platform",
     "MemoryRegion",
     "PhysicalMemoryMap",
     "RegionKind",
@@ -38,8 +34,6 @@ __all__ = [
     "PageAttrs",
     "TranslationRegime",
     "TranslationFault",
-    "TlbModel",
-    "CacheModel",
     "Gic",
     "GicCpuInterface",
     "IrqTrigger",

@@ -2,9 +2,10 @@
 
 The paper's Kitten ARM64 port supports boards built around the GICv2,
 GICv3, or Broadcom-2836 interrupt controllers; verified platforms are the
-Pine A64, the Raspberry Pi, and QEMU's ``virt`` machine. We model the same
-three. All timing calibration targets the Pine A64-LTS used in the paper's
-evaluation (Section V).
+Pine A64, the Raspberry Pi, and QEMU's ``virt`` machine. We model the two
+GIC platforms: the Pine A64 (GICv2) and QEMU ``virt`` (GICv3). All timing
+calibration targets the Pine A64-LTS used in the paper's evaluation
+(Section V).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.units import GiB, MiB
+from repro.common.units import GiB
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class SoCConfig:
     freq_hz: float
     dram_base: int
     dram_size: int
-    gic_version: str  # "gic2" | "gic3" | "bcm2836"
+    gic_version: str  # "gic2" | "gic3"
     # MMIO devices: name -> (base, size). The super-secondary experiment
     # reassigns these mappings away from the primary VM.
     mmio: Dict[str, Tuple[int, int]] = field(default_factory=dict)
@@ -47,7 +48,7 @@ class SoCConfig:
             raise ConfigurationError("core frequency must be positive")
         if self.dram_size <= 0:
             raise ConfigurationError("DRAM size must be positive")
-        if self.gic_version not in ("gic2", "gic3", "bcm2836"):
+        if self.gic_version not in ("gic2", "gic3"):
             raise ConfigurationError(f"unsupported IRQ controller {self.gic_version!r}")
 
     @property
@@ -81,23 +82,6 @@ PINE_A64 = SoCConfig(
     },
 )
 
-# Raspberry Pi 3: BCM2837 (A53 @ 1.2 GHz) with the BCM2836 local
-# interrupt controller; DRAM at physical 0.
-RPI3 = SoCConfig(
-    name="raspberry-pi-3",
-    cpu_model="cortex-a53",
-    num_cores=4,
-    freq_hz=1.2e9,
-    dram_base=0x0,
-    dram_size=1 * GiB,
-    gic_version="bcm2836",
-    mmio={
-        "uart0": (0x3F20_1000, 0x200),
-        "local-intc": (0x4000_0000, 0x100),
-        "mbox": (0x3F00_B880, 0x40),
-    },
-)
-
 # QEMU's ARM64 "virt" machine profile with GICv3.
 QEMU_VIRT = SoCConfig(
     name="qemu-virt",
@@ -114,26 +98,3 @@ QEMU_VIRT = SoCConfig(
         "virtio0": (0x0A00_0000, 0x200),
     },
 )
-
-PLATFORMS: Dict[str, SoCConfig] = {
-    PINE_A64.name: PINE_A64,
-    RPI3.name: RPI3,
-    QEMU_VIRT.name: QEMU_VIRT,
-}
-
-
-class Platform:
-    """Lookup helper for the supported platform table."""
-
-    @staticmethod
-    def by_name(name: str) -> SoCConfig:
-        try:
-            return PLATFORMS[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown platform {name!r}; supported: {sorted(PLATFORMS)}"
-            ) from None
-
-    @staticmethod
-    def names() -> list:
-        return sorted(PLATFORMS)

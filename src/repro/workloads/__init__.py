@@ -1,14 +1,8 @@
 """The paper's benchmark suite (Section V).
 
-Each benchmark exists in two forms:
-
-* a **phase model** — threads yielding compute/memory/spin/barrier items
-  that execute on the simulated node and produce the timing results the
-  figures report;
-* a **reference implementation** (:mod:`repro.workloads.mathkernels`) —
-  real NumPy/SciPy numerics used to validate that the algorithms the
-  phase models represent are implemented correctly (CG convergence, GUPS
-  update reversibility, STREAM verification sums, ...).
+Each benchmark is a **phase model**: threads yielding compute/memory/spin/
+barrier items that execute on the simulated node and produce the timing
+results the figures report.
 """
 
 from repro.workloads.base import Workload, WorkloadRun

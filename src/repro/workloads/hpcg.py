@@ -7,10 +7,6 @@ SpMV, and the CG vector updates/dot products. Sweeps stream the matrix
 random component whose working set is the vector, not the matrix — which
 is why HPCG, unlike RandomAccess, is barely hurt by two-stage translation
 (the vector stays TLB/cache resident).
-
-The real numerical algorithm (27-point stencil, CG with SymGS
-preconditioning) lives in :mod:`repro.workloads.mathkernels` and is
-validated by the test suite.
 """
 
 from __future__ import annotations

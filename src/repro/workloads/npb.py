@@ -88,32 +88,6 @@ NPB_SPECS: Dict[str, NpbSpec] = {
         rand_accesses=0.0, rand_ws=1 * MiB,
         metric_mops=17.0,
     ),
-    # The rest of the NPB suite (not in the paper's Figure 9/10 subset,
-    # provided for completeness of the workload library):
-    "ft": NpbSpec(
-        # 3D FFT: bandwidth-dominated transposes + butterfly compute.
-        name="ft", niter=12, substeps=3,
-        compute_mops=4.0, compute_footprint=32 * KiB,
-        seq_bytes=6.0 * MiB, seq_ws=64 * MiB,
-        rand_accesses=0.0, rand_ws=1 * MiB,
-        metric_mops=20.0,
-    ),
-    "mg": NpbSpec(
-        # Multigrid V-cycles: strided sweeps over shrinking grids.
-        name="mg", niter=20, substeps=4,
-        compute_mops=1.5, compute_footprint=64 * KiB,
-        seq_bytes=2.0 * MiB, seq_ws=48 * MiB,
-        rand_accesses=0.0, rand_ws=1 * MiB,
-        metric_mops=14.0,
-    ),
-    "is": NpbSpec(
-        # Integer sort: bucket histogram (random scatter) + rank scan.
-        name="is", niter=10, substeps=1,
-        compute_mops=2.0, compute_footprint=8 * KiB,
-        seq_bytes=2.0 * MiB, seq_ws=16 * MiB,
-        rand_accesses=600_000.0, rand_ws=8 * MiB,
-        metric_mops=1.2,
-    ),
 }
 
 #: The subset evaluated by the paper (Figures 9/10).

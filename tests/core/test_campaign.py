@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.campaign import (
     SCHEMA_VERSION,
-    load_campaign,
     run_campaign,
     save_campaign,
     summarize,
@@ -43,7 +42,8 @@ def test_normalized_values_sane(results):
 def test_json_roundtrip(results, tmp_path):
     path = tmp_path / "campaign.json"
     save_campaign(results, str(path))
-    loaded = load_campaign(str(path))
+    with open(path) as fh:
+        loaded = json.load(fh)
     assert loaded["seed"] == results["seed"]
     assert (
         loaded["fig9_10_npb"]["lu"]["normalized"]["hafnium-linux"]

@@ -15,9 +15,12 @@ from repro.core.configs import (
 )
 from repro.core.node import Node, run_until_done
 from repro.hw.mmu import BLOCK_2M
-from repro.hw.soc import QEMU_VIRT
+from repro.hw import soc as soc_module
+from repro.hw.soc import SoCConfig
 from repro.kernels.phases import ComputePhase
 from repro.kernels.thread import Thread
+from repro.workloads import make_npb
+from repro.workloads.base import WorkloadRun
 
 
 def test_config_names_and_labels():
@@ -71,10 +74,21 @@ def test_stage2_block_option():
     assert guest.trans.page_size == 2 * 1024 * 1024
 
 
-def test_alternate_soc():
-    node = build_node(CONFIG_HAFNIUM_KITTEN, seed=1, soc=QEMU_VIRT)
-    assert node.machine.soc.name == "qemu-virt"
-    assert len(node.spm.vm_by_name("compute").vcpus) == QEMU_VIRT.num_cores
+#: Every platform `repro.hw.soc` defines, by its module-level name.
+SOCS = {k: v for k, v in vars(soc_module).items() if isinstance(v, SoCConfig)}
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS)
+@pytest.mark.parametrize("soc_name", sorted(SOCS))
+def test_every_soc_runs_every_config(soc_name, config):
+    soc = SOCS[soc_name]
+    node = build_node(config, seed=1, soc=soc)
+    assert node.machine.soc is soc
+    if node.spm is not None:
+        assert len(node.spm.vm_by_name("compute").vcpus) == soc.num_cores
+    w = make_npb("ep")
+    WorkloadRun(node, w)
+    assert w.metric() > 0
 
 
 def test_primary_tick_override():

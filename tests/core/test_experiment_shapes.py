@@ -6,11 +6,14 @@ regression net for the calibration: if a model change flips an ordering
 the paper reports, these fail.
 """
 
+import numpy as np
 import pytest
 
 from repro.common.units import MiB
 from repro.core.configs import ALL_CONFIGS, build_node
 from repro.core.experiments import run_selfish_profiles
+from repro.kitten.kernel import DEFAULT_TICK_HZ as KITTEN_TICK_HZ
+from repro.linuxk.kernel import HZ as LINUX_TICK_HZ
 from repro.workloads import RandomAccessBenchmark, StreamBenchmark, make_npb
 from repro.workloads.base import WorkloadRun
 
@@ -73,6 +76,45 @@ class TestSelfishShape:
         kitten, linux = profiles["hafnium-kitten"], profiles["hafnium-linux"]
         assert linux.summary["rate_hz"] > 5 * kitten.summary["rate_hz"]
         assert linux.summary["max_latency_us"] > kitten.summary["max_latency_us"]
+
+
+def _comb_share(profile, period_us):
+    """Share of detour interarrival gaps within 10% of `period_us`."""
+    gaps = np.diff(profile.times_us)
+    return float(np.mean(np.abs(gaps - period_us) <= 0.1 * period_us))
+
+
+class TestSelfishNoiseStructure:
+    """The structure of each configuration's noise, not just its rate:
+    timer-tick combs at the configured tick period, and the random
+    component the Linux primary adds on top."""
+
+    @pytest.fixture(scope="class")
+    def profiles(self):
+        return run_selfish_profiles(duration_s=1.0, seed=19)
+
+    def test_native_and_kitten_are_periodic(self, profiles):
+        kitten_tick_us = 1e6 / KITTEN_TICK_HZ
+        assert _comb_share(profiles["native"], kitten_tick_us) >= 0.6
+        # The Kitten-VM profile is two interleaved combs; the tick comb
+        # still explains about half the gaps.
+        assert _comb_share(profiles["hafnium-kitten"], kitten_tick_us) >= 0.4
+
+    def test_linux_tick_comb_plus_random_component(self, profiles):
+        """Linux noise decomposes into the 250 Hz tick comb plus a
+        substantial random component (the competing threads)."""
+        share = _comb_share(profiles["hafnium-linux"], 1e6 / LINUX_TICK_HZ)
+        assert 0.5 < share < 0.9  # the random part breaks the comb
+        # Long-tail latencies the periodic configs never show.
+        assert profiles["hafnium-linux"].summary["max_latency_us"] > 10 * (
+            profiles["hafnium-kitten"].summary["max_latency_us"]
+        )
+
+    def test_noise_power_ordering(self, profiles):
+        stolen = {c: p.summary["stolen_fraction"] for c, p in profiles.items()}
+        assert (
+            stolen["native"] < stolen["hafnium-kitten"] < stolen["hafnium-linux"]
+        )
 
 
 class TestNpbShape:

@@ -7,7 +7,14 @@ from repro.common.errors import ConfigurationError
 from repro.common.units import MiB
 from repro.hafnium.stage2 import build_ram_stage2, map_mmio_region, s2_walk_depth
 from repro.hw.memory import MemoryRegion, PhysicalMemoryMap, RegionKind
-from repro.hw.mmu import BLOCK_2M, PAGE_4K, TranslationFault
+from repro.hw.mmu import (
+    BLOCK_2M,
+    PAGE_4K,
+    PageAttrs,
+    PageTable,
+    TranslationFault,
+    TranslationRegime,
+)
 from repro.hw.soc import PINE_A64
 
 
@@ -85,6 +92,30 @@ def test_mmio_only_in_owner():
     assert attrs.device
     with pytest.raises(TranslationFault):
         other.translate(uart_base)
+
+
+def test_guest_stage1_cannot_escape_its_partition():
+    """Guest VA -> (stage 1) IPA -> (stage 2) PA on a booted node: a 2 MiB
+    guest block inside the compute partition translates, and one whose
+    output lies past the partition faults at stage 2 (isolation holds even
+    against a buggy guest)."""
+    from repro.core.configs import CONFIG_HAFNIUM_KITTEN, build_node
+
+    vm = build_node(CONFIG_HAFNIUM_KITTEN, seed=5).spm.vm_by_name("compute")
+    va = 0x0040_0000
+    s1 = PageTable("guest.s1", stage=1)
+    s1.map(va, vm.memory.base, BLOCK_2M, PageAttrs(owner="g"), BLOCK_2M)
+    regime = TranslationRegime(stage1=s1, stage2=vm.stage2)
+    pa, refs = regime.translate(va + 0x123, "r")
+    assert pa == vm.memory.base + 0x123
+    # 2 MiB stage-1 blocks under a 4 KiB stage-2: (2+1)(3+1)-1 refs.
+    assert refs == 11
+
+    rogue = PageTable("rogue.s1", stage=1)
+    rogue.map(va, vm.memory.end, BLOCK_2M, PageAttrs(owner="g"), BLOCK_2M)
+    with pytest.raises(TranslationFault) as ei:
+        TranslationRegime(stage1=rogue, stage2=vm.stage2).translate(va)
+    assert ei.value.stage == 2
 
 
 @given(st.integers(min_value=0, max_value=64 * MiB - 1))
