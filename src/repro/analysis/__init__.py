@@ -23,7 +23,7 @@ produces bit-identical traces):
 
 from repro.analysis.determinism import trace_digest
 from repro.analysis.invariants import InvariantChecker
-from repro.analysis.rules import Diagnostic, Rule, Severity, all_rules
+from repro.analysis.rules import Diagnostic, Rule, all_rules
 from repro.analysis.simlint import lint_paths, lint_source
 from repro.analysis.validators import validate_node
 
@@ -31,7 +31,6 @@ __all__ = [
     "Diagnostic",
     "InvariantChecker",
     "Rule",
-    "Severity",
     "all_rules",
     "lint_paths",
     "lint_source",

@@ -30,22 +30,15 @@ def trace_digest(node) -> str:
     """SHA-256 over the node's entire trace + terminal engine state.
 
     Every record contributes (time, category, subject, sorted payload), so
-    any reordering, retiming, or payload drift changes the digest. Real
-    tracers are digested through :meth:`Tracer.digest_records`, which
+    any reordering, retiming, or payload drift changes the digest. The
+    records are digested through :meth:`Tracer.digest_records`, which
     hashes incrementally in batches — repeated digests of a growing trace
     (per scenario, per sweep entry) never re-hash the prefix.
     """
     h = hashlib.sha256()
     engine = node.machine.engine
-    tracer = node.machine.tracer
     h.update(f"now={engine.now};fired={engine.events_fired}".encode())
-    digest_records = getattr(tracer, "digest_records", None)
-    if digest_records is not None:
-        h.update(digest_records().encode())
-    else:  # duck-typed tracer (tests): one-shot batched fallback
-        from repro.sim.trace import record_bytes
-
-        h.update(b"".join(record_bytes(r) + b"\x1e" for r in tracer.records))
+    h.update(node.machine.tracer.digest_records().encode())
     return h.hexdigest()
 
 

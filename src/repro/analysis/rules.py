@@ -1,8 +1,8 @@
 """Lint-rule plumbing: diagnostics, the rule registry, suppressions.
 
 A rule is a small class with a ``check(ctx)`` generator. Registering it
-(``@register``) is all a future PR needs to do to add a new check; the CLI,
-suppression syntax, and test harness pick it up automatically.
+(``@register``) is all a new check needs; the CLI, suppression syntax,
+and test harness pick it up automatically. Every diagnostic is an error.
 
 Suppression syntax (documented in README):
 
@@ -19,31 +19,21 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Set, Type
-
-
-class Severity(Enum):
-    ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One finding: where, which rule, how bad, and what to do about it."""
+    """One finding: where, which rule, and what to do about it."""
 
     path: str
     line: int
     col: int
     rule: str
-    severity: Severity
     message: str
 
     def format(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.severity.value} [{self.rule}] {self.message}"
-        )
+        return f"{self.path}:{self.line}:{self.col}: error [{self.rule}] {self.message}"
 
 
 class LintContext:
@@ -64,24 +54,22 @@ class LintContext:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             rule=rule.name,
-            severity=rule.severity,
             message=message,
         )
 
 
 class Rule:
-    """Base class: subclasses set ``name``/``severity``/``description`` and
-    implement ``check``."""
+    """Base class: subclasses set ``name``/``description`` and implement
+    ``check``."""
 
     name: str = ""
-    severity: Severity = Severity.ERROR
     description: str = ""
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Rule({self.name}, {self.severity.value})"
+        return f"Rule({self.name})"
 
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
@@ -130,7 +118,6 @@ class DictIterationOrderRule(Rule):
     stable identity (rank, seq, name) instead of an address."""
 
     name = "dict-iteration-order"
-    severity = Severity.ERROR
     description = (
         "iterating a dict keyed by object id() without sorting makes "
         "order depend on allocation addresses; sort keys or use a stable "

@@ -3,40 +3,40 @@ model-invariant conventions across ``src/repro``.
 
 Rules (see README "Static analysis" for the full contract):
 
-========================  ========  ===================================================
-rule                      severity  flags
-========================  ========  ===================================================
-``rng-hub``               error     ``np.random.*`` / ``random`` module use outside
-                                    ``common/rng.py`` (draws must come from ``RngHub``
-                                    named streams)
-``wall-clock``            error     ``time.time()``, ``datetime.now()``, ... inside the
-                                    simulation (breaks bit-identical replay)
-``no-bare-assert``        error     ``assert`` used for model invariants (stripped
-                                    under ``python -O``; raise ``SimulationError`` /
-                                    ``SecurityViolation`` instead)
-``broad-except``          error     ``except Exception`` / bare ``except`` that does
-                                    not re-raise (swallows the ``ReproError`` hierarchy)
-``error-hierarchy``       error     ``raise Exception(...)`` instead of a
-                                    ``ReproError`` subclass
-``float-timestamp``       error     float literals in the delay/time argument of
-                                    ``schedule`` / ``schedule_at`` (timestamps are
-                                    integer picoseconds)
-``unordered-iter``        error     iteration over ``set``-typed containers in model
-                                    code (iteration order is insertion/hash dependent;
-                                    wrap in ``sorted()``)
-``mutable-default-arg``   error     list/dict/set (literal, comprehension, or
-                                    constructor) default argument values — shared
-                                    across calls, so state leaks between runs
-``engine-now-write``      error     assignments to ``<obj>.now`` outside
-                                    ``sim/engine.py`` — the simulated clock only
-                                    advances by firing events; writing it from model
-                                    code desynchronizes the queue and the trace
-``trace-payload-hygiene`` error     non-repr-stable values (sets, generators,
-                                    lambdas, ``id()``/``object()``) passed as trace
-                                    payload keywords to ``.trace(...)``/``.emit(...)``
-                                    — record digests hash ``repr`` of the payload, so
-                                    unordered or address-bearing reprs break replay
-========================  ========  ===================================================
+========================  ===================================================
+rule                      flags
+========================  ===================================================
+``rng-hub``               ``np.random.*`` / ``random`` module use outside
+                          ``common/rng.py`` (draws must come from ``RngHub``
+                          named streams)
+``wall-clock``            ``time.time()``, ``datetime.now()``, ... inside the
+                          simulation (breaks bit-identical replay)
+``no-bare-assert``        ``assert`` used for model invariants (stripped
+                          under ``python -O``; raise ``SimulationError`` /
+                          ``SecurityViolation`` instead)
+``broad-except``          ``except Exception`` / bare ``except`` that does
+                          not re-raise (swallows the ``ReproError`` hierarchy)
+``error-hierarchy``       ``raise Exception(...)`` instead of a
+                          ``ReproError`` subclass
+``float-timestamp``       float literals in the delay/time argument of
+                          ``schedule`` / ``schedule_at`` (timestamps are
+                          integer picoseconds)
+``unordered-iter``        iteration over ``set``-typed containers in model
+                          code (iteration order is insertion/hash dependent;
+                          wrap in ``sorted()``)
+``mutable-default-arg``   list/dict/set (literal, comprehension, or
+                          constructor) default argument values — shared
+                          across calls, so state leaks between runs
+``engine-now-write``      assignments to ``<obj>.now`` outside
+                          ``sim/engine.py`` — the simulated clock only
+                          advances by firing events; writing it from model
+                          code desynchronizes the queue and the trace
+``trace-payload-hygiene`` non-repr-stable values (sets, generators,
+                          lambdas, ``id()``/``object()``) passed as trace
+                          payload keywords to ``.trace(...)``/``.emit(...)``
+                          — record digests hash ``repr`` of the payload, so
+                          unordered or address-bearing reprs break replay
+========================  ===================================================
 
 Every rule honours ``# simlint: disable=<rule>`` suppressions (line-level
 when trailing a statement, file-level when on a standalone comment line).
@@ -52,7 +52,6 @@ from repro.analysis.rules import (
     Diagnostic,
     LintContext,
     Rule,
-    Severity,
     Suppressions,
     all_rules,
     register,
@@ -74,7 +73,6 @@ def _dotted_name(node: ast.AST) -> Optional[str]:
 @register
 class RngHubRule(Rule):
     name = "rng-hub"
-    severity = Severity.ERROR
     description = (
         "all stochastic draws must go through RngHub named streams "
         "(repro.common.rng); ad-hoc generators break draw independence"
@@ -144,7 +142,6 @@ _WALL_CLOCK_SUFFIXES = (
 @register
 class WallClockRule(Rule):
     name = "wall-clock"
-    severity = Severity.ERROR
     description = (
         "simulated time is Engine.now (integer picoseconds); host clocks "
         "make traces irreproducible"
@@ -169,7 +166,6 @@ class WallClockRule(Rule):
 @register
 class BareAssertRule(Rule):
     name = "no-bare-assert"
-    severity = Severity.ERROR
     description = (
         "assert statements vanish under `python -O`; model invariants must "
         "raise SimulationError/SecurityViolation from repro.common.errors"
@@ -190,7 +186,6 @@ class BareAssertRule(Rule):
 @register
 class BroadExceptRule(Rule):
     name = "broad-except"
-    severity = Severity.ERROR
     description = (
         "except Exception swallows the ReproError hierarchy; catch the "
         "narrowest type, or re-raise"
@@ -232,7 +227,6 @@ class BroadExceptRule(Rule):
 @register
 class ErrorHierarchyRule(Rule):
     name = "error-hierarchy"
-    severity = Severity.ERROR
     description = "library errors must come from the ReproError hierarchy"
 
     _GENERIC = {"Exception", "BaseException"}
@@ -260,7 +254,6 @@ class ErrorHierarchyRule(Rule):
 @register
 class FloatTimestampRule(Rule):
     name = "float-timestamp"
-    severity = Severity.ERROR
     description = (
         "Engine.schedule/schedule_at take integer picoseconds; float "
         "timestamps break the total event order"
@@ -320,7 +313,6 @@ def _is_set_annotation(node: Optional[ast.AST]) -> bool:
 @register
 class UnorderedIterRule(Rule):
     name = "unordered-iter"
-    severity = Severity.ERROR
     description = (
         "iterating a set makes event/model order depend on hash seeds and "
         "insertion history; iterate sorted(<set>) in model code"
@@ -434,7 +426,6 @@ _MUTABLE_CTORS = ("list", "dict", "set", "bytearray", "defaultdict", "deque")
 @register
 class MutableDefaultArgRule(Rule):
     name = "mutable-default-arg"
-    severity = Severity.ERROR
     description = (
         "a mutable default is evaluated once and shared by every call — "
         "state leaks across invocations (and across same-seed replay runs); "
@@ -479,7 +470,6 @@ class MutableDefaultArgRule(Rule):
 @register
 class EngineNowWriteRule(Rule):
     name = "engine-now-write"
-    severity = Severity.ERROR
     description = (
         "the simulated clock (Engine.now) only advances inside the engine's "
         "event loop; model code writing it desynchronizes queue and trace"
@@ -529,7 +519,6 @@ _UNSTABLE_PAYLOAD_CTORS = ("set", "frozenset", "id", "object", "iter")
 @register
 class TracePayloadHygieneRule(Rule):
     name = "trace-payload-hygiene"
-    severity = Severity.ERROR
     description = (
         "trace payloads are digested via repr(sorted(data.items())); values "
         "must be repr-stable primitives (numbers, strings, bools, ordered "
@@ -631,6 +620,4 @@ def lint_paths(
 
 
 def summarize(diags: Sequence[Diagnostic]) -> str:
-    errors = sum(1 for d in diags if d.severity == Severity.ERROR)
-    warnings = len(diags) - errors
-    return f"simlint: {errors} error(s), {warnings} warning(s)"
+    return f"simlint: {len(diags)} error(s)"

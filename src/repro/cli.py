@@ -153,7 +153,6 @@ def _cmd_boot(args) -> int:
 
 def _cmd_lint(args) -> int:
     import repro
-    from repro.analysis.rules import Severity
     from repro.analysis.simlint import lint_paths, summarize
 
     paths = args.paths or [os.path.dirname(os.path.abspath(repro.__file__))]
@@ -167,17 +166,15 @@ def _cmd_lint(args) -> int:
     for d in diags:
         print(d.format())
     print(summarize(diags))
-    errors = sum(1 for d in diags if d.severity == Severity.ERROR)
-    if args.strict:
-        return 1 if diags else 0
-    return 1 if errors else 0
+    return 1 if diags else 0
 
 
 def _cmd_check_golden(args) -> int:
     from repro.analysis.golden import CORPUS, GOLDEN_PATH, check_golden
 
+    jobs = _jobs(args)
     try:
-        report = check_golden(jobs=_jobs(args), update=args.update)
+        report = check_golden(jobs=jobs, update=args.update)
     except (OSError, ValueError) as exc:
         print(f"repro check-golden: cannot read {GOLDEN_PATH}: {exc}",
               file=sys.stderr)
@@ -200,7 +197,6 @@ def _cmd_check_golden(args) -> int:
 def _cmd_faults(args) -> int:
     import json
 
-    from repro.common.errors import ConfigurationError
     from repro.faults.campaign import (
         run_randomized_campaign,
         run_resilience,
@@ -208,17 +204,13 @@ def _cmd_faults(args) -> int:
     )
 
     if args.randomized:
-        try:
-            report = run_randomized_campaign(
-                config=args.configs or "hafnium-kitten",
-                seed=args.seed,
-                campaigns=args.randomized,
-                count=args.faults_per_run,
-                jobs=_jobs(args),
-            )
-        except ConfigurationError as exc:
-            print(f"repro faults: {exc}", file=sys.stderr)
-            return 2
+        report = run_randomized_campaign(
+            config=args.configs or "hafnium-kitten",
+            seed=args.seed,
+            campaigns=args.randomized,
+            count=args.faults_per_run,
+            jobs=_jobs(args),
+        )
         if args.output:
             with open(args.output, "w") as fh:
                 json.dump(report, fh, indent=2, default=str)
@@ -258,17 +250,13 @@ def _cmd_faults(args) -> int:
 
     configs = args.configs.split(",") if args.configs else None
     scenarios = args.scenarios.split(",") if args.scenarios else None
-    try:
-        report = run_resilience(
-            seed=args.seed,
-            configs=configs,
-            scenarios=scenarios,
-            with_containment=not args.no_containment,
-            jobs=_jobs(args),
-        )
-    except ConfigurationError as exc:
-        print(f"repro faults: {exc}", file=sys.stderr)
-        return 2
+    report = run_resilience(
+        seed=args.seed,
+        configs=configs,
+        scenarios=scenarios,
+        with_containment=not args.no_containment,
+        jobs=_jobs(args),
+    )
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(report, fh, indent=2, default=str)
@@ -307,25 +295,24 @@ def _cmd_cluster(args) -> int:
     import json
 
     from repro.cluster.campaign import run_scaling
-    from repro.common.errors import ConfigurationError
     from repro.core.configs import PAPER_LABELS
 
     configs = args.configs.split(",") if args.configs else None
     try:
         counts = [int(n) for n in str(args.nodes).split(",") if n.strip()]
-        report = run_scaling(
-            configs=configs,
-            node_counts=counts,
-            seed=args.seed,
-            jobs=_jobs(args),
-            supersteps=args.supersteps,
-            step_compute_s=args.step_ms / 1000.0,
-            fail_rank=args.fail_rank,
-            fail_at_ms=args.fail_at_ms,
-        )
-    except (ConfigurationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"repro cluster: {exc}", file=sys.stderr)
         return 2
+    report = run_scaling(
+        configs=configs,
+        node_counts=counts,
+        seed=args.seed,
+        jobs=_jobs(args),
+        supersteps=args.supersteps,
+        step_compute_s=args.step_ms / 1000.0,
+        fail_rank=args.fail_rank,
+        fail_at_ms=args.fail_at_ms,
+    )
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(report, fh, indent=2, default=str)
@@ -461,9 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         help="files or directories to lint (default: the repro package)",
     )
-    p.add_argument(
-        "--strict", action="store_true", help="treat warnings as errors"
-    )
     p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser(
@@ -564,12 +548,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.common.errors import ConfigurationError
+
     args = build_parser().parse_args(argv)
     if args.sanitize:
         # The env hook is what Machine reads, so one flag covers every
         # node built anywhere inside the command.
         os.environ["REPRO_SANITIZE"] = "1"
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigurationError as exc:
+        # Refused input (bad --jobs, trials, durations, names) is a usage
+        # error: one line and exit 2, never a traceback.
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

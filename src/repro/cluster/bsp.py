@@ -36,8 +36,10 @@ from repro.kernels.thread import BarrierWait, SpinBarrier, Thread
 
 DEFAULT_SUPERSTEPS = 6
 DEFAULT_STEP_COMPUTE_S = 0.002
-DEFAULT_COMPUTE_FOOTPRINT = 96 * KiB
-DEFAULT_HALO_BYTES = 8 * KiB
+#: Cache-resident bytes each superstep's compute phase reuses.
+COMPUTE_FOOTPRINT = 96 * KiB
+#: Bytes of one halo message to a ring neighbour.
+HALO_BYTES = 8 * KiB
 
 
 class BspClusterWorkload:
@@ -49,18 +51,10 @@ class BspClusterWorkload:
         *,
         supersteps: int = DEFAULT_SUPERSTEPS,
         step_compute_s: float = DEFAULT_STEP_COMPUTE_S,
-        compute_footprint: int = DEFAULT_COMPUTE_FOOTPRINT,
-        halo_bytes: int = DEFAULT_HALO_BYTES,
-        threads_per_node: Optional[int] = None,
-        aspace: str = "bsp",
     ):
         self.cluster = cluster
         self.supersteps = supersteps
         self.step_compute_s = step_compute_s
-        self.compute_footprint = compute_footprint
-        self.halo_bytes = halo_bytes
-        self.threads_per_node = threads_per_node
-        self.aspace = aspace
         self.threads: List[Thread] = []
         self.start_ps: Optional[int] = None
         #: rank -> completion timestamp (ps) of each finished superstep.
@@ -81,11 +75,7 @@ class BspClusterWorkload:
         self.start_ps = engine.now
         for cnode in self.cluster.nodes:
             rank = cnode.rank
-            ncpus = (
-                self.threads_per_node
-                if self.threads_per_node is not None
-                else cnode.node.machine.soc.num_cores
-            )
+            ncpus = cnode.node.machine.soc.num_cores
             intra = SpinBarrier(engine, ncpus, f"bsp.n{rank}.intra")
             state = {"abort": False}
             for tid in range(ncpus):
@@ -93,7 +83,7 @@ class BspClusterWorkload:
                     f"bsp.n{rank}.t{tid}",
                     self._body(rank, tid, intra, state),
                     cpu=tid,
-                    aspace=self.aspace,
+                    aspace="bsp",
                 )
                 # Lets Cluster.run ignore threads stranded on failed ranks.
                 thread.cluster_rank = rank
@@ -108,7 +98,7 @@ class BspClusterWorkload:
         soc = cluster.nodes[rank].node.machine.soc
         ops = self.step_compute_s * soc.ipc * soc.freq_hz
         for step in range(self.supersteps):
-            yield ComputePhase(ops, footprint_bytes=self.compute_footprint)
+            yield ComputePhase(ops, footprint_bytes=COMPUTE_FOOTPRINT)
             yield BarrierWait(intra)
             if tid == 0:
                 ok = yield from self._comm_step(rank, step)
@@ -134,7 +124,7 @@ class BspClusterWorkload:
                 continue
             sent = yield from send_message(
                 cluster, rank, nb, ("halo", step),
-                kind="halo", tag=("halo", step), size_bytes=self.halo_bytes,
+                kind="halo", tag=("halo", step), size_bytes=HALO_BYTES,
             )
             if not sent["ok"] and sent["error"] not in ("peer-dead", "self-dead"):
                 return False  # backoff exhausted: treat as partition

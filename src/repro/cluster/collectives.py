@@ -7,12 +7,12 @@ through the ordinary kernel dispatch loop — meaning OS noise on the
 hosting config delays messaging exactly as it delays compute. That
 coupling is the mechanism behind BSP noise amplification.
 
-``send_message`` mirrors :func:`repro.hafnium.mailbox.send_with_retry`:
+``send_message`` follows the Hafnium mailbox's flow-control discipline:
 BUSY from a saturated ingress port backs off exponentially
-(``base_backoff_ps << attempt``) up to ``max_attempts``; a non-busy
-failure (dead peer) breaks out immediately.
+(``RETRY_BASE_BACKOFF_PS << attempt``) up to ``RETRY_MAX_ATTEMPTS``
+tries; a non-busy failure (dead peer) breaks out immediately.
 
-Every collective runs as a binomial tree rooted at rank 0: each rank
+``allreduce`` runs as a binomial tree rooted at rank 0: each rank
 merges its subtree's *coverage* (a rank-keyed contribution dict) and
 forwards one message to its parent, so the root's ingress port handles
 O(log N) messages per collective rather than O(N). The reduction itself
@@ -37,10 +37,9 @@ of a run.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.cluster.fabric import MSG_DEATH, NetMessage
-from repro.hafnium.mailbox import RETRY_BASE_BACKOFF_PS, RETRY_MAX_ATTEMPTS
 from repro.kernels.phases import ComputePhase
 from repro.kernels.thread import Sleep, WaitEvent
 
@@ -49,6 +48,15 @@ from repro.kernels.thread import Sleep, WaitEvent
 SEND_CPU_OPS = 2500.0
 
 COLLECTIVE_ROOT = 0
+
+#: Size of one collective message (per rank of coverage on the way up).
+MESSAGE_BYTES = 64
+
+#: Send tries before BUSY counts as failure. The backoff between tries
+#: doubles: 50 us, 100 us, 200 us, ... — long enough for a busy port to
+#: drain, short next to the ~100 ms scheduler quantum.
+RETRY_MAX_ATTEMPTS = 8
+RETRY_BASE_BACKOFF_PS = 50_000_000
 
 
 def send_message(
@@ -59,9 +67,7 @@ def send_message(
     *,
     kind: str,
     tag: Any,
-    size_bytes: int = 64,
-    max_attempts: int = RETRY_MAX_ATTEMPTS,
-    base_backoff_ps: int = RETRY_BASE_BACKOFF_PS,
+    size_bytes: int = MESSAGE_BYTES,
 ):
     """Yield-from fragment: send with mailbox-style retry/backoff.
 
@@ -69,7 +75,7 @@ def send_message(
     """
     attempt = 0
     result: Dict[str, Any] = {"ok": False, "busy": False, "error": "not-sent"}
-    while attempt < max_attempts:
+    while attempt < RETRY_MAX_ATTEMPTS:
         # Per-attempt software overhead (fresh phase object per yield).
         yield ComputePhase(SEND_CPU_OPS)
         result = cluster.fabric.send(
@@ -80,8 +86,8 @@ def send_message(
             return {"ok": True, "attempts": attempt, "error": None}
         if not result.get("busy"):
             break
-        if attempt < max_attempts:
-            yield Sleep(base_backoff_ps << (attempt - 1))
+        if attempt < RETRY_MAX_ATTEMPTS:
+            yield Sleep(RETRY_BASE_BACKOFF_PS << (attempt - 1))
     return {"ok": False, "attempts": attempt, "error": result.get("error")}
 
 
@@ -139,31 +145,23 @@ def _tree_gather_broadcast(
     op: str,
     value: Any,
     combine: Callable[[Dict[int, Any]], Any],
-    root: int = COLLECTIVE_ROOT,
-    size_bytes: int = 64,
-    send_opts: Optional[Dict[str, Any]] = None,
 ):
-    """Binomial-tree gather + broadcast core shared by all collectives
-    (see the module docstring).
+    """Binomial-tree gather + broadcast core of :func:`allreduce` (see
+    the module docstring). The tree is rooted at ``COLLECTIVE_ROOT``
+    (rank 0), so a rank is its own tree position.
 
-    Gather moves *coverage dicts* — ``{actual rank: contribution}`` for
+    Gather moves *coverage dicts* — ``{rank: contribution}`` for
     everything a subtree has heard from — up the tree; the reduction is
     applied once, at the root, over the live ranks in sorted order.
     Results flow back down along the edges that actually carried
     coverage. Returns ``{"ok", "value", "t_ps", "error"}``.
     """
-    opts = dict(send_opts or {})
     engine = cluster.engine
     size = cluster.size
     memory = cluster.collective_memory[rank]
-    if not cluster.alive(root):
+    if not cluster.alive(COLLECTIVE_ROOT):
         return {"ok": False, "value": None, "t_ps": engine.now,
                 "error": "root-failed"}
-
-    v = (rank - root) % size
-
-    def actual(u: int) -> int:
-        return (u + root) % size
 
     def remember(result: Any) -> None:
         memory[str(tag)] = result
@@ -182,25 +180,21 @@ def _tree_gather_broadcast(
         stored = memory.get(str(msg.tag))
         if stored is not None:
             yield from send_message(
-                cluster, rank, msg.src, stored,
-                kind="result", tag=msg.tag, size_bytes=size_bytes, **opts,
+                cluster, rank, msg.src, stored, kind="result", tag=msg.tag,
             )
 
     coverage: Dict[int, Any] = {rank: value}
     contrib_srcs: List[int] = []
-    my_subtree = tree_subtree(v, size)
+    my_subtree = tree_subtree(rank, size)
 
     def gather_done() -> bool:
-        return all(
-            actual(u) in coverage or not cluster.alive(actual(u))
-            for u in my_subtree
-        )
+        return all(u in coverage or not cluster.alive(u) for u in my_subtree)
 
     # -- gather: wait until every live member of the subtree is covered --
     while not gather_done():
         msg = yield from recv_match(cluster, rank, match)
         if msg.kind == MSG_DEATH:
-            if not cluster.alive(root):
+            if not cluster.alive(COLLECTIVE_ROOT):
                 return {"ok": False, "value": None, "t_ps": engine.now,
                         "error": "root-failed"}
             continue  # live set shrank; gather_done re-evaluates.
@@ -213,7 +207,7 @@ def _tree_gather_broadcast(
         # A stray early "result" for this tag cannot arrive before this
         # rank has sent coverage up; ignore anything else defensively.
 
-    if v == 0:
+    if rank == COLLECTIVE_ROOT:
         # Root: reduce in rank-sorted order over the live set.
         result = combine({r: coverage[r] for r in cluster.live_ranks()})
         remember(result)
@@ -221,8 +215,7 @@ def _tree_gather_broadcast(
             if not cluster.alive(dst):
                 continue
             yield from send_message(
-                cluster, root, dst, result,
-                kind="result", tag=tag, size_bytes=size_bytes, **opts,
+                cluster, rank, dst, result, kind="result", tag=tag,
             )
         cluster.record_collective(op, tag, rank)
         return {"ok": True, "value": result, "t_ps": engine.now, "error": None}
@@ -230,16 +223,14 @@ def _tree_gather_broadcast(
     # -- non-root: forward merged coverage to the nearest live ancestor --
     def send_up():
         """Send coverage up; returns (dst, error) — dst None on failure."""
-        w = v
+        dst = rank
         while True:
-            w = tree_parent(w)
-            dst = actual(w)
+            dst = tree_parent(dst)
             if cluster.alive(dst):
                 sent = yield from send_message(
                     cluster, rank, dst, dict(coverage),
                     kind="coverage", tag=tag,
-                    size_bytes=size_bytes * len(coverage),
-                    **opts,
+                    size_bytes=MESSAGE_BYTES * len(coverage),
                 )
                 if sent["ok"]:
                     return dst, None
@@ -247,7 +238,7 @@ def _tree_gather_broadcast(
                     return None, sent["error"]
                 # Ancestor died between the liveness check and the send:
                 # resume the walk from the same point.
-            if w == 0:
+            if dst == COLLECTIVE_ROOT:
                 return None, "root-failed"
 
     gather_dst, err = yield from send_up()
@@ -258,7 +249,7 @@ def _tree_gather_broadcast(
     while True:
         msg = yield from recv_match(cluster, rank, match)
         if msg.kind == MSG_DEATH:
-            if not cluster.alive(root):
+            if not cluster.alive(COLLECTIVE_ROOT):
                 return {"ok": False, "value": None, "t_ps": engine.now,
                         "error": "root-failed"}
             if not cluster.alive(gather_dst):
@@ -291,26 +282,13 @@ def _tree_gather_broadcast(
         if not cluster.alive(dst):
             continue
         yield from send_message(
-            cluster, rank, dst, result,
-            kind="result", tag=tag, size_bytes=size_bytes, **opts,
+            cluster, rank, dst, result, kind="result", tag=tag,
         )
     cluster.record_collective(op, tag, rank)
     return {"ok": True, "value": result, "t_ps": engine.now, "error": None}
 
 
-def barrier(cluster, rank: int, tag: Any, *, root: int = COLLECTIVE_ROOT,
-            **send_opts):
-    """All live ranks rendezvous; returns when every live rank arrived."""
-    result = yield from _tree_gather_broadcast(
-        cluster, rank, tag, op="barrier", value=None,
-        combine=lambda contribs: True, root=root,
-        size_bytes=0, send_opts=send_opts,
-    )
-    return result
-
-
-def allreduce(cluster, rank: int, value: float, tag: Any, *,
-              root: int = COLLECTIVE_ROOT, size_bytes: int = 64, **send_opts):
+def allreduce(cluster, rank: int, value: float, tag: Any):
     """Sum-reduce ``value`` across live ranks (deterministic rank-order
     accumulation) and broadcast the total."""
     def combine(contribs: Dict[int, Any]) -> float:
@@ -321,20 +299,5 @@ def allreduce(cluster, rank: int, value: float, tag: Any, *,
 
     result = yield from _tree_gather_broadcast(
         cluster, rank, tag, op="allreduce", value=value, combine=combine,
-        root=root, size_bytes=size_bytes, send_opts=send_opts,
-    )
-    return result
-
-
-def allgather(cluster, rank: int, value: Any, tag: Any, *,
-              root: int = COLLECTIVE_ROOT, size_bytes: int = 64, **send_opts):
-    """Gather each live rank's ``value``; every rank receives the full
-    rank-ordered tuple of (rank, value) pairs."""
-    def combine(contribs: Dict[int, Any]) -> tuple:
-        return tuple((r, contribs[r]) for r in sorted(contribs))
-
-    result = yield from _tree_gather_broadcast(
-        cluster, rank, tag, op="allgather", value=value, combine=combine,
-        root=root, size_bytes=size_bytes, send_opts=send_opts,
     )
     return result

@@ -8,13 +8,14 @@ serialization point of its NIC — with three cost components:
 * **serialization**: ``size_bytes / bandwidth`` occupancy on the port;
 * **queueing**: FIFO delay behind messages already occupying the port
   (``start = max(now, busy_until)``), accounted deterministically;
-* **propagation**: a fixed per-hop ``latency_ps`` after serialization.
+* **propagation**: a fixed per-hop ``DEFAULT_LATENCY_PS`` after
+  serialization.
 
-Ports have bounded capacity: a ``submit`` while ``capacity`` messages are
-already queued-or-serializing returns BUSY *at send time*, so senders
-retry with exponential backoff exactly like the Hafnium mailbox's
-``send_with_retry`` (see :mod:`repro.cluster.collectives`). This mirrors
-the single-slot mailbox flow-control shape at cluster scale.
+Ports have bounded capacity: a ``submit`` while ``DEFAULT_PORT_CAPACITY``
+messages are already queued-or-serializing returns BUSY *at send time*,
+so senders back off and retry (``send_message`` in
+:mod:`repro.cluster.collectives`). This mirrors the single-slot Hafnium
+mailbox flow-control shape at cluster scale.
 
 Node failure (:meth:`NetworkFabric.fail_rank`) drops traffic to and from
 the dead rank and broadcasts a ``death`` notice to every live NIC through
@@ -77,7 +78,7 @@ class IngressPort:
         self.busy_ps = 0
 
     def submit(self, msg: NetMessage) -> Dict[str, Any]:
-        if self.queued >= self.fabric.port_capacity:
+        if self.queued >= DEFAULT_PORT_CAPACITY:
             self.busy_rejections += 1
             return {"ok": False, "busy": True, "error": "port-busy"}
         engine = self.fabric.engine
@@ -93,7 +94,7 @@ class IngressPort:
         self.bytes += msg.size_bytes
         engine.schedule_at(self.busy_until_ps, self._serialized, priority=PRIO_HW)
         engine.schedule_at(
-            self.busy_until_ps + self.fabric.latency_ps,
+            self.busy_until_ps + DEFAULT_LATENCY_PS,
             self.fabric._deliver,
             msg,
             priority=PRIO_HW,
@@ -107,24 +108,11 @@ class IngressPort:
 class NetworkFabric:
     """All-to-all interconnect between ``size`` ranks on one engine."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        size: int,
-        *,
-        latency_ps: int = DEFAULT_LATENCY_PS,
-        bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
-        port_capacity: int = DEFAULT_PORT_CAPACITY,
-    ):
+    def __init__(self, engine: Engine, size: int):
         if size < 2:
             raise ConfigurationError(f"a cluster fabric needs >= 2 ranks, got {size}")
-        if bandwidth_bps <= 0 or latency_ps < 0 or port_capacity < 1:
-            raise ConfigurationError("invalid fabric parameters")
         self.engine = engine
         self.size = size
-        self.latency_ps = int(latency_ps)
-        self.bandwidth_bps = float(bandwidth_bps)
-        self.port_capacity = int(port_capacity)
         self.ports: List[IngressPort] = [IngressPort(self, r) for r in range(size)]
         # deliver(msg) sinks, one per rank, installed by the NIC layer.
         self.sinks: List[Optional[Callable[[NetMessage], None]]] = [None] * size
@@ -133,7 +121,7 @@ class NetworkFabric:
         self.dropped = 0
 
     def serialization_ps(self, size_bytes: int) -> int:
-        return int(round(size_bytes * 1e12 / self.bandwidth_bps))
+        return int(round(size_bytes * 1e12 / DEFAULT_BANDWIDTH_BPS))
 
     def attach(self, rank: int, sink: Callable[[NetMessage], None]) -> None:
         self.sinks[rank] = sink
@@ -203,7 +191,7 @@ class NetworkFabric:
                 sent_at_ps=self.engine.now,
                 seq=self._seq,
             )
-            self.engine.schedule(self.latency_ps, self._deliver, notice,
+            self.engine.schedule(DEFAULT_LATENCY_PS, self._deliver, notice,
                                  priority=PRIO_HW)
 
     def port_stats(self, rank: int) -> Dict[str, Any]:

@@ -93,11 +93,11 @@ def linux_login(mem: int) -> PartitionSpec:
 
 
 def _machine(soc: SoCConfig, seed: int, trial: int, params: Optional[CostParams],
-             trace_categories, engine=None) -> Machine:
+             engine=None) -> Machine:
     return Machine(
         soc,
         rng=RngHub(seed, trial=trial),
-        tracer=Tracer(trace_categories),
+        tracer=Tracer(),
         params=params,
         engine=engine,
     )
@@ -174,11 +174,10 @@ def build_native_node(
     seed: int = 0xC0FFEE,
     trial: int = 0,
     params: Optional[CostParams] = None,
-    trace_categories=None,
     engine=None,
 ) -> Node:
     """Bare-metal Kitten (the paper's baseline)."""
-    machine = _machine(soc, seed, trial, params, trace_categories, engine=engine)
+    machine = _machine(soc, seed, trial, params, engine=engine)
     boot = BootChain(machine)
     boot.run()
     kernel = KittenKernel(machine, "kitten-native", role=ROLE_NATIVE)
@@ -204,7 +203,6 @@ def build_hafnium_node(
     stage2_block: int = PAGE_4K,
     primary_tick_hz: Optional[float] = None,
     noise_specs=None,
-    trace_categories=None,
     engine=None,
 ) -> Node:
     """A Hafnium node with the chosen primary scheduler VM.
@@ -226,7 +224,7 @@ def build_hafnium_node(
         partitions.insert(0, linux_login(128 * MiB))
         launches.append((LOGIN_VM_NAME, [0]))
     return _boot_hafnium(
-        _machine(soc, seed, trial, params, trace_categories, engine=engine),
+        _machine(soc, seed, trial, params, engine=engine),
         scheduler=scheduler,
         primary_mem=256 * MiB,
         primary_image=f"{scheduler}:primary".encode(),
@@ -240,29 +238,21 @@ def build_hafnium_node(
     )
 
 
-def build_interference_node(
-    *,
-    scheduler: str,
-    soc: SoCConfig = PINE_A64,
-    seed: int = 0xC0FFEE,
-    trial: int = 0,
-    params: Optional[CostParams] = None,
-    trace_categories=None,
-) -> Node:
+def build_interference_node(*, scheduler: str, seed: int = 0xC0FFEE) -> Node:
     """Two co-located secondary VMs sharing all cores (the paper's
     Section VII multi-workload scenario): both 512 MiB 'tenant-a' and
     'tenant-b' get one VCPU per physical core, so the primary's scheduler
     arbitrates between the workloads — the performance-isolation stress
     case."""
-    pinning = list(range(soc.num_cores))
+    pinning = list(range(PINE_A64.num_cores))
     return _boot_hafnium(
-        _machine(soc, seed, trial, params, trace_categories),
+        _machine(PINE_A64, seed, 0, None),
         scheduler=scheduler,
         primary_mem=192 * MiB,
         primary_image=b"",
         partitions=[
-            kitten_guest("tenant-a", soc.num_cores, 512 * MiB),
-            kitten_guest("tenant-b", soc.num_cores, 512 * MiB),
+            kitten_guest("tenant-a", PINE_A64.num_cores, 512 * MiB),
+            kitten_guest("tenant-b", PINE_A64.num_cores, 512 * MiB),
         ],
         launches=[("tenant-a", pinning), ("tenant-b", pinning)],
         config_name=f"interference-{scheduler}",

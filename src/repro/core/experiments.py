@@ -19,7 +19,8 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 from repro.common.errors import ConfigurationError
-from repro.core.configs import ALL_CONFIGS, PAPER_LABELS, build_node
+from repro.common.units import ms
+from repro.core.configs import ALL_CONFIGS, CONFIG_NATIVE, PAPER_LABELS, build_node
 from repro.core.metrics import Aggregate, TrialResult, aggregate, normalize_to
 from repro.workloads.base import Workload, WorkloadRun
 from repro.workloads.hpcg import HpcgBenchmark
@@ -169,12 +170,11 @@ def run_benchmark_table(
     trials: int = 5,
     seed: int = DEFAULT_SEED,
     configs: Sequence[str] = ALL_CONFIGS,
-    baseline: str = "native",
     node_kwargs: Optional[dict] = None,
     jobs: int = 1,
 ) -> Dict[str, BenchmarkTable]:
     """Run each benchmark of a named set on each configuration for
-    `trials` trials.
+    `trials` trials, normalized to the native configuration.
 
     Each trial uses a distinct deterministic RNG trial index (fresh noise
     timeline and measurement jitter), which is where the reported standard
@@ -195,6 +195,8 @@ def run_benchmark_table(
             f"unknown benchmark set {benchmark_set!r} "
             f"(choose from {', '.join(BENCHMARK_SETS)})"
         )
+    if trials < 1:
+        raise ConfigurationError(f"need at least one trial, got {trials}")
     sim_jobs = [
         SimJob.make(
             "bench-trial",
@@ -222,7 +224,7 @@ def run_benchmark_table(
             benchmark=bench_name,
             unit=unit,
             aggregates=aggs,
-            normalized=normalize_to(aggs, baseline),
+            normalized=normalize_to(aggs, CONFIG_NATIVE),
         )
     return tables
 
@@ -254,25 +256,24 @@ def run_fig9_fig10(
 
 
 # ---------------------------------------------------------------------------
-# Paper's reported values (for EXPERIMENTS.md comparisons and shape tests)
-# ---------------------------------------------------------------------------
-
-# ---------------------------------------------------------------------------
 # Extension experiments (paper Sections III-b and VII future work)
 # ---------------------------------------------------------------------------
+
+#: The periodic device of the IRQ-latency experiment: its SPI and period.
+IRQ_LATENCY_SPI = 40
+IRQ_LATENCY_PERIOD_PS = ms(5.0)
+
 
 def run_irq_latency(
     *,
     routing: str = "forwarded",
-    period_ms: float = 5.0,
     duration_s: float = 1.0,
     seed: int = DEFAULT_SEED,
-    spi: int = 40,
 ) -> Dict[str, float]:
     """Device-IRQ delivery latency into the super-secondary VM, under the
     interim ("forwarded": all IRQs to the primary, software-forwarded) or
     future ("direct": SPM claims device IRQs at EL2) routing design."""
-    from repro.common.units import ms, seconds, to_us
+    from repro.common.units import seconds
     from repro.core.configs import build_hafnium_node
     from repro.hw.devices import PeriodicDevice
 
@@ -282,7 +283,8 @@ def run_irq_latency(
     machine = node.machine
     spm = node.spm
     spm.set_irq_routing(routing)
-    device = PeriodicDevice(machine.engine, machine.gic, spi, ms(period_ms), "nic0")
+    spi = IRQ_LATENCY_SPI
+    device = PeriodicDevice(machine.engine, machine.gic, spi, IRQ_LATENCY_PERIOD_PS, "nic0")
     machine.add_device(device)
     spm.assign_device_irq(spi, "login")
     machine.gic.enable(spi)

@@ -16,6 +16,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kitten.control import ControlTask
     from repro.linuxk.driver import HafniumDriver
 
+#: Simulated time :func:`run_until_done` advances between completion checks.
+RUN_SLICE_PS = seconds(0.05)
+
 
 class Node:
     """A booted node: machine + (optional) SPM + kernels.
@@ -78,7 +81,6 @@ def run_until_done(
     threads: List[Thread],
     *,
     max_seconds: float = 120.0,
-    slice_ms: float = 50.0,
 ) -> int:
     """Advance simulated time until every thread in `threads` is dead.
 
@@ -88,7 +90,7 @@ def run_until_done(
     """
     engine = node.engine
     deadline = engine.now + seconds(max_seconds)
-    step = max(1, seconds(slice_ms / 1000.0))
+    step = RUN_SLICE_PS
     while engine.now < deadline:
         if all(t.state == ThreadState.DEAD for t in threads):
             return engine.now

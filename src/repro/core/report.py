@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -14,8 +14,14 @@ from repro.core.experiments import (
 )
 
 
-def render_selfish(profile: SelfishProfile, width: int = 72, height: int = 12) -> str:
+#: Columns and rows of the :func:`render_selfish` scatter plot.
+PLOT_WIDTH = 72
+PLOT_HEIGHT = 12
+
+
+def render_selfish(profile: SelfishProfile) -> str:
     """ASCII scatter of detour latency vs time (one of Figures 4-6)."""
+    width, height = PLOT_WIDTH, PLOT_HEIGHT
     lines = [
         f"Selfish Detour — {PAPER_LABELS.get(profile.config, profile.config)} "
         f"({profile.config})",
@@ -52,7 +58,6 @@ def render_raw_table(
     tables: Dict[str, BenchmarkTable],
     title: str,
     paper: Optional[Dict[str, Dict[str, float]]] = None,
-    configs: Sequence[str] = ALL_CONFIGS,
 ) -> str:
     """Figure 8 / Figure 10 style: config rows x benchmark columns."""
     benches = list(tables)
@@ -61,7 +66,7 @@ def render_raw_table(
     for b in benches:
         header += f"{b:>14s}{'(stdev)':>12s}"
     lines.append(header)
-    for cfg in configs:
+    for cfg in ALL_CONFIGS:
         row = f"{PAPER_LABELS.get(cfg, cfg):10s}"
         for b in benches:
             agg = tables[b].aggregates[cfg]
@@ -72,7 +77,7 @@ def render_raw_table(
     if paper is not None:
         lines.append("")
         lines.append("  paper (raw, as printed — units differ; compare normalized):")
-        for cfg in configs:
+        for cfg in ALL_CONFIGS:
             row = f"  {PAPER_LABELS.get(cfg, cfg):8s}"
             for b in benches:
                 row += f"{paper[b][cfg]:>14.5g}{'':>12s}"
@@ -84,7 +89,6 @@ def render_normalized_table(
     tables: Dict[str, BenchmarkTable],
     title: str,
     paper: Optional[Dict[str, Dict[str, float]]] = None,
-    configs: Sequence[str] = ALL_CONFIGS,
 ) -> str:
     """Figure 7 / Figure 9 style: normalized to native."""
     benches = list(tables)
@@ -93,7 +97,7 @@ def render_normalized_table(
     if paper is not None:
         header += "      | paper:" + "".join(f"{b:>10s}" for b in benches)
     lines.append(header)
-    for cfg in configs:
+    for cfg in ALL_CONFIGS:
         row = f"{PAPER_LABELS.get(cfg, cfg):10s}"
         row += "".join(f"{tables[b].normalized[cfg]:>12.4f}" for b in benches)
         if paper is not None:

@@ -14,6 +14,9 @@ from typing import Dict, List, Optional
 
 from repro.sim.trace import Tracer
 
+#: Threads named in each CPU row's legend of :meth:`Timeline.render`.
+LEGEND_THREADS = 8
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -94,7 +97,7 @@ class Timeline:
 
     # -- rendering -----------------------------------------------------------
 
-    def render(self, width: int = 72, max_threads: int = 8) -> str:
+    def render(self, width: int = 72) -> str:
         """ASCII Gantt: one row per CPU, a letter per thread."""
         lines = []
         for cpu in self.cpus():
@@ -111,7 +114,7 @@ class Timeline:
                     row[x] = letters[iv.thread]
             lines.append(f"{cpu:>24s} |{''.join(row)}|")
             legend = ", ".join(
-                f"{v}={k}" for k, v in list(letters.items())[:max_threads]
+                f"{v}={k}" for k, v in list(letters.items())[:LEGEND_THREADS]
             )
             lines.append(f"{'':>24s}  {legend}")
         return "\n".join(lines)

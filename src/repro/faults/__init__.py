@@ -17,7 +17,7 @@ that claim:
   recovery time, job survival, and cross-VM containment.
 """
 
-from repro.faults.plan import FaultPlan, FaultSpec, SCENARIO_KINDS
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.injector import FaultInjector
 from repro.faults.watchdog import FailureRecord, Watchdog
 from repro.faults.recovery import RecoveryManager
@@ -29,5 +29,4 @@ __all__ = [
     "FailureRecord",
     "Watchdog",
     "RecoveryManager",
-    "SCENARIO_KINDS",
 ]

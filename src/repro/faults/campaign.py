@@ -89,13 +89,12 @@ def build_faults_node(
     scheduler: str,
     seed: int = 0xC0FFEE,
     trial: int = 0,
-    trace_categories=None,
 ) -> Node:
     """The two-tenant resilience topology: primary on all cores, victim VM
     (2 VCPUs, cores 0-1), bystander VM (2 VCPUs, cores 2-3), and the login
     super-secondary (core 0)."""
     return _boot_hafnium(
-        _machine(PINE_A64, seed, trial, None, trace_categories),
+        _machine(PINE_A64, seed, trial, None),
         scheduler=scheduler,
         primary_mem=192 * MiB,
         primary_image=b"primary:faults",
@@ -414,6 +413,8 @@ def run_resilience(
 #: attestation-tamper, whose effect (refusing a restart) only manifests
 #: through a *subsequent* fault and so reads as a no-op standalone draw.
 RANDOMIZED_KINDS = tuple(k for k in HAFNIUM_SCENARIOS if k != "attestation-tamper")
+#: Span after ``INJECT_DELAY_PS`` over which randomized faults are drawn.
+RANDOMIZED_WINDOW_PS = ms(400)
 
 
 def run_randomized(
@@ -422,11 +423,6 @@ def run_randomized(
     seed: int = 0xC0FFEE,
     trial: int = 0,
     count: int = 3,
-    inject_delay_ps: int = INJECT_DELAY_PS,
-    window_ps: int = ms(400),
-    horizon_ps: int = HORIZON_PS,
-    kinds: Optional[List[str]] = None,
-    targets: Optional[List[str]] = None,
 ) -> Dict[str, Any]:
     """One randomized multi-fault run: ``count`` faults drawn from the
     node's dedicated ``faults.plan`` RNG stream, uniform over the
@@ -436,22 +432,19 @@ def run_randomized(
     is *inside* the deterministic replay boundary.
     """
     if config != CONFIG_NATIVE:
-        chosen_targets = list(targets or (VICTIM_VM, BYSTANDER_VM))
-        chosen_kinds = list(kinds or RANDOMIZED_KINDS)
+        targets, kinds = [VICTIM_VM, BYSTANDER_VM], list(RANDOMIZED_KINDS)
     else:
-        chosen_targets = list(targets or ("native",))
-        chosen_kinds = list(kinds or NATIVE_SCENARIOS)
+        targets, kinds = ["native"], list(NATIVE_SCENARIOS)
     run = _faulted_run(
         config, seed, trial,
         lambda node, t0: FaultPlan.randomized(
             node.machine.rng,
-            chosen_kinds,
-            chosen_targets,
-            start_ps=t0 + inject_delay_ps,
-            window_ps=window_ps,
+            kinds,
+            targets,
+            start_ps=t0 + INJECT_DELAY_PS,
+            window_ps=RANDOMIZED_WINDOW_PS,
             count=count,
         ),
-        horizon_ps=horizon_ps,
     )
     node, t0, watchdog, recovery = run.node, run.t0, run.watchdog, run.recovery
     engine = node.machine.engine

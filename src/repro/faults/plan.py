@@ -34,10 +34,6 @@ FAULT_KINDS = (
     "node-failure",        # a whole cluster rank dies (host panic + fabric partition)
 )
 
-#: The named single-fault scenarios ``repro faults`` sweeps; each maps to
-#: the fault kind it injects (scenario name == kind, by construction).
-SCENARIO_KINDS = dict((k, k) for k in FAULT_KINDS)
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -104,23 +100,17 @@ class FaultPlan:
     ) -> "FaultPlan":
         return FaultPlan([FaultSpec(at_ps, kind, target, _freeze(params))])
 
-    def extended(self, kind: str, target: str, at_ps: int, **params: Any) -> "FaultPlan":
-        """A new plan with one more fault (plans stay immutable)."""
-        return FaultPlan(
-            list(self._faults) + [FaultSpec(at_ps, kind, target, _freeze(params))]
-        )
-
     @staticmethod
-    def scenario(name: str, target: str, at_ps: int, **overrides: Any) -> "FaultPlan":
+    def scenario(name: str, target: str, at_ps: int) -> "FaultPlan":
         """The canonical single-fault plan for a named scenario.
 
-        Scenario defaults are chosen so the standard resilience campaign
-        (inject mid-run, detect, recover, finish) exercises each failure
-        mode end to end; ``overrides`` tune individual parameters.
+        A scenario is named after the fault kind it injects. Its parameters
+        are chosen so the standard resilience campaign (inject mid-run,
+        detect, recover, finish) exercises each failure mode end to end.
         """
-        if name not in SCENARIO_KINDS:
+        if name not in FAULT_KINDS:
             raise ConfigurationError(
-                f"unknown scenario {name!r} (known: {', '.join(sorted(SCENARIO_KINDS))})"
+                f"unknown scenario {name!r} (known: {', '.join(sorted(FAULT_KINDS))})"
             )
         defaults: Dict[str, Any] = {}
         if name == "vcpu-stall":
@@ -137,8 +127,7 @@ class FaultPlan:
             defaults = {"correctable": False}
         elif name == "node-failure":
             defaults = {"rank": 1}
-        defaults.update(overrides)
-        return FaultPlan.single(SCENARIO_KINDS[name], target, at_ps, **defaults)
+        return FaultPlan.single(name, target, at_ps, **defaults)
 
     @staticmethod
     def randomized(
@@ -149,7 +138,6 @@ class FaultPlan:
         start_ps: int,
         window_ps: int,
         count: int,
-        stream: str = "faults.plan",
     ) -> "FaultPlan":
         """Draw `count` faults uniformly over ``[start, start+window)``.
 
@@ -161,7 +149,7 @@ class FaultPlan:
             raise ConfigurationError("randomized plan needs count >= 1")
         if not kinds or not targets:
             raise ConfigurationError("randomized plan needs kinds and targets")
-        gen = hub.stream(stream)
+        gen = hub.stream("faults.plan")
         faults = []
         for _ in range(count):
             at = start_ps + int(gen.integers(0, max(1, window_ps)))

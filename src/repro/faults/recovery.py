@@ -19,7 +19,7 @@ runs the sequence a resilient SPM deployment would:
 
 Recovery time (declare -> jobs resubmitted) and restart/degrade decisions
 are recorded per event for the resilience campaign's report. VMs that
-exhaust ``max_restarts`` also degrade: surviving VMs keep scheduling.
+exhaust ``MAX_RESTARTS`` also degrade: surviving VMs keep scheduling.
 """
 
 from __future__ import annotations
@@ -32,19 +32,18 @@ from repro.faults.watchdog import FailureRecord, Watchdog
 from repro.kernels.thread import Thread, ThreadState
 from repro.tee.attestation import SignedImage, VerificationError
 
+#: Restarts a VM gets before it is degraded instead.
+MAX_RESTARTS = 2
+#: Interval between checks that the VM's driver threads have died.
+QUIESCE_POLL_PS = us(200)
+#: Quiesce checks before recovery gives up and degrades the VM.
+QUIESCE_LIMIT = 20_000
+
 
 class RecoveryManager:
     """Restarts failed secondary VMs; degrades when restart is unsafe."""
 
-    def __init__(
-        self,
-        node,
-        watchdog: Watchdog,
-        *,
-        max_restarts: int = 2,
-        quiesce_poll_ps: int = us(200),
-        quiesce_limit: int = 20_000,
-    ):
+    def __init__(self, node, watchdog: Watchdog):
         if node.spm is None:
             raise ConfigurationError("recovery requires a Hafnium node")
         if node.boot_chain is None:
@@ -52,9 +51,6 @@ class RecoveryManager:
         self.node = node
         self.machine = node.machine
         self.watchdog = watchdog
-        self.max_restarts = max_restarts
-        self.quiesce_poll_ps = quiesce_poll_ps
-        self.quiesce_limit = quiesce_limit
         #: vm_name -> [(job_name, body_factory, cpu)] respawned on restart
         self.job_templates: Dict[str, List[Tuple[str, Callable, int]]] = {}
         #: vm_name -> VCPU pinning used for relaunch
@@ -102,7 +98,7 @@ class RecoveryManager:
     def _on_failure(self, record: FailureRecord) -> None:
         vm_name = record.vm_name
         restarts = self.restarted.get(vm_name, 0)
-        if restarts >= self.max_restarts:
+        if restarts >= MAX_RESTARTS:
             self._degrade(record, "restart budget exhausted")
             return
         self.machine.trace(
@@ -111,7 +107,7 @@ class RecoveryManager:
         # Containment first (idempotent if the fault already aborted it).
         self.node.spm.force_abort(vm_name, f"recovery:{record.kind}")
         self.machine.engine.schedule(
-            self.quiesce_poll_ps, self._await_quiesce, record, self.quiesce_limit
+            QUIESCE_POLL_PS, self._await_quiesce, record, QUIESCE_LIMIT
         )
 
     def _await_quiesce(self, record: FailureRecord, polls_left: int) -> None:
@@ -121,7 +117,7 @@ class RecoveryManager:
                 self._degrade(record, "quiesce timeout")
                 return
             self.machine.engine.schedule(
-                self.quiesce_poll_ps, self._await_quiesce, record, polls_left - 1
+                QUIESCE_POLL_PS, self._await_quiesce, record, polls_left - 1
             )
             return
         self._restart(record)

@@ -27,6 +27,11 @@ from repro.sim.engine import Event
 from repro.hafnium.spm import PRIMARY_VM_ID, Spm
 from repro.hafnium.vm import VcpuState
 
+#: Interval between liveness checks.
+CHECK_PERIOD_PS = ms(50)
+#: Heartbeat silence after which a non-parked VCPU counts as stalled.
+DEADLINE_PS = ms(300)
+
 #: VCPU states that do not owe heartbeats (parked, not stuck).
 _PARKED = (VcpuState.WFI, VcpuState.HALTED, VcpuState.ABORTED)
 
@@ -59,21 +64,11 @@ class FailureRecord:
 class Watchdog:
     """Heartbeat-deadline failure detector attached to the SPM."""
 
-    def __init__(
-        self,
-        spm: Spm,
-        *,
-        check_period_ps: int = ms(50),
-        deadline_ps: int = ms(300),
-    ):
-        if check_period_ps <= 0 or deadline_ps <= 0:
-            raise ConfigurationError("watchdog periods must be positive")
+    def __init__(self, spm: Spm):
         if spm.watchdog is not None:
             raise ConfigurationError("SPM already has a watchdog attached")
         self.spm = spm
         self.machine = spm.machine
-        self.check_period_ps = check_period_ps
-        self.deadline_ps = deadline_ps
         #: (vm_id, vcpu_idx) -> last heartbeat timestamp
         self._last_beat: Dict[Tuple[int, int], int] = {}
         #: vm_ids currently monitored (secondaries + super-secondary)
@@ -161,7 +156,7 @@ class Watchdog:
                     self._last_beat[(vm_id, vcpu.idx)] = now  # parked = healthy
                     continue
                 beat = self._last_beat[(vm_id, vcpu.idx)]
-                if now - beat > self.deadline_ps and beat <= oldest:
+                if now - beat > DEADLINE_PS and beat <= oldest:
                     stalled_idx, oldest = vcpu.idx, beat
             if stalled_idx is not None:
                 self._declare(
@@ -175,7 +170,7 @@ class Watchdog:
             self._arm()
 
     def _arm(self) -> None:
-        self._event = self.machine.engine.schedule(self.check_period_ps, self._check)
+        self._event = self.machine.engine.schedule(CHECK_PERIOD_PS, self._check)
 
     def _declare(
         self, vm_id: int, kind: str, detail: str, last_beat: Optional[int] = None

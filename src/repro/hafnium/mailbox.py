@@ -11,18 +11,12 @@ primary VMs", paper Section III-b).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.sim.engine import Engine, Signal
 
 MAX_MESSAGE_BYTES = 4096  # one page, like the FF-A RX/TX buffers
-
-#: Defaults for :func:`send_with_retry`. The backoff doubles per attempt:
-#: 50 us, 100 us, 200 us, ... — long enough for a busy receiver to run its
-#: retrieve loop, short next to the ~100 ms scheduler quantum.
-RETRY_BASE_BACKOFF_PS = 50_000_000
-RETRY_MAX_ATTEMPTS = 8
 
 
 @dataclass(frozen=True)
@@ -75,44 +69,3 @@ class Mailbox:
             self.space_signal.fire(msg)
         return msg
 
-
-def send_with_retry(
-    dest_vm_id: int,
-    payload: Any,
-    *,
-    size_bytes: int = 64,
-    max_attempts: int = RETRY_MAX_ATTEMPTS,
-    base_backoff_ps: int = RETRY_BASE_BACKOFF_PS,
-) -> Generator:
-    """Thread-body fragment: mailbox send with bounded exponential backoff.
-
-    Yield-from this inside a guest/primary thread body. Each BUSY reply
-    sleeps ``base_backoff_ps << attempt`` and retries, up to
-    ``max_attempts`` tries total. Returns a dict with ``ok``, ``attempts``
-    and (on failure) the last ``error`` — callers decide whether to treat
-    exhaustion as message loss or escalate.
-    """
-    from repro.kernels.thread import Hypercall, Sleep
-
-    if max_attempts < 1:
-        raise ConfigurationError("send_with_retry needs at least one attempt")
-    attempt = 0
-    result: Dict[str, Any] = {"ok": False}
-    for attempt in range(max_attempts):
-        result = yield Hypercall(
-            "mailbox_send",
-            dest_vm_id=dest_vm_id,
-            payload=payload,
-            size_bytes=size_bytes,
-        )
-        if result.get("ok"):
-            return {"ok": True, "attempts": attempt + 1}
-        if not result.get("busy"):
-            break  # non-flow-control failure: retrying cannot help
-        if attempt + 1 < max_attempts:
-            yield Sleep(base_backoff_ps << attempt)
-    return {
-        "ok": False,
-        "attempts": attempt + 1,
-        "error": "busy" if result.get("busy") else result.get("error", "send failed"),
-    }

@@ -265,7 +265,6 @@ class Spm:
     # calling kernel's per-core loop on the caller's physical core)
     # ------------------------------------------------------------------
 
-    _PRIMARY_ONLY = {"vcpu_run", "vm_stop", "vm_list", "vm_info"}
     _SUPER_ALLOWED = {"mailbox_send", "mailbox_recv", "vm_list", "yield"}
     _SECONDARY_ALLOWED = {"mailbox_send", "mailbox_recv", "yield"}
 

@@ -193,10 +193,10 @@ class DramAllocator:
     reclaim — a limitation its Section VII discusses).
     """
 
-    def __init__(self, memmap: PhysicalMemoryMap, reserve_base: int = 0):
+    def __init__(self, memmap: PhysicalMemoryMap):
         self.memmap = memmap
         dram = memmap.dram
-        self._next = dram.base + reserve_base
+        self._next = dram.base
         self._end = dram.end
         self.partitions: Dict[str, MemoryRegion] = {}
 

@@ -248,12 +248,7 @@ class PerfModel:
 
     # -- memory pricing ----------------------------------------------------------
 
-    def random_access_ns(
-        self,
-        working_set: int,
-        trans: TranslationInfo,
-        extra_per_access_ns: float = 0.0,
-    ) -> float:
+    def random_access_ns(self, working_set: int, trans: TranslationInfo) -> float:
         """Steady-state nanoseconds per uniformly-random access."""
         p = self.params
         pages = max(1.0, working_set / trans.page_size)
@@ -262,7 +257,7 @@ class PerfModel:
         miss_ns = p.dram_latency_ns + p.dram_random_extra_ns
         base = cache_hit * p.l2_latency_ns + (1.0 - cache_hit) * miss_ns
         walk = (1.0 - tlb_hit) * trans.walk_refs * p.walk_ref_cost_ns
-        return (base + walk) * self.trial_factor + extra_per_access_ns
+        return (base + walk) * self.trial_factor
 
     def stream_ns_per_byte(self, trans: TranslationInfo) -> float:
         """Nanoseconds per byte of streaming (bandwidth-bound) traffic."""

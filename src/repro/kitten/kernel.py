@@ -44,7 +44,6 @@ class KittenKernel(KernelBase):
         role: str = ROLE_NATIVE,
         num_cpus: Optional[int] = None,
         tick_hz: float = DEFAULT_TICK_HZ,
-        quantum_ps: int = DEFAULT_QUANTUM_PS,
         trans: Optional[TranslationInfo] = None,
         jitter_sigma: float = 0.0025,
     ):
@@ -57,7 +56,6 @@ class KittenKernel(KernelBase):
             trans=trans if trans is not None else KITTEN_NATIVE_TRANSLATION,
             jitter_sigma=jitter_sigma,
         )
-        self.default_quantum_ps = quantum_ps
 
     # -- scheduler ------------------------------------------------------------
 
@@ -95,4 +93,4 @@ class KittenKernel(KernelBase):
         return woken.priority < current.priority
 
     def quantum_ps(self, thread: Thread) -> int:
-        return self.default_quantum_ps
+        return DEFAULT_QUANTUM_PS

@@ -125,9 +125,9 @@ class Engine:
         fn(*args)
         return True
 
-    def run(self, max_events: Optional[int] = None) -> None:
-        """Run until the queue drains (or ``max_events`` fired)."""
-        self._run(None, max_events)
+    def run(self) -> None:
+        """Run until the queue drains."""
+        self._run(None)
 
     def run_until(self, t: int) -> None:
         """Run all events strictly up to and including time ``t``.
@@ -138,35 +138,27 @@ class Engine:
         """
         if t < self.now:
             raise SimulationError(f"run_until into the past (t={t} < now={self.now})")
-        self._run(t, None)
+        self._run(t)
         if self.now < t:
             self.now = t
 
-    def _run(self, limit: Optional[int], max_events: Optional[int]) -> None:
+    def _run(self, limit: Optional[int]) -> None:
         """Fire events up to ``limit`` (None = until the queue drains).
 
-        The inline :meth:`_drain` is the fast path. The runaway guard
-        (``max_events``, a debugging aid) and an instance-level ``step``
-        wrapper (the sanitizer) take the stepwise loop instead, which
-        dispatches every event through ``self.step()``.
+        The inline :meth:`_drain` is the fast path. An instance-level
+        ``step`` wrapper (the sanitizer) takes the stepwise loop instead,
+        which dispatches every event through ``self.step()``.
         """
         self._running = True
         try:
-            if max_events is None and "step" not in self.__dict__:
+            if "step" not in self.__dict__:
                 self._drain(limit)
                 return
-            fired = 0
             while self._running:
                 head = self.peek_time()
                 if head is None or (limit is not None and head > limit):
                     break
                 self.step()
-                fired += 1
-                if max_events is not None and fired >= max_events:
-                    raise SimulationError(
-                        f"engine exceeded max_events={max_events}; "
-                        "likely a runaway event loop"
-                    )
         finally:
             self._running = False
 

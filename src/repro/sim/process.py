@@ -10,15 +10,14 @@ Supported yields:
 
 * ``Timeout(dt)`` — resume ``dt`` picoseconds later,
 * ``WaitSignal(sig)`` — resume when ``sig.fire()`` is called (payload is the
-  value of the yield expression),
-* another ``Process`` — resume when that process terminates (join).
+  value of the yield expression).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Generator, Optional
 
-from repro.common.errors import ReproError, SimulationError
+from repro.common.errors import SimulationError
 from repro.sim.engine import Engine, Event, Signal
 
 
@@ -38,13 +37,12 @@ class Interrupted(Exception):
 class Timeout:
     """Wait descriptor: resume after ``delay`` picoseconds."""
 
-    __slots__ = ("delay", "priority")
+    __slots__ = ("delay",)
 
-    def __init__(self, delay: int, priority: int = 10):
+    def __init__(self, delay: int):
         if delay < 0:
             raise SimulationError(f"negative timeout {delay}")
         self.delay = delay
-        self.priority = priority
 
 
 class WaitSignal:
@@ -74,7 +72,6 @@ class Process:
         self._pending_event: Optional[Event] = None
         self._pending_signal: Optional[Signal] = None
         self._signal_cb: Optional[Callable] = None
-        self._joiners: List[Callable[[Any], None]] = []
         self._pending_event = engine.schedule(0, self._step)
 
     # -- lifecycle -------------------------------------------------------
@@ -95,21 +92,9 @@ class Process:
         except StopIteration as stop:
             self._finish(result=getattr(stop, "value", None))
             return
-        except Interrupted as exc:
-            # Interrupt escaped the generator: treat as termination.
-            self._finish(exception=exc)
-            return
-        except ReproError as exc:
-            # Engine/model invariant failures are fatal to the whole run:
-            # mark the process dead and propagate with the original type,
-            # WITHOUT waking joiners — the simulation is aborting, and a
-            # joiner resuming with result=None would let model code react
-            # to a crash as if the process had completed normally.
-            self.alive = False
-            self.exception = exc
-            raise
-        # Coroutine boundary: _finish records the crash on the process and
-        # re-raises every non-Interrupted exception with its original type.
+        # Coroutine boundary: _finish records the crash (an escaped
+        # interrupt terminates the process) and re-raises every
+        # non-Interrupted exception with its original type.
         except Exception as exc:  # simlint: disable=broad-except -- _finish re-raises
             self._finish(exception=exc)
             return
@@ -117,9 +102,7 @@ class Process:
 
     def _arm(self, item: Any) -> None:
         if isinstance(item, Timeout):
-            self._pending_event = self.engine.schedule(
-                item.delay, self._step, priority=item.priority
-            )
+            self._pending_event = self.engine.schedule(item.delay, self._step)
         elif isinstance(item, WaitSignal):
             sig = item.signal
 
@@ -131,12 +114,6 @@ class Process:
             self._signal_cb = _cb
             self._pending_signal = sig
             sig.subscribe(_cb)
-        elif isinstance(item, Process):
-            other = item
-            if not other.alive:
-                self._pending_event = self.engine.schedule(0, self._step, other.result)
-            else:
-                other._joiners.append(self._step)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported item {item!r}"
@@ -146,9 +123,6 @@ class Process:
         self.alive = False
         self.result = result
         self.exception = exception
-        joiners, self._joiners = self._joiners, []
-        for j in joiners:
-            j(result)
         if exception is not None and not isinstance(exception, Interrupted):
             raise exception
 
@@ -173,20 +147,6 @@ class Process:
             return False
         self.engine.schedule(0, self._step, None, Interrupted(reason))
         return True
-
-    def kill(self) -> None:
-        """Terminate the process without resuming it."""
-        if not self.alive:
-            return
-        if self._pending_event is not None:
-            self._pending_event.cancel()
-            self._pending_event = None
-        if self._pending_signal is not None and self._signal_cb is not None:
-            self._pending_signal.unsubscribe(self._signal_cb)
-            self._signal_cb = None
-            self._pending_signal = None
-        self._gen.close()
-        self._finish(result=None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else "dead"

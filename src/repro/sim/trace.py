@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -47,31 +47,18 @@ def record_bytes(record) -> bytes:
 
 
 class Tracer:
-    """Append-only trace with category filtering.
+    """Append-only trace of every emitted record."""
 
-    ``enabled_categories=None`` records everything; pass a set to restrict
-    recording (hot simulations disable per-access categories entirely).
-    """
-
-    def __init__(self, enabled_categories: Optional[Iterable[str]] = None):
+    def __init__(self) -> None:
         self.records: List[TraceRecord] = []
-        self.enabled: Optional[set] = (
-            set(enabled_categories) if enabled_categories is not None else None
-        )
-        self.counts: Dict[str, int] = {}
         # Incremental digest state: records up to `_digested` are already
         # folded into `_digest`, so repeated digest queries only hash the
         # suffix appended since the previous call.
         self._digest = hashlib.sha256()
         self._digested = 0
 
-    def wants(self, category: str) -> bool:
-        return self.enabled is None or category in self.enabled
-
     def emit(self, time: int, category: str, subject: str, **data: Any) -> None:
-        self.counts[category] = self.counts.get(category, 0) + 1
-        if self.wants(category):
-            self.records.append(TraceRecord(time, category, subject, data))
+        self.records.append(TraceRecord(time, category, subject, data))
 
     def digest_records(self) -> str:
         """SHA-256 over every record so far, hashed incrementally.
@@ -117,8 +104,8 @@ class Tracer:
         return out
 
     def count(self, category: str) -> int:
-        """Total emissions of a category (counted even when not recorded)."""
-        return self.counts.get(category, 0)
+        """Number of records of a category."""
+        return sum(1 for r in self.records if r.category == category)
 
     def times(self, category: str, subject: Optional[str] = None) -> np.ndarray:
         """Timestamps (ps) of matching records as an array."""

@@ -21,10 +21,12 @@ class Workload:
 
     name = "workload"
     unit = "units/s"
+    #: Threads, pinned one per core from core 0.
+    nthreads = 4
+    #: Address-space key of every thread (cache/TLB warmth tracking).
+    aspace = "bench"
 
-    def __init__(self, threads: int = 4, aspace: str = "bench"):
-        self.nthreads = threads
-        self.aspace = aspace
+    def __init__(self) -> None:
         self.threads: List[Thread] = []
         self.start_ps: Optional[int] = None
         self.end_ps: Optional[int] = None
@@ -88,17 +90,21 @@ class Workload:
         return {}
 
 
+#: Simulated-time budget of a :class:`WorkloadRun` before it is declared stuck.
+RUN_MAX_SECONDS = 300.0
+
+
 class WorkloadRun:
     """Convenience: build + spawn + run a workload on a node."""
 
-    def __init__(self, node, workload: Workload, max_seconds: float = 300.0):
+    def __init__(self, node, workload: Workload):
         from repro.core.node import run_until_done
 
         self.node = node
         self.workload = workload
         threads = workload.make_threads(node.engine)
         node.spawn_workload_threads(threads)
-        run_until_done(node, threads, max_seconds=max_seconds)
+        run_until_done(node, threads, max_seconds=RUN_MAX_SECONDS)
 
     @property
     def metric(self) -> float:

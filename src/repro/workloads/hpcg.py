@@ -27,8 +27,8 @@ class HpcgBenchmark(Workload):
     name = "hpcg"
     unit = "GFLOP/s"
 
-    def __init__(self, nx: int = 48, iterations: int = 25, threads: int = 4):
-        super().__init__(threads=threads)
+    def __init__(self, nx: int = 48, iterations: int = 25):
+        super().__init__()
         self.nx = nx
         self.rows = nx**3
         self.nnz = NNZ_PER_ROW * self.rows

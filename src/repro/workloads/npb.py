@@ -97,8 +97,8 @@ PAPER_SUBSET = ("lu", "bt", "cg", "ep", "sp")
 class NpbBenchmark(Workload):
     unit = "Mop/s"
 
-    def __init__(self, spec: NpbSpec, threads: int = 4):
-        super().__init__(threads=threads)
+    def __init__(self, spec: NpbSpec):
+        super().__init__()
         self.spec = spec
         self.name = f"npb.{spec.name}"
 
@@ -148,11 +148,11 @@ class NpbBenchmark(Workload):
         }
 
 
-def make_npb(name: str, threads: int = 4) -> NpbBenchmark:
+def make_npb(name: str) -> NpbBenchmark:
     try:
         spec = NPB_SPECS[name.lower()]
     except KeyError:
         raise KeyError(
             f"unknown NPB benchmark {name!r}; available: {sorted(NPB_SPECS)}"
         ) from None
-    return NpbBenchmark(spec, threads=threads)
+    return NpbBenchmark(spec)

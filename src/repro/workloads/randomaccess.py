@@ -16,6 +16,9 @@ from repro.kernels.phases import MemoryPhase
 from repro.kernels.thread import BarrierWait, SpinBarrier
 from repro.workloads.base import Workload
 
+#: Barrier-delimited chunks per thread (the MPI version syncs).
+CHUNKS = 8
+
 
 class RandomAccessBenchmark(Workload):
     name = "randomaccess"
@@ -25,19 +28,16 @@ class RandomAccessBenchmark(Workload):
         self,
         table_bytes: int = 64 * MiB,
         updates_per_entry: float = 4.0,
-        threads: int = 4,
-        chunks: int = 8,
     ):
-        super().__init__(threads=threads)
+        super().__init__()
         self.table_bytes = table_bytes
         self.entries = table_bytes // 8
         self.total_updates = updates_per_entry * self.entries
-        self.chunks = chunks  # barrier-delimited chunks (the MPI version syncs)
 
     def _thread_body(self, tid: int, barrier: Optional[SpinBarrier]):
         per_thread = self.total_updates / self.nthreads
-        per_chunk = per_thread / self.chunks
-        for _c in range(self.chunks):
+        per_chunk = per_thread / CHUNKS
+        for _c in range(CHUNKS):
             yield MemoryPhase(
                 "rand",
                 working_set=self.table_bytes,

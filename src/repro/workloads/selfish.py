@@ -23,27 +23,21 @@ from repro.workloads.base import Workload
 
 
 class SelfishDetour(Workload):
-    """One spinning thread per measured core (default: core 0 only, as a
-    noise probe; the benchmark is not throughput-oriented)."""
+    """One spinning thread on core 0, as a noise probe (the benchmark is
+    not throughput-oriented)."""
 
     name = "selfish"
     unit = "detours/s"
+    nthreads = 1
 
-    def __init__(
-        self,
-        duration_s: float = 1.0,
-        threshold_us: float = 1.0,
-        loop_ns: float = 8.0,
-        threads: int = 1,
-    ):
-        super().__init__(threads=threads)
+    def __init__(self, duration_s: float = 1.0, threshold_us: float = 1.0):
+        super().__init__()
         self.duration_ps = seconds(duration_s)
         self.threshold_ps = us(threshold_us)
-        self.loop_ns = loop_ns
         self.phases: List[SpinPhase] = []
 
     def _thread_body(self, tid: int, barrier: Optional[SpinBarrier]):
-        phase = SpinPhase(self.duration_ps, self.threshold_ps, loop_ns=self.loop_ns)
+        phase = SpinPhase(self.duration_ps, self.threshold_ps)
         self.phases.append(phase)
         yield phase
         return len(phase.detours)
@@ -53,19 +47,16 @@ class SelfishDetour(Workload):
 
     # -- analysis -----------------------------------------------------------------
 
-    def detours(self, tid: int = 0) -> List[Tuple[int, int]]:
-        return self.phases[tid].detours
+    def detours(self) -> List[Tuple[int, int]]:
+        return self.phases[0].detours
 
-    def detour_count(self) -> int:
-        return int(self.total_work())
-
-    def detour_series_us(self, tid: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    def detour_series_us(self) -> Tuple[np.ndarray, np.ndarray]:
         """(timestamps_us, latencies_us) — the scatter the figures plot."""
-        p = self.phases[tid]
+        p = self.phases[0]
         return p.detour_times_us(), p.detour_latencies_us()
 
-    def noise_summary(self, tid: int = 0) -> Dict[str, float]:
-        times, lats = self.detour_series_us(tid)
+    def noise_summary(self) -> Dict[str, float]:
+        times, lats = self.detour_series_us()
         if len(lats) == 0:
             return {
                 "count": 0.0,
@@ -84,11 +75,11 @@ class SelfishDetour(Workload):
             "stolen_fraction": float(lats.sum() * 1e-6 / window_s),
         }
 
-    def interarrival_cv(self, tid: int = 0) -> float:
+    def interarrival_cv(self) -> float:
         """Coefficient of variation of detour inter-arrival times: ~0 for
         a purely periodic source (timer ticks), >>0 for random noise.
         Used to test the paper's "more randomly distributed" claim."""
-        times, _ = self.detour_series_us(tid)
+        times, _ = self.detour_series_us()
         if len(times) < 3:
             return 0.0
         gaps = np.diff(times)

@@ -34,9 +34,8 @@ class StreamBenchmark(Workload):
         self,
         n_elements: int = 2_000_000,
         ntimes: int = 5,
-        threads: int = 4,
     ):
-        super().__init__(threads=threads)
+        super().__init__()
         self.n = n_elements
         self.ntimes = ntimes
         # Three arrays of N doubles, partitioned across threads.

@@ -7,13 +7,17 @@ import pytest
 
 from repro.analysis.determinism import run_quickstart, trace_digest
 from repro.common.errors import ConfigurationError
+from repro.sim.trace import Tracer
 
 
 def fake_node(records, now=100, fired=7):
+    tracer = Tracer()
+    for r in records:
+        tracer.emit(r.time, r.category, r.subject, **r.data)
     return SimpleNamespace(
         machine=SimpleNamespace(
             engine=SimpleNamespace(now=now, events_fired=fired),
-            tracer=SimpleNamespace(records=records),
+            tracer=tracer,
         )
     )
 

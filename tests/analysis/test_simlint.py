@@ -2,7 +2,9 @@
 
 import textwrap
 
-from repro.analysis.rules import Severity, all_rules, rule_names
+import pytest
+
+from repro.analysis.rules import all_rules, rule_names
 from repro.analysis.simlint import lint_paths, lint_source, summarize
 from repro.cli import main
 
@@ -333,7 +335,6 @@ def test_lint_paths_reports_fixture_violations(tmp_path):
     bad.write_text(VIOLATING_FIXTURE)
     found = lint_paths([str(tmp_path)])
     assert {d.rule for d in found} == {"wall-clock", "no-bare-assert"}
-    assert all(d.severity == Severity.ERROR for d in found)
     assert all(d.path == str(bad) for d in found)
     assert "2 error(s)" in summarize(found)
 
@@ -354,10 +355,15 @@ def test_cli_lint_passes_on_shipped_tree(capsys):
     assert "0 error(s)" in capsys.readouterr().out
 
 
-def test_cli_lint_strict_promotes_any_diagnostic(tmp_path):
+def test_cli_lint_passes_clean_file_and_has_no_strict_flag(tmp_path, capsys):
+    # Every diagnostic is an error, so there is no warnings-as-errors mode.
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
-    assert main(["lint", "--strict", str(clean)]) == 0
+    assert main(["lint", str(clean)]) == 0
+    assert "simlint: 0 error(s)" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", "--strict", str(clean)])
+    assert exc.value.code == 2
 
 
 def test_cli_lint_rejects_missing_paths(tmp_path, capsys):

@@ -1,11 +1,11 @@
-"""Collective primitives: correctness, failure semantics, determinism."""
+"""The tree allreduce: correctness, failure semantics, determinism."""
 
 import contextlib
 from unittest import mock
 
 from repro.cluster import collectives
 from repro.cluster.collectives import (
-    COLLECTIVE_ROOT, allgather, allreduce, barrier, recv_match, send_message,
+    COLLECTIVE_ROOT, allreduce, recv_match, send_message,
 )
 from repro.cluster.fabric import MSG_DEATH
 from repro.cluster.node import Cluster
@@ -14,10 +14,7 @@ from repro.kernels.thread import Thread
 SEED = 20260806
 
 
-def _linear_gather_broadcast(
-    cluster, rank, tag, *, op, value, combine, root=COLLECTIVE_ROOT,
-    size_bytes=64, send_opts=None,
-):
+def _linear_gather_broadcast(cluster, rank, tag, *, op, value, combine):
     """Reference oracle for the binomial tree: a flat gather + broadcast.
 
     Non-roots send a ``contrib`` straight to the root and await the
@@ -27,7 +24,7 @@ def _linear_gather_broadcast(
     calling convention and return shape as the tree core it stands in
     for; the root's port sees O(N) messages per collective.
     """
-    opts = dict(send_opts or {})
+    root = COLLECTIVE_ROOT
     engine = cluster.engine
     if not cluster.alive(root):
         return {"ok": False, "value": None, "t_ps": engine.now,
@@ -51,15 +48,13 @@ def _linear_gather_broadcast(
             if dst == root:
                 continue
             yield from send_message(
-                cluster, root, dst, result,
-                kind="result", tag=tag, size_bytes=size_bytes, **opts,
+                cluster, root, dst, result, kind="result", tag=tag,
             )
         cluster.record_collective(op, tag, rank)
         return {"ok": True, "value": result, "t_ps": engine.now, "error": None}
 
     sent = yield from send_message(
-        cluster, rank, root, value,
-        kind="contrib", tag=tag, size_bytes=size_bytes, **opts,
+        cluster, rank, root, value, kind="contrib", tag=tag,
     )
     if not sent["ok"]:
         return {"ok": False, "value": None, "t_ps": engine.now,
@@ -77,19 +72,17 @@ def _linear_gather_broadcast(
 
 def _run_collectives(size, seed=SEED, fail_rank=None, fail_at_ps=None,
                      linear=False):
-    """Drive one barrier + allreduce + allgather per rank; returns
-    (cluster, results-by-rank). ``linear=True`` swaps the tree core for
-    the linear oracle under the same public collectives, so both runs
-    share one set of combine functions."""
+    """Drive two allreduces per rank; returns (cluster, results-by-rank).
+    ``linear=True`` swaps the tree core for the linear oracle under the
+    same public collective, so both runs share one combine function."""
     cluster = Cluster("native", size, seed=seed)
     results = {}
 
     def proxy(rank):
         def body():
-            b = yield from barrier(cluster, rank, tag="b0")
             ar = yield from allreduce(cluster, rank, float(rank + 1), tag="ar0")
-            ag = yield from allgather(cluster, rank, rank * 10, tag="ag0")
-            results[rank] = {"barrier": b, "allreduce": ar, "allgather": ag}
+            ar10 = yield from allreduce(cluster, rank, rank * 10.0, tag="ar1")
+            results[rank] = {"allreduce": ar, "allreduce10": ar10}
 
         return Thread(f"coll.n{rank}", body(), cpu=0, aspace="coll")
 
@@ -120,20 +113,20 @@ def test_collectives_compute_correct_values():
     assert sorted(results) == [0, 1, 2]
     for rank in range(size):
         r = results[rank]
-        assert r["barrier"]["ok"]
-        assert r["allreduce"]["ok"]
-        # Deterministic rank-order sum: 1 + 2 + 3.
+        assert r["allreduce"]["ok"] and r["allreduce10"]["ok"]
+        # Deterministic rank-order sums: 1 + 2 + 3 and 0 + 10 + 20.
         assert r["allreduce"]["value"] == 6.0
-        assert r["allgather"]["value"] == ((0, 0), (1, 10), (2, 20))
-    # No rank passes the barrier before the last arrival reaches the root.
-    arrive_times = [results[r]["barrier"]["t_ps"] for r in range(size)]
-    assert min(arrive_times) > 0
-    # Completion order lands in the cluster's collective log (one entry
-    # per op per rank) with monotonically consistent timestamps.
-    ops = [entry[0] for entry in cluster.collective_log]
-    assert ops.count("barrier") == size
-    assert ops.count("allreduce") == size
-    assert ops.count("allgather") == size
+        assert r["allreduce10"]["value"] == 30.0
+    # No rank completes before the last contribution reaches the root.
+    done_times = [results[r]["allreduce"]["t_ps"] for r in range(size)]
+    assert min(done_times) > 0
+    # Completions land in the cluster's collective log: one entry per
+    # collective per rank, in simulation order.
+    log = cluster.collective_log
+    assert [entry[0] for entry in log] == ["allreduce"] * 2 * size
+    assert sorted(entry[1] for entry in log) == ["ar0"] * size + ["ar1"] * size
+    times = [entry[3] for entry in log]
+    assert times == sorted(times)
 
 
 def test_collective_completion_times_are_replay_stable():
@@ -147,7 +140,7 @@ def test_collective_completion_times_are_replay_stable():
 def test_non_root_failure_reforms_membership():
     size = 4
     # Kill rank 2 shortly after the run starts (1 us, well before the
-    # first barrier completes at ~7 us): survivors must complete every
+    # first allreduce completes at ~7 us): survivors must complete every
     # collective with membership re-evaluated, no deadlock.
     cluster, results = _run_collectives(
         size, fail_rank=2, fail_at_ps=1_000_000
@@ -156,9 +149,9 @@ def test_non_root_failure_reforms_membership():
     assert sorted(results) == [0, 1, 3]
     for rank in (0, 1, 3):
         assert results[rank]["allreduce"]["ok"]
-        # Rank 2's contribution (3.0) is gone: 1 + 2 + 4.
+        # Rank 2's contributions (3.0, 20.0) are gone: 1 + 2 + 4, 0 + 10 + 30.
         assert results[rank]["allreduce"]["value"] == 7.0
-        assert results[rank]["allgather"]["value"] == ((0, 0), (1, 10), (3, 30))
+        assert results[rank]["allreduce10"]["value"] == 40.0
 
 
 def test_root_failure_aborts_cleanly_without_deadlock():
@@ -173,7 +166,7 @@ def test_root_failure_aborts_cleanly_without_deadlock():
     for rank in (1, 2):
         r = results[rank]
         failed_ops = [
-            op for op in ("barrier", "allreduce", "allgather")
+            op for op in ("allreduce", "allreduce10")
             if not r[op]["ok"]
         ]
         assert failed_ops, f"rank {rank} should have seen a failed collective"
@@ -213,11 +206,10 @@ def test_tree_and_linear_agree_on_values():
     _, linear = _run_collectives(size, linear=True)
     assert sorted(tree) == sorted(linear) == list(range(size))
     for rank in range(size):
-        for op in ("barrier", "allreduce", "allgather"):
+        for op in ("allreduce", "allreduce10"):
             assert tree[rank][op]["ok"] and linear[rank][op]["ok"]
-        # Float-identical: both combine in the same sorted live-rank order.
-        assert tree[rank]["allreduce"]["value"] == linear[rank]["allreduce"]["value"]
-        assert tree[rank]["allgather"]["value"] == linear[rank]["allgather"]["value"]
+            # Float-identical: both combine in the same sorted live-rank order.
+            assert tree[rank][op]["value"] == linear[rank][op]["value"]
 
 
 def test_tree_cuts_root_port_messages():
@@ -246,7 +238,10 @@ def test_tree_and_linear_agree_under_interior_death():
     for rank in (0, 1, 3):
         assert tree[rank]["allreduce"]["ok"]
         assert tree[rank]["allreduce"]["value"] == linear[rank]["allreduce"]["value"] == 7.0
-        assert tree[rank]["allgather"]["value"] == linear[rank]["allgather"]["value"]
+        assert (
+            tree[rank]["allreduce10"]["value"]
+            == linear[rank]["allreduce10"]["value"] == 40.0
+        )
 
 
 def test_campaign_cell_completes_through_tree_collectives():
@@ -260,8 +255,8 @@ def test_campaign_cell_completes_through_tree_collectives():
 
 def test_collectives_identical_with_and_without_observer_jobs():
     """Same (config, seed) cluster cells are bit-identical when fanned
-    over the parallel runner at different --jobs levels (satellite:
-    barrier/allreduce completion times under --jobs 1 vs --jobs 4)."""
+    over the parallel runner at different --jobs levels (allreduce
+    completion times under --jobs 1 vs --jobs 4)."""
     from repro.cluster.campaign import run_scaling
 
     kwargs = dict(

@@ -4,16 +4,18 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.cluster.fabric import (
+    DEFAULT_BANDWIDTH_BPS,
     DEFAULT_LATENCY_PS,
+    DEFAULT_PORT_CAPACITY,
     MSG_DEATH,
     NetworkFabric,
 )
 from repro.sim.engine import Engine
 
 
-def _fabric(size=2, **kwargs):
+def _fabric(size=2):
     engine = Engine()
-    fabric = NetworkFabric(engine, size, **kwargs)
+    fabric = NetworkFabric(engine, size)
     inboxes = [[] for _ in range(size)]
     for rank in range(size):
         fabric.attach(rank, inboxes[rank].append)
@@ -24,18 +26,15 @@ def test_fabric_rejects_degenerate_parameters():
     engine = Engine()
     with pytest.raises(ConfigurationError):
         NetworkFabric(engine, 1)
-    with pytest.raises(ConfigurationError):
-        NetworkFabric(engine, 2, bandwidth_bps=0)
-    with pytest.raises(ConfigurationError):
-        NetworkFabric(engine, 2, port_capacity=0)
 
 
 def test_delivery_pays_serialization_plus_latency():
-    engine, fabric, inboxes = _fabric(bandwidth_bps=1e9)  # 1 GB/s
+    engine, fabric, inboxes = _fabric()
     res = fabric.send(0, 1, "hi", kind="data", tag="t", size_bytes=1000)
     assert res["ok"] and not res["busy"]
-    ser_ps = fabric.serialization_ps(1000)  # 1000 B at 1 GB/s = 1 us
-    assert ser_ps == 1_000_000
+    ser_ps = fabric.serialization_ps(1000)
+    assert DEFAULT_BANDWIDTH_BPS == 12.5e9
+    assert ser_ps == 80_000  # 1000 B at 12.5 GB/s = 80 ns
     engine.run_until(ser_ps + DEFAULT_LATENCY_PS - 1)
     assert inboxes[1] == []
     engine.run_until(ser_ps + DEFAULT_LATENCY_PS)
@@ -44,7 +43,7 @@ def test_delivery_pays_serialization_plus_latency():
 
 
 def test_fifo_queueing_is_accounted_deterministically():
-    engine, fabric, inboxes = _fabric(bandwidth_bps=1e9)
+    engine, fabric, inboxes = _fabric()
     first = fabric.send(0, 1, "a", kind="data", tag=1, size_bytes=1000)
     second = fabric.send(0, 1, "b", kind="data", tag=2, size_bytes=1000)
     assert first["queue_delay_ps"] == 0
@@ -59,15 +58,15 @@ def test_fifo_queueing_is_accounted_deterministically():
 
 
 def test_port_capacity_returns_busy_at_send_time():
-    engine, fabric, _ = _fabric(port_capacity=2, bandwidth_bps=1e9)
-    assert fabric.send(0, 1, 0, kind="d", tag=0, size_bytes=1000)["ok"]
-    assert fabric.send(0, 1, 1, kind="d", tag=1, size_bytes=1000)["ok"]
-    third = fabric.send(0, 1, 2, kind="d", tag=2, size_bytes=1000)
-    assert not third["ok"] and third["busy"]
+    engine, fabric, _ = _fabric()
+    for i in range(DEFAULT_PORT_CAPACITY):
+        assert fabric.send(0, 1, i, kind="d", tag=i, size_bytes=1000)["ok"]
+    over = fabric.send(0, 1, "over", kind="d", tag="over", size_bytes=1000)
+    assert not over["ok"] and over["busy"]
     assert fabric.stats()["busy_rejections"] == 1
     # Once serialization drains the port, sends are accepted again.
-    engine.run_until(2 * fabric.serialization_ps(1000))
-    assert fabric.send(0, 1, 3, kind="d", tag=3, size_bytes=1000)["ok"]
+    engine.run_until(DEFAULT_PORT_CAPACITY * fabric.serialization_ps(1000))
+    assert fabric.send(0, 1, "after", kind="d", tag="after", size_bytes=1000)["ok"]
 
 
 def test_fail_rank_drops_traffic_and_broadcasts_death():

@@ -64,3 +64,21 @@ def test_extension_commands_identical_across_jobs(capsys, argv):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert "interrupts" in outs[0] or "fair share" in outs[0]
+
+
+@pytest.mark.parametrize("argv", [
+    *([cmd, "--jobs", "0"] for cmd in (
+        "selfish", "memory", "npb", "irq-routing", "interference",
+        "campaign", "check-golden", "bench", "faults", "cluster",
+    )),
+    ["memory", "--trials", "0"],
+    ["selfish", "--duration", "-1"],
+], ids=" ".join)
+def test_refused_input_is_one_line_and_exit_2(capsys, argv):
+    """A ConfigurationError from any command is a usage error: exit 2 and
+    one ``repro <command>: <message>`` line on stderr, no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"repro {argv[0]}: ")
+    assert "Traceback" not in err

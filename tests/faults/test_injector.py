@@ -33,7 +33,7 @@ class TestArming:
 class TestMemBitFlip:
     def test_correctable_flip_is_absorbed(self):
         node = _kitten_node()
-        plan = FaultPlan.scenario(
+        plan = FaultPlan.single(
             "mem-bit-flip", VICTIM_VM, node.engine.now + ms(1), correctable=True
         )
         FaultInjector(node, plan).arm()
@@ -155,7 +155,7 @@ class TestVcpuCrash:
 
     def test_unknown_vcpu_index_rejected(self):
         node = _kitten_node()
-        plan = FaultPlan.scenario(
+        plan = FaultPlan.single(
             "vcpu-crash", VICTIM_VM, node.engine.now + ms(1), vcpu=99
         )
         FaultInjector(node, plan).arm()
@@ -168,8 +168,8 @@ class TestMailboxStorm:
         node = _kitten_node()
         primary_box = node.spm.mailboxes[1]
         before = primary_box.busy_rejections
-        plan = FaultPlan.scenario(
-            "mailbox-storm", VICTIM_VM, node.engine.now + ms(1), count=20
+        plan = FaultPlan.single(
+            "mailbox-storm", VICTIM_VM, node.engine.now + ms(1), count=20, size_bytes=64
         )
         FaultInjector(node, plan).arm()
         node.engine.run_until(node.engine.now + ms(500))

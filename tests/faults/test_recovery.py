@@ -8,17 +8,17 @@ from repro.common.units import ms, seconds
 from repro.faults.campaign import BYSTANDER_VM, VICTIM_VM, build_faults_node
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.faults.recovery import RecoveryManager
+from repro.faults.recovery import MAX_RESTARTS, RecoveryManager
 from repro.faults.watchdog import Watchdog
 from repro.kernels.phases import ComputePhase
 from repro.kernels.thread import Thread
 
 
-def _resilient_node(seed=41, **rm_kwargs):
+def _resilient_node(seed=41):
     node = build_faults_node(scheduler="kitten", seed=seed)
-    wd = Watchdog(node.spm, check_period_ps=ms(20), deadline_ps=ms(100))
+    wd = Watchdog(node.spm)
     wd.start()
-    rm = RecoveryManager(node, wd, **rm_kwargs)
+    rm = RecoveryManager(node, wd)
     rm.set_pinning(VICTIM_VM, [0, 1])
     return node, wd, rm
 
@@ -97,24 +97,28 @@ class TestTamper:
 
 class TestBudget:
     def test_exhausted_budget_degrades(self):
-        node, wd, rm = _resilient_node(max_restarts=0)
-        node.spm.force_abort(VICTIM_VM, "b")
-        node.engine.run_until(node.engine.now + seconds(1))
+        node, wd, rm = _resilient_node()
+        for _ in range(MAX_RESTARTS + 1):
+            node.spm.force_abort(VICTIM_VM, "b")
+            node.engine.run_until(node.engine.now + seconds(1))
         assert VICTIM_VM in rm.degraded
         events = [e for e in rm.events if e["action"] == "degrade"]
+        assert len(events) == 1
         assert events[0]["reason"] == "restart budget exhausted"
 
     def test_budget_counts_successful_restarts(self):
-        node, wd, rm = _resilient_node(max_restarts=1)
-        plan = FaultPlan.scenario("vm-panic", VICTIM_VM, node.engine.now + ms(10))
-        FaultInjector(node, plan).arm()
-        node.engine.run_until(node.engine.now + seconds(3))
-        assert rm.restarted[VICTIM_VM] == 1
-        # Second failure exceeds the budget.
-        node.spm.vms[node.spm.vm_by_name(VICTIM_VM).vm_id].aborted = False
+        node, wd, rm = _resilient_node()
+        for restarts in range(1, MAX_RESTARTS + 1):
+            plan = FaultPlan.scenario("vm-panic", VICTIM_VM, node.engine.now + ms(10))
+            FaultInjector(node, plan).arm()
+            node.engine.run_until(node.engine.now + seconds(3))
+            assert rm.restarted[VICTIM_VM] == restarts
+            assert VICTIM_VM not in rm.degraded
+        # One failure past the budget degrades instead of restarting.
         node.spm.force_abort(VICTIM_VM, "again")
         node.engine.run_until(node.engine.now + seconds(1))
         assert VICTIM_VM in rm.degraded
+        assert rm.restarted[VICTIM_VM] == MAX_RESTARTS
 
 
 class TestConstruction:

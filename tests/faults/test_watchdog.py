@@ -7,12 +7,12 @@ from repro.common.units import ms, seconds
 from repro.faults.campaign import VICTIM_VM, build_faults_node
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.faults.watchdog import Watchdog
+from repro.faults.watchdog import CHECK_PERIOD_PS, DEADLINE_PS, Watchdog
 
 
-def _node_with_watchdog(seed=21, **wd_kwargs):
+def _node_with_watchdog(seed=21):
     node = build_faults_node(scheduler="kitten", seed=seed)
-    wd = Watchdog(node.spm, **wd_kwargs)
+    wd = Watchdog(node.spm)
     wd.start()
     return node, wd
 
@@ -28,11 +28,6 @@ class TestAttach:
         primary_id = node.spm.vm_by_name("primary").vm_id
         assert primary_id not in wd._monitored
         assert node.spm.vm_by_name(VICTIM_VM).vm_id in wd._monitored
-
-    def test_bad_periods_rejected(self):
-        node = build_faults_node(scheduler="kitten", seed=21)
-        with pytest.raises(ConfigurationError):
-            Watchdog(node.spm, check_period_ps=0)
 
 
 class TestAbortPath:
@@ -56,9 +51,7 @@ class TestAbortPath:
 
 class TestStallPath:
     def test_stalled_vcpu_detected_within_deadline_plus_period(self):
-        node, wd = _node_with_watchdog(
-            check_period_ps=ms(50), deadline_ps=ms(200)
-        )
+        node, wd = _node_with_watchdog()
         victim = node.kernels[VICTIM_VM]
         # Keep the guest busy so the stalled VCPU is RUNNING, not parked.
         from repro.kernels.phases import ComputePhase
@@ -71,16 +64,14 @@ class TestStallPath:
         node.engine.run_until(node.engine.now + ms(20))
         t_stall = node.engine.now
         victim.stall_cpu(0, seconds(2))
-        node.engine.run_until(t_stall + ms(600))
+        node.engine.run_until(t_stall + DEADLINE_PS + 3 * CHECK_PERIOD_PS)
         stalls = [f for f in wd.failures if f.kind == "stall"]
         assert len(stalls) == 1
         latency = stalls[0].detected_at_ps - t_stall
-        assert ms(200) <= latency <= ms(200) + 2 * ms(50)
+        assert DEADLINE_PS <= latency <= DEADLINE_PS + 2 * CHECK_PERIOD_PS
 
     def test_idle_vm_never_declared(self):
-        node, wd = _node_with_watchdog(
-            check_period_ps=ms(50), deadline_ps=ms(100)
-        )
+        node, wd = _node_with_watchdog()
         # No workload: every guest VCPU parks in WFI. Parked VCPUs
         # auto-beat, so a long quiet period declares nothing.
         node.engine.run_until(node.engine.now + seconds(1))
@@ -119,15 +110,15 @@ class TestLifecycle:
 class TestPeriodicCheck:
     def test_first_check_one_period_after_start_then_drift_free(self):
         node = build_faults_node(scheduler="kitten", seed=21)
-        wd = Watchdog(node.spm, check_period_ps=ms(50))
+        wd = Watchdog(node.spm)
         t0 = node.engine.now
         wd.start()
         wd.start()  # idempotent
-        node.engine.run_until(t0 + ms(50) - 1)
+        node.engine.run_until(t0 + CHECK_PERIOD_PS - 1)
         assert wd.checks == 0
-        node.engine.run_until(t0 + ms(50))
+        node.engine.run_until(t0 + CHECK_PERIOD_PS)
         assert wd.checks == 1
-        node.engine.run_until(t0 + ms(500))
+        node.engine.run_until(t0 + 10 * CHECK_PERIOD_PS)
         assert wd.checks == 10
 
     def _declare_hook(self, wd, action):
@@ -141,16 +132,16 @@ class TestPeriodicCheck:
         wd._declare = declare
 
     def test_stop_from_inside_the_check(self):
-        node, wd = _node_with_watchdog(check_period_ps=ms(50))
+        node, wd = _node_with_watchdog()
         self._declare_hook(wd, wd.stop)
         node.spm.vm_by_name(VICTIM_VM).aborted = True  # bypasses vm_aborted
-        node.engine.run_until(node.engine.now + ms(60))
+        node.engine.run_until(node.engine.now + CHECK_PERIOD_PS + ms(10))
         assert wd.checks == 1 and len(wd.failures) == 1
-        node.engine.run_until(node.engine.now + ms(500))
+        node.engine.run_until(node.engine.now + 10 * CHECK_PERIOD_PS)
         assert wd.checks == 1
 
     def test_restart_from_inside_the_check_does_not_double_fire(self):
-        node, wd = _node_with_watchdog(check_period_ps=ms(50))
+        node, wd = _node_with_watchdog()
         t0 = node.engine.now
 
         def restart():
@@ -159,16 +150,14 @@ class TestPeriodicCheck:
 
         self._declare_hook(wd, restart)
         node.spm.vm_by_name(VICTIM_VM).aborted = True
-        node.engine.run_until(t0 + ms(500))
+        node.engine.run_until(t0 + 10 * CHECK_PERIOD_PS)
         assert len(wd.failures) == 1
         assert wd.checks == 10
 
 
 class TestInjectorDetectionChain:
     def test_vcpu_stall_scenario_detected(self):
-        node, wd = _node_with_watchdog(
-            check_period_ps=ms(50), deadline_ps=ms(200)
-        )
+        node, wd = _node_with_watchdog()
         from repro.kernels.phases import ComputePhase
         from repro.kernels.thread import Thread
 
@@ -176,10 +165,7 @@ class TestInjectorDetectionChain:
             yield ComputePhase(3e9)
 
         node.kernels[VICTIM_VM].spawn(Thread("spin", spin(), cpu=0, aspace="wd"))
-        plan = FaultPlan.scenario(
-            "vcpu-stall", VICTIM_VM, node.engine.now + ms(30),
-            duration_ps=seconds(2),
-        )
+        plan = FaultPlan.scenario("vcpu-stall", VICTIM_VM, node.engine.now + ms(30))
         FaultInjector(node, plan).arm()
         node.engine.run_until(node.engine.now + ms(800))
         assert any(f.kind == "stall" for f in wd.failures)

@@ -1,17 +1,19 @@
-"""Mailbox BUSY flow control under contention + the retry/backoff helper."""
+"""Mailbox BUSY flow control under contention + the retry/backoff helper
+that applies the same discipline to cluster fabric ports."""
 
-import pytest
+from types import SimpleNamespace
 
-from repro.common.errors import ConfigurationError
-from repro.common.units import ms, seconds
-from repro.core.configs import CONFIG_HAFNIUM_KITTEN, build_node
-from repro.core.node import run_until_done
-from repro.hafnium.mailbox import (
+from repro.cluster.collectives import (
     RETRY_BASE_BACKOFF_PS,
     RETRY_MAX_ATTEMPTS,
-    Mailbox,
-    send_with_retry,
+    send_message,
 )
+from repro.cluster.fabric import DEFAULT_PORT_CAPACITY, NetworkFabric
+from repro.common.units import ms
+from repro.core.configs import CONFIG_HAFNIUM_KITTEN, build_node
+from repro.core.node import run_until_done
+from repro.hafnium.mailbox import Mailbox
+from repro.kernels.phases import ComputePhase
 from repro.kernels.thread import Hypercall, Sleep, Thread, WaitEvent
 from repro.sim.engine import Engine
 
@@ -52,68 +54,78 @@ class TestBusyAccounting:
 
 
 class TestRetryHelper:
-    def _drive(self, gen, responses):
-        """Run the send_with_retry generator against scripted hypercall
-        results; returns (yielded items, return value)."""
+    """The retry/backoff helper, ``cluster.collectives.send_message``,
+    against a fabric whose destination port already holds
+    ``DEFAULT_PORT_CAPACITY`` in-flight messages."""
+
+    def _saturated(self):
+        engine = Engine()
+        fabric = NetworkFabric(engine, 2)
+        inbox = []
+        fabric.attach(0, lambda msg: None)
+        fabric.attach(1, inbox.append)
+        for i in range(DEFAULT_PORT_CAPACITY):
+            assert fabric.send(0, 1, i, kind="fill", tag=i, size_bytes=1000)["ok"]
+        return engine, SimpleNamespace(fabric=fabric), inbox
+
+    def _drive(self, gen, on_sleep=lambda sleep: None):
+        """Run the fragment, answering every yield; returns (yielded
+        items, return value). ``on_sleep`` sees each backoff sleep."""
         items = []
-        result = None
         try:
             item = next(gen)
             while True:
                 items.append(item)
-                if isinstance(item, Hypercall):
-                    item = gen.send(responses.pop(0))
-                else:
-                    item = gen.send(None)
+                if isinstance(item, Sleep):
+                    on_sleep(item)
+                item = gen.send(None)
         except StopIteration as stop:
-            result = stop.value
-        return items, result
+            return items, stop.value
+
+    def _send(self, cluster, payload="m"):
+        return send_message(cluster, 0, 1, payload, kind="data", tag="t")
 
     def test_first_try_success(self):
-        items, result = self._drive(
-            send_with_retry(1, "m"), [{"ok": True, "busy": False}]
-        )
-        assert result == {"ok": True, "attempts": 1}
-        assert len(items) == 1
+        engine, cluster, inbox = self._saturated()
+        engine.run()  # drain the port
+        items, result = self._drive(self._send(cluster, "hello"))
+        assert result == {"ok": True, "attempts": 1, "error": None}
+        assert [type(i) for i in items] == [ComputePhase]
+        engine.run()
+        assert inbox[-1].payload == "hello" and inbox[-1].tag == "t"
 
     def test_exponential_backoff_doubles(self):
-        responses = [{"ok": False, "busy": True}] * 3 + [{"ok": True, "busy": False}]
-        items, result = self._drive(send_with_retry(1, "m"), responses)
-        sleeps = [i.duration_ps for i in items if isinstance(i, Sleep)]
+        engine, cluster, _ = self._saturated()
+        sleeps = []
+
+        def on_sleep(sleep):
+            sleeps.append(sleep.duration_ps)
+            if len(sleeps) == 3:
+                engine.run()  # the port drains during the third backoff
+
+        items, result = self._drive(self._send(cluster), on_sleep)
         assert sleeps == [
-            RETRY_BASE_BACKOFF_PS,
-            RETRY_BASE_BACKOFF_PS * 2,
-            RETRY_BASE_BACKOFF_PS * 4,
+            RETRY_BASE_BACKOFF_PS << attempt for attempt in range(3)
         ]
-        assert result == {"ok": True, "attempts": 4}
+        assert result == {"ok": True, "attempts": 4, "error": None}
+        assert cluster.fabric.stats()["busy_rejections"] == 3
 
     def test_exhaustion_reports_busy(self):
-        responses = [{"ok": False, "busy": True}] * RETRY_MAX_ATTEMPTS
-        items, result = self._drive(send_with_retry(1, "m"), responses)
-        assert result["ok"] is False
-        assert result["attempts"] == RETRY_MAX_ATTEMPTS
-        assert result["error"] == "busy"
-        # No sleep after the final attempt.
+        _, cluster, _ = self._saturated()
+        items, result = self._drive(self._send(cluster))
+        assert result == {
+            "ok": False, "attempts": RETRY_MAX_ATTEMPTS, "error": "port-busy",
+        }
+        # One software cost per attempt; no sleep after the final attempt.
+        assert sum(isinstance(i, ComputePhase) for i in items) == RETRY_MAX_ATTEMPTS
         assert sum(isinstance(i, Sleep) for i in items) == RETRY_MAX_ATTEMPTS - 1
 
     def test_non_busy_failure_stops_immediately(self):
-        responses = [{"ok": False, "busy": False, "error": "no such VM"}]
-        items, result = self._drive(send_with_retry(1, "m"), responses)
-        assert result["ok"] is False
-        assert result["attempts"] == 1
-        assert result["error"] == "no such VM"
-
-    def test_hypercall_carries_exact_kwargs(self):
-        gen = send_with_retry(7, {"x": 1}, size_bytes=128)
-        call = next(gen)
-        assert call.name == "mailbox_send"
-        assert call.args == {
-            "dest_vm_id": 7, "payload": {"x": 1}, "size_bytes": 128,
-        }
-
-    def test_zero_attempts_rejected(self):
-        with pytest.raises(ConfigurationError):
-            next(send_with_retry(1, "m", max_attempts=0))
+        _, cluster, _ = self._saturated()
+        cluster.fabric.fail_rank(1)
+        items, result = self._drive(self._send(cluster))
+        assert result == {"ok": False, "attempts": 1, "error": "peer-dead"}
+        assert not any(isinstance(i, Sleep) for i in items)
 
 
 class TestConcurrentSendersEndToEnd:
@@ -126,8 +138,16 @@ class TestConcurrentSendersEndToEnd:
         results = {}
 
         def sender(tag):
-            res = yield from send_with_retry(1, ("msg", tag))
-            results[tag] = res
+            attempts = 0
+            while True:
+                attempts += 1
+                res = yield Hypercall(
+                    "mailbox_send", dest_vm_id=1, payload=("msg", tag), size_bytes=64
+                )
+                if not res["busy"]:
+                    break
+                yield Sleep(ms(1))
+            results[tag] = {"ok": res["ok"], "attempts": attempts}
 
         threads = [
             Thread("send-a", sender("a"), cpu=0, aspace="fc"),

@@ -202,17 +202,6 @@ def test_stop_halts_run():
     assert eng.queue_length == 1
 
 
-def test_max_events_guard():
-    eng = Engine()
-
-    def loop():
-        eng.schedule(1, loop)
-
-    eng.schedule(1, loop)
-    with pytest.raises(SimulationError):
-        eng.run(max_events=100)
-
-
 def test_queue_length_and_peek():
     eng = Engine()
     assert eng.peek_time() is None

@@ -1,4 +1,4 @@
-"""Coroutine process semantics: timeouts, signals, join, interrupt, kill."""
+"""Coroutine process semantics: timeouts, signals, interrupts, crashes."""
 
 import pickle
 
@@ -51,47 +51,6 @@ def test_wait_signal_receives_payload():
     eng.schedule(25, sig.fire, "hello")
     eng.run()
     assert got == ["hello"]
-
-
-def test_join_another_process():
-    eng = Engine()
-    order = []
-
-    def child():
-        yield Timeout(100)
-        order.append("child-done")
-        return "result"
-
-    def parent(ch):
-        got = yield ch
-        order.append(("parent-saw", got, eng.now))
-
-    ch = Process(eng, child(), "child")
-    Process(eng, parent(ch), "parent")
-    eng.run()
-    assert order == ["child-done", ("parent-saw", "result", 100)]
-
-
-def test_join_already_dead_process():
-    eng = Engine()
-
-    def child():
-        return "x"
-        yield  # pragma: no cover
-
-    ch = Process(eng, child())
-    eng.run()
-    assert not ch.alive
-
-    got = []
-
-    def parent():
-        r = yield ch
-        got.append(r)
-
-    Process(eng, parent())
-    eng.run()
-    assert got == ["x"]
 
 
 def test_interrupt_timeout_wait():
@@ -203,42 +162,6 @@ def test_exception_in_process_propagates():
         eng.run()
 
 
-def test_kill_stops_process():
-    eng = Engine()
-    log = []
-
-    def body():
-        try:
-            yield Timeout(1000)
-            log.append("no")
-        finally:
-            log.append("cleanup")
-
-    p = Process(eng, body())
-    eng.schedule(10, p.kill)
-    eng.run()
-    assert log == ["cleanup"]
-    assert not p.alive
-
-
-def test_kill_wakes_joiners():
-    eng = Engine()
-    log = []
-
-    def child():
-        yield Timeout(1000)
-
-    def parent(ch):
-        r = yield ch
-        log.append((r, eng.now))
-
-    ch = Process(eng, child())
-    Process(eng, parent(ch))
-    eng.schedule(50, ch.kill)
-    eng.run()
-    assert log == [(None, 50)]
-
-
 def test_process_start_is_asynchronous():
     eng = Engine()
     log = []
@@ -264,24 +187,18 @@ def test_unsupported_yield_raises():
         eng.run()
 
 
-def test_repro_error_propagates_without_waking_joiners():
+def test_repro_error_propagates_and_marks_process_dead():
     # ReproError subclasses are fatal engine/model invariant failures:
-    # they must escape with their original type and must NOT resume
-    # joiners as if the crashed process had completed.
+    # they escape with their original type, and the process is dead with
+    # the error recorded on it.
     eng = Engine()
-    woken = []
 
     def crasher():
         yield Timeout(10)
         raise SimulationError("invariant broken")
 
-    def joiner(target):
-        woken.append((yield target))
-
     crash = Process(eng, crasher(), "crash")
-    Process(eng, joiner(crash), "join")
     with pytest.raises(SimulationError, match="invariant broken"):
         eng.run()
     assert not crash.alive
     assert isinstance(crash.exception, SimulationError)
-    assert woken == []

@@ -1,4 +1,4 @@
-"""Tracer recording, filtering, and category gating."""
+"""Tracer recording, filtering, counting and array queries."""
 
 import numpy as np
 
@@ -14,6 +14,9 @@ def test_emit_and_filter():
     assert [r.time for r in tr.filter("irq")] == [10, 20]
     assert [r.time for r in tr.filter("irq", subject="core0")] == [10]
     assert tr.filter("sched")[0]["next"] == "taskA"
+    assert tr.count("irq") == 2
+    assert tr.count("sched") == 1
+    assert tr.count("never") == 0
 
 
 def test_predicate_filter():
@@ -22,19 +25,6 @@ def test_predicate_filter():
         tr.emit(t, "x", "s", v=t)
     picked = tr.filter("x", predicate=lambda r: r["v"] % 2 == 0)
     assert len(picked) == 5
-
-
-def test_disabled_category_counted_not_stored():
-    tr = Tracer(enabled_categories={"keep"})
-    tr.emit(1, "keep", "s")
-    tr.emit(2, "drop", "s")
-    tr.emit(3, "drop", "s")
-    assert len(tr) == 1
-    assert tr.count("drop") == 2
-    assert tr.count("keep") == 1
-    assert tr.count("never") == 0
-    assert not tr.wants("drop")
-    assert tr.wants("keep")
 
 
 def test_times_and_column_arrays():
