@@ -391,6 +391,8 @@ def _add_jobs_flag(p) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.cluster.bsp import DEFAULT_STEP_COMPUTE_S, DEFAULT_SUPERSTEPS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the paper's figures and run extension experiments.",
@@ -505,9 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--configs", type=str, default="",
         help="comma-separated configs (default: all three)",
     )
-    p.add_argument("--supersteps", type=int, default=6)
+    p.add_argument("--supersteps", type=int, default=DEFAULT_SUPERSTEPS)
     p.add_argument(
-        "--step-ms", type=float, default=2.0,
+        "--step-ms", type=float, default=DEFAULT_STEP_COMPUTE_S * 1000.0,
         help="per-superstep compute phase per core (simulated ms)",
     )
     p.add_argument(

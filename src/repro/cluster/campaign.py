@@ -22,11 +22,12 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 from repro.common.errors import ConfigurationError, refuse_repeated
 from repro.common.units import ms, to_ms
 from repro.core.configs import ALL_CONFIGS, CONFIG_NATIVE
-from repro.cluster.bsp import BspClusterWorkload
+from repro.cluster.bsp import (
+    DEFAULT_STEP_COMPUTE_S,
+    DEFAULT_SUPERSTEPS,
+    BspClusterWorkload,
+)
 from repro.cluster.node import Cluster
-
-DEFAULT_SUPERSTEPS = 6
-DEFAULT_STEP_COMPUTE_S = 0.002
 
 
 def run_cluster(
@@ -138,6 +139,8 @@ def run_scaling(
     counts = sorted(set(int(n) for n in node_counts))
     if not counts:
         raise ConfigurationError("node_counts must be non-empty")
+    if supersteps < 1:
+        raise ConfigurationError(f"supersteps must be >= 1, got {supersteps}")
     sim_jobs = [
         SimJob.make(
             "cluster-run",

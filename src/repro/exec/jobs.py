@@ -164,13 +164,11 @@ def _randomized_faults(config, seed, count, trial=0):
 
 
 @handler("cluster-run")
-def _cluster_run(config, nodes, seed, trial=0, supersteps=6,
-                 step_compute_s=0.002, fail_rank=None, fail_at_ms=None):
-    """One (config, node-count, seed) cell of the cluster scaling sweep."""
+def _cluster_run(config, nodes, seed, **options):
+    """One (config, node-count, seed) cell of the cluster scaling sweep.
+
+    ``options`` are :func:`~repro.cluster.campaign.run_cluster`'s keywords;
+    its defaults apply to any the job leaves unset."""
     from repro.cluster.campaign import run_cluster
 
-    return run_cluster(
-        config, nodes, seed,
-        trial=trial, supersteps=supersteps, step_compute_s=step_compute_s,
-        fail_rank=fail_rank, fail_at_ms=fail_at_ms,
-    )
+    return run_cluster(config, nodes, seed, **options)

@@ -9,7 +9,7 @@ hypervisor.
 
 ``block_size`` selects the mapping granularity: 4 KiB by default (strict
 page-level ownership, the conservative reference behaviour), 2 MiB as the
-large-block option explored by the stage-2 ablation benchmark.
+large-block option of the stage-2 ablation (the ``a2-stage2`` claims).
 """
 
 from __future__ import annotations
@@ -74,8 +74,3 @@ def map_mmio_region(
         attrs=PageAttrs(read=True, write=True, execute=False, device=True, owner=vm_name),
         block_size=PAGE_4K,
     )
-
-
-def s2_walk_depth(block_size: int) -> int:
-    """Stage-2 walk levels for the chosen granularity."""
-    return 3 if block_size == PAGE_4K else 2

@@ -31,7 +31,7 @@ BLOCK_1G = 1024 * 1024 * 1024
 # Walk depth (descriptor fetches) by mapping granularity, for the 3-level
 # 39-bit VA regime: a 1 GiB block resolves at level 1 (1 fetch), a 2 MiB
 # block at level 2 (2 fetches), a 4 KiB page at level 3 (3 fetches).
-_WALK_DEPTH = {BLOCK_1G: 1, BLOCK_2M: 2, PAGE_4K: 3}
+WALK_DEPTH = {BLOCK_1G: 1, BLOCK_2M: 2, PAGE_4K: 3}
 VALID_BLOCK_SIZES = (PAGE_4K, BLOCK_2M, BLOCK_1G)
 
 VA_BITS = 39
@@ -202,7 +202,7 @@ class PageTable:
                 stage=self.stage,
                 reason="permission",
             )
-        return (out_base + (addr - block_va), _WALK_DEPTH[block_size], attrs, block_size)
+        return (out_base + (addr - block_va), WALK_DEPTH[block_size], attrs, block_size)
 
     def is_mapped(self, addr: int) -> bool:
         return self._lookup_block(addr) is not None
@@ -270,16 +270,7 @@ class TranslationRegime:
         if self.stage2 is None:
             return (ipa, depth1)
         pa, depth2, _, _ = self.stage2.translate(ipa, access)
-        return (pa, (depth1 + 1) * (depth2 + 1) - 1)
-
-    def walk_refs_estimate(self) -> int:
-        """Typical walk cost (descriptor fetches) for this regime, using the
-        dominant block size of each stage — the perf model's TLB-miss cost."""
-        n1 = _WALK_DEPTH[self.stage1.dominant_block_size()] if self.stage1 else 0
-        n2 = _WALK_DEPTH[self.stage2.dominant_block_size()] if self.stage2 else 0
-        if n1 and n2:
-            return (n1 + 1) * (n2 + 1) - 1
-        return n1 or n2
+        return (pa, walk_refs(depth1, depth2))
 
 
 def walk_refs(n1_levels: int, n2_levels: int) -> int:

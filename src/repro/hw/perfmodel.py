@@ -16,7 +16,8 @@ per-descriptor cost assuming hot walk caches — set so that the steady-state
 two-stage translation penalty of a TLB-thrashing workload lands in the
 few-percent band the paper measures (its RandomAccess column), rather than
 the order-of-magnitude penalty raw DRAM-latency walks would predict. The
-``benchmarks/test_ablation_stage2.py`` sweep explores the sensitivity.
+``a2-stage2`` rows of ``PAPER_CLAIMS`` (4 KiB vs 2 MiB stage-2 blocks)
+gate the sensitivity.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import cycles_to_ps
+from repro.hw import mmu
 from repro.hw.soc import SoCConfig
 
 
@@ -46,9 +48,7 @@ class TranslationInfo:
     @property
     def walk_refs(self) -> int:
         """Descriptor fetches per combined walk."""
-        if self.s1_depth and self.s2_depth:
-            return (self.s1_depth + 1) * (self.s2_depth + 1) - 1
-        return self.s1_depth or self.s2_depth
+        return mmu.walk_refs(self.s1_depth, self.s2_depth)
 
 
 NATIVE_TRANSLATION = TranslationInfo()

@@ -15,7 +15,7 @@ from repro.core.campaign import (
 @pytest.fixture(scope="module")
 def results():
     # Small but complete: 1 trial, short selfish window, no extensions
-    # (those have their own benchmarks).
+    # (test_paper_claims.py checks those at full length).
     return run_campaign(
         seed=25, trials=1, selfish_duration_s=0.3, include_extensions=False
     )

@@ -73,6 +73,9 @@ def test_extension_commands_identical_across_jobs(capsys, argv):
     )),
     ["memory", "--trials", "0"],
     ["selfish", "--duration", "-1"],
+    ["irq-routing", "--duration", "-1"],
+    ["irq-routing", "--duration", "0"],
+    ["cluster", "--supersteps", "0"],
 ], ids=" ".join)
 def test_refused_input_is_one_line_and_exit_2(capsys, argv):
     """A ConfigurationError from any command is a usage error: exit 2 and

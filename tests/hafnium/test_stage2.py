@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import MiB
-from repro.hafnium.stage2 import build_ram_stage2, map_mmio_region, s2_walk_depth
+from repro.hafnium.stage2 import build_ram_stage2, map_mmio_region
 from repro.hw.memory import MemoryRegion, PhysicalMemoryMap, RegionKind
 from repro.hw.mmu import (
     BLOCK_2M,
@@ -14,6 +14,7 @@ from repro.hw.mmu import (
     PageTable,
     TranslationFault,
     TranslationRegime,
+    WALK_DEPTH,
 )
 from repro.hw.soc import PINE_A64
 
@@ -75,8 +76,9 @@ def test_unaligned_partition_rejected():
 
 
 def test_s2_walk_depth():
-    assert s2_walk_depth(PAGE_4K) == 3
-    assert s2_walk_depth(BLOCK_2M) == 2
+    """The walk depths of the two block sizes build_ram_stage2 accepts."""
+    assert WALK_DEPTH[PAGE_4K] == 3
+    assert WALK_DEPTH[BLOCK_2M] == 2
 
 
 def test_mmio_only_in_owner():

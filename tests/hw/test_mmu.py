@@ -14,6 +14,7 @@ from repro.hw.mmu import (
     TranslationRegime,
     VA_LIMIT,
     VALID_BLOCK_SIZES,
+    WALK_DEPTH,
     walk_refs,
 )
 
@@ -385,12 +386,18 @@ class TestTranslationRegime:
             TranslationRegime(stage1=s2)
 
     def test_walk_refs_estimate(self):
+        """The typical walk cost, priced from each stage's dominant block
+        size, matches what a translation through the regime fetches."""
         s1 = PageTable("s1", stage=1)
         s1.map(0, 0, BLOCK_2M, block_size=BLOCK_2M)
         s2 = PageTable("s2", stage=2)
         s2.map(0, 0, BLOCK_2M)
         r = TranslationRegime(stage1=s1, stage2=s2)
-        assert r.walk_refs_estimate() == (2 + 1) * (3 + 1) - 1
+        estimate = walk_refs(
+            WALK_DEPTH[s1.dominant_block_size()], WALK_DEPTH[s2.dominant_block_size()]
+        )
+        assert estimate == (2 + 1) * (3 + 1) - 1
+        assert r.translate(0x1234)[1] == estimate
 
 
 @given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4))
@@ -402,3 +409,5 @@ def test_walk_refs_formula(n1, n2):
         assert refs > n1 + n2  # strictly worse than the sum
     else:
         assert refs == n1 or refs == n2 or refs == 0
+    # Through the depth map: a 2 MiB stage-1 block under 4 KiB stage-2 pages.
+    assert walk_refs(WALK_DEPTH[BLOCK_2M], WALK_DEPTH[PAGE_4K]) == (2 + 1) * (3 + 1) - 1
