@@ -17,23 +17,9 @@ produces bit-identical traces):
   ``REPRO_SANITIZE=1``.
 * :mod:`repro.analysis.golden` — the golden corpus: short simulation
   cells whose result digests are committed in ``GOLDEN.json`` and
-  checked across commits (``python -m repro check-golden``). Not
-  imported here, so ``repro lint`` never loads the model stack.
+  checked across commits (``python -m repro check-golden``).
+
+Nothing is imported here: every caller names the submodule it needs, so
+building a node (which loads ``invariants``) never compiles the linter,
+and ``repro lint`` never loads the model stack.
 """
-
-from repro.analysis.determinism import trace_digest
-from repro.analysis.invariants import InvariantChecker
-from repro.analysis.rules import Diagnostic, Rule, all_rules
-from repro.analysis.simlint import lint_paths, lint_source
-from repro.analysis.validators import validate_node
-
-__all__ = [
-    "Diagnostic",
-    "InvariantChecker",
-    "Rule",
-    "all_rules",
-    "lint_paths",
-    "lint_source",
-    "trace_digest",
-    "validate_node",
-]

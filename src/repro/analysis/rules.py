@@ -41,8 +41,8 @@ class LintContext:
 
     def __init__(self, path: str, source: str, tree) -> None:
         self.path = path
-        # Normalised for rule exemptions (e.g. common/rng.py may call
-        # np.random.default_rng — it *is* the managed entry point).
+        # Normalised for rule exemptions (e.g. sim/engine.py may write
+        # Engine.now — it *is* the clock).
         self.norm_path = path.replace("\\", "/")
         self.source = source
         self.lines = source.splitlines()

@@ -6,9 +6,8 @@ Rules (see README "Static analysis" for the full contract):
 ========================  ===================================================
 rule                      flags
 ========================  ===================================================
-``rng-hub``               ``np.random.*`` / ``random`` module use outside
-                          ``common/rng.py`` (draws must come from ``RngHub``
-                          named streams)
+``rng-hub``               ``np.random.*`` / ``random`` module use anywhere
+                          (draws must come from ``RngHub`` named streams)
 ``wall-clock``            ``time.time()``, ``datetime.now()``, ... inside the
                           simulation (breaks bit-identical replay)
 ``no-bare-assert``        ``assert`` used for model invariants (stripped
@@ -78,11 +77,7 @@ class RngHubRule(Rule):
         "(repro.common.rng); ad-hoc generators break draw independence"
     )
 
-    _EXEMPT_SUFFIX = "common/rng.py"
-
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        if ctx.norm_path.endswith(self._EXEMPT_SUFFIX):
-            return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:

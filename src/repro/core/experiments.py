@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.errors import ConfigurationError
-from repro.common.units import ms
+from repro.common.units import PS_PER_S, ms
 from repro.core.configs import ALL_CONFIGS, CONFIG_NATIVE, PAPER_LABELS, build_node
 from repro.core.metrics import Aggregate, TrialResult, aggregate, normalize_to
 from repro.workloads.base import Workload, WorkloadRun
@@ -273,9 +273,15 @@ def run_irq_latency(
 ) -> Dict[str, float]:
     """Device-IRQ delivery latency into the super-secondary VM, under the
     interim ("forwarded": all IRQs to the primary, software-forwarded) or
-    future ("direct": SPM claims device IRQs at EL2) routing design."""
-    if not duration_s > 0:
-        raise ConfigurationError(f"duration_s must be positive, got {duration_s}")
+    future ("direct": SPM claims device IRQs at EL2) routing design.
+
+    The window must hold at least one device period: a shorter one has no
+    interrupt to time."""
+    if not duration_s * PS_PER_S >= IRQ_LATENCY_PERIOD_PS:
+        raise ConfigurationError(
+            f"duration_s must be at least the device period "
+            f"{IRQ_LATENCY_PERIOD_PS / PS_PER_S:g} s, got {duration_s}"
+        )
     from repro.common.units import seconds
     from repro.core.configs import build_hafnium_node
     from repro.hw.devices import PeriodicDevice

@@ -21,6 +21,7 @@ finished; the broken executor is dropped from the cache, so the next
 
 from __future__ import annotations
 
+import atexit
 import os
 from collections import Counter
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
@@ -58,7 +59,10 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 #: One executor per worker count, forked on first use and kept for the
 #: life of the process: a campaign issues many dispatches back to back,
-#: and each would otherwise pay fork + model imports again.
+#: and each would otherwise pay fork + model imports again. Caching one
+#: registers ``shutdown_executors`` at exit: an executor left for module
+#: teardown to collect prints ``Exception ignored`` from its manager
+#: thread's weakref callback once ``multiprocessing`` is torn down.
 _EXECUTORS: Dict[int, ProcessPoolExecutor] = {}
 
 
@@ -90,6 +94,9 @@ def _run_in_pool(workers: int, jobs_list: List[SimJob]) -> List[Any]:
 
     executor = _EXECUTORS.get(workers)
     if executor is None:
+        if not _EXECUTORS:
+            atexit.unregister(shutdown_executors)  # at most one registration
+            atexit.register(shutdown_executors)
         executor = _EXECUTORS[workers] = ProcessPoolExecutor(max_workers=workers)
     futures: List[Future] = []
     results: List[Any] = []

@@ -15,10 +15,9 @@ identical noise timeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Generator, List, Optional
-
-import numpy as np
 
 from repro.common.units import ms, us, PS_PER_US
 from repro.kernels.base import KernelBase
@@ -75,14 +74,11 @@ def noise_body(kernel: KernelBase, spec: NoiseSpec, stream_name: str) -> Generat
         if spec.periodic:
             interval_us = spec.interval_mean_us
         else:
-            interval_us = float(rng.exponential(spec.interval_mean_us))
+            interval_us = rng.exponential(spec.interval_mean_us)
         yield Sleep(max(1, round(interval_us * PS_PER_US)))
-        burst_us = float(
-            np.clip(
-                rng.lognormal(np.log(spec.burst_median_us), spec.burst_sigma),
-                1.0,
-                spec.max_burst_us,
-            )
+        burst_us = min(
+            max(rng.lognormal(math.log(spec.burst_median_us), spec.burst_sigma), 1.0),
+            spec.max_burst_us,
         )
         yield Pollute(spec.pollution)
         yield ComputePhase(max(1.0, burst_us * PS_PER_US * ops_per_ps))

@@ -98,6 +98,27 @@ def test_in_process_run_never_loads_the_process_pool():
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert out.stdout.strip() == "False"
 
+def test_pooled_run_shuts_its_executor_down_at_exit():
+    """A jobs=2 run leaves no executor for interpreter teardown to collect
+    (teardown prints ``Exception ignored`` from its manager thread).
+
+    The hook registered first runs last, so it sees the cache after every
+    handler the run registered."""
+    code = (
+        "import atexit; from repro.exec import ParallelRunner, SimJob, runner; "
+        "atexit.register(lambda: print('cached at exit:', len(runner._EXECUTORS))); "
+        "ParallelRunner(2).run([SimJob.make("
+        "'irq-latency', routing=r, seed=1, duration_s=0.005) "
+        "for r in ('forwarded', 'direct')])"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "cached at exit: 0"
+    assert "Exception ignored" not in out.stderr
+
+
 def test_every_campaign_driver_defaults_to_one_job():
     from repro.analysis.golden import check_golden
     from repro.cluster.campaign import run_scaling

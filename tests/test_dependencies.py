@@ -1,4 +1,5 @@
-"""The package's only third-party runtime dependency is NumPy."""
+"""The package's only third-party runtime dependency is NumPy, and a
+simulation run loads neither ``numpy.random`` nor the linter."""
 
 import os
 import subprocess
@@ -33,5 +34,29 @@ print("\\n".join(map(str, failed)))
 def test_every_module_imports_without_scipy():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     out = subprocess.run([sys.executable, "-c", _IMPORT_ALL], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (out.returncode, out.stdout.strip()) == (0, ""), out.stderr
+
+
+# One cell per config, then the modules a run must not have loaded.
+_RUN_CELLS = """
+import sys
+from repro.exec import SimJob, execute_job
+
+for config in ("native", "hafnium-kitten", "hafnium-linux"):
+    execute_job(SimJob.make("quickstart", config=config, seed=1))
+execute_job(SimJob.make("fault-scenario", config="hafnium-kitten",
+                        scenario="mem-bit-flip", seed=1))
+print(" ".join(sorted(
+    name for name in sys.modules
+    if name.startswith("numpy.random")
+    or name in ("repro.analysis.simlint", "repro.analysis.rules")
+)))
+"""
+
+
+def test_a_run_loads_neither_numpy_random_nor_the_linter():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    out = subprocess.run([sys.executable, "-c", _RUN_CELLS], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=src))
     assert (out.returncode, out.stdout.strip()) == (0, ""), out.stderr
