@@ -275,8 +275,9 @@ def run_irq_latency(
     interim ("forwarded": all IRQs to the primary, software-forwarded) or
     future ("direct": SPM claims device IRQs at EL2) routing design.
 
-    The window must hold at least one device period: a shorter one has no
-    interrupt to time."""
+    The window must hold at least one device period, and the handling of
+    the first interrupt: a window with no interrupt to time is refused
+    with ``ConfigurationError``."""
     if not duration_s * PS_PER_S >= IRQ_LATENCY_PERIOD_PS:
         raise ConfigurationError(
             f"duration_s must be at least the device period "
@@ -305,8 +306,12 @@ def run_irq_latency(
     fires = np.array(device.fire_times, dtype=np.int64)
     n = min(len(fires), len(handled))
     if n == 0:
-        return {"n": 0.0, "mean_us": float("nan"), "max_us": float("nan"),
-                "delivered_fraction": 0.0}
+        # A window of about one period ends before the first interrupt's
+        # handler runs: there is no latency to report.
+        raise ConfigurationError(
+            f"duration_s={duration_s} timed no interrupt: the first device "
+            f"IRQ is handled after the window ends; use a longer duration"
+        )
     lat_us = (handled[:n] - fires[:n]) / 1e6
     return {
         "n": float(n),

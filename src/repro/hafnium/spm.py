@@ -24,7 +24,7 @@ Responsibilities, mirroring the architecture the paper describes:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, HypercallError, SimulationError
 from repro.kernels.exits import (
@@ -113,6 +113,12 @@ class Spm:
         self._switch: Dict[int, Tuple[Timeout, Timeout]] = {}
         #: vm_id -> the VM's one translation regime, built with its stage 2
         self._regime: Dict[int, TranslationRegime] = {}
+        #: hypercall name -> bound ``_hyp_<name>`` handler
+        self._hypercalls: Dict[str, Callable[..., Generator]] = {
+            attr[len("_hyp_"):]: getattr(self, attr)
+            for attr in dir(self)
+            if attr.startswith("_hyp_")
+        }
         self._build_partitions()
 
     # ------------------------------------------------------------------
@@ -289,7 +295,7 @@ class Spm:
         yield self._hypercall_cost
         if slot.core is not None:
             slot.core.env.pollute("hypercall")
-        handler = getattr(self, f"_hyp_{name}", None)
+        handler = self._hypercalls.get(name)
         if handler is None:
             raise HypercallError(f"unknown hypercall {name!r}")
         result = yield from handler(vm, slot, thread, **args)

@@ -82,6 +82,8 @@ class Core:
         self.loop_process: Optional[Process] = None
         self.irq_doorbell = False
         self.idle_time_ps = 0
+        # Immutable, so one payload serves every preemption of this core.
+        self._preemption = IrqPreemption(core_id)
         cpu_iface.irq_entry = self._on_deliverable_irq
 
     # -- loop attachment -----------------------------------------------------
@@ -96,7 +98,7 @@ class Core:
     def _on_deliverable_irq(self) -> None:
         """GIC signals a deliverable interrupt for this core."""
         proc = self.loop_process
-        if proc is not None and proc.alive and proc.interrupt(IrqPreemption(self.core_id)):
+        if proc is not None and proc.interrupt(self._preemption):
             return
         # Loop is mid-callback (conceptually: IRQs masked); latch for poll.
         self.irq_doorbell = True
@@ -106,9 +108,6 @@ class Core:
         was = self.irq_doorbell
         self.irq_doorbell = False
         return was
-
-    def irq_pending(self) -> bool:
-        return self.irq_doorbell or self.cpu_iface.has_deliverable()
 
     # -- architectural context -----------------------------------------------
 

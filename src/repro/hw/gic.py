@@ -62,6 +62,8 @@ class Gic:
         self.trigger: Dict[int, IrqTrigger] = {}
         self.priority: Dict[int, int] = {}
         self.spi_target: Dict[int, int] = {}  # SPI -> core
+        #: SPI -> line level. Private (SGI/PPI) lines are banked per core:
+        #: their level lives in each CPU interface's ``asserted`` set.
         self.level_state: Dict[int, bool] = {}
         self.cpu_ifaces: List[GicCpuInterface] = [
             GicCpuInterface(self, c) for c in range(num_cores)
@@ -104,9 +106,9 @@ class Gic:
             self.configure(irq)
         self.enabled.add(irq)
         self._invalidate_all()
-        # A line already asserted becomes deliverable on enable.
+        # An asserted SPI line becomes deliverable on enable.
         if self.level_state.get(irq):
-            self._repropagate(irq)
+            self.cpu_ifaces[self.spi_target.get(irq, 0)].set_pending(irq)
 
     def disable(self, irq: int) -> None:
         self.enabled.discard(irq)
@@ -127,39 +129,44 @@ class Gic:
 
     # -- source side ---------------------------------------------------------
 
-    def _targets(self, irq: int, core_hint: Optional[int]) -> List[int]:
-        kind = self.classify(irq)
-        if kind == "spi":
-            return [self.spi_target.get(irq, 0)]
-        if core_hint is None:
-            raise SimulationError(f"{kind} {irq} needs an explicit core")
-        return [core_hint]
+    def _iface(self, irq: int, core_hint: Optional[int]) -> "GicCpuInterface":
+        """The CPU interface an assertion of `irq` reaches: the SPI's
+        routing target, or the named core for a banked (SGI/PPI) line."""
+        if SGI_BASE <= irq < SPI_BASE:
+            if core_hint is None:
+                raise SimulationError(
+                    f"{self.classify(irq)} {irq} needs an explicit core"
+                )
+            return self.cpu_ifaces[core_hint]
+        self.classify(irq)  # range check
+        return self.cpu_ifaces[self.spi_target.get(irq, 0)]
 
     def assert_level(self, irq: int, core: Optional[int] = None) -> None:
         """Assert a level-triggered line (stays pending until deassert)."""
-        self.level_state[irq] = True
-        for c in self._targets(irq, core):
-            self.cpu_ifaces[c].set_pending(irq)
+        iface = self._iface(irq, core)
+        if irq < SPI_BASE:
+            iface.raise_line(irq)
+        else:
+            self.level_state[irq] = True
+            iface.set_pending(irq)
 
     def deassert_level(self, irq: int, core: Optional[int] = None) -> None:
-        self.level_state[irq] = False
-        for c in self._targets(irq, core):
-            self.cpu_ifaces[c].clear_pending(irq)
+        iface = self._iface(irq, core)
+        if irq < SPI_BASE:
+            iface.lower_line(irq)
+        else:
+            self.level_state[irq] = False
+            iface.clear_pending(irq)
 
     def pulse(self, irq: int, core: Optional[int] = None) -> None:
         """Edge-triggered assertion: latches pending once."""
-        for c in self._targets(irq, core):
-            self.cpu_ifaces[c].set_pending(irq)
+        self._iface(irq, core).set_pending(irq)
 
     def send_sgi(self, irq: int, target_core: int) -> None:
         """Software-generated (inter-processor) interrupt."""
         if self.classify(irq) != "sgi":
             raise ConfigurationError(f"IRQ {irq} is not an SGI")
         self.cpu_ifaces[target_core].set_pending(irq)
-
-    def _repropagate(self, irq: int) -> None:
-        if self.classify(irq) == "spi":
-            self.cpu_ifaces[self.spi_target.get(irq, 0)].set_pending(irq)
 
     # -- fault injection -------------------------------------------------------
 
@@ -169,16 +176,16 @@ class Gic:
         cleared too, so the line will not re-pend on its own: the device
         thinks it delivered, the CPU never sees it. Returns True if a
         pending instance was actually discarded."""
-        self.level_state[irq] = False
-        dropped = False
-        for c in self._targets(irq, core):
-            iface = self.cpu_ifaces[c]
-            if irq in iface.pending:
-                iface.clear_pending(irq)
-                dropped = True
-        if dropped:
-            self.dropped[irq] = self.dropped.get(irq, 0) + 1
-        return dropped
+        iface = self._iface(irq, core)
+        if irq < SPI_BASE:
+            iface.asserted.discard(irq)
+        else:
+            self.level_state[irq] = False
+        if irq not in iface.pending:
+            return False
+        iface.clear_pending(irq)
+        self.dropped[irq] = self.dropped.get(irq, 0) + 1
+        return True
 
     def arm_drop_next(
         self, irq: int, core: Optional[int] = None, count: int = 1
@@ -189,9 +196,8 @@ class Gic:
         catch in flight."""
         if count < 1:
             raise ConfigurationError("arm_drop_next needs count >= 1")
-        for c in self._targets(irq, core):
-            key = (c, irq)
-            self._drop_next[key] = self._drop_next.get(key, 0) + count
+        key = (self._iface(irq, core).core_id, irq)
+        self._drop_next[key] = self._drop_next.get(key, 0) + count
 
     def _consume_armed_drop(self, core: int, irq: int) -> bool:
         key = (core, irq)
@@ -224,6 +230,8 @@ class GicCpuInterface:
         self.core_id = core_id
         self.pending: Set[int] = set()
         self.active: Set[int] = set()
+        #: this core's banked (SGI/PPI) level lines currently held high
+        self.asserted: Set[int] = set()
         # Installed by the Core model: called when a deliverable IRQ appears.
         self.irq_entry: Optional[Callable[[], None]] = None
         self.masked = True  # cores boot with IRQs masked
@@ -232,17 +240,30 @@ class GicCpuInterface:
     # -- signal path ---------------------------------------------------------
 
     def set_pending(self, irq: int) -> None:
-        if self.gic._consume_armed_drop(self.core_id, irq):
+        gic = self.gic
+        if gic._drop_next and gic._consume_armed_drop(self.core_id, irq):
             return  # injected fault: this assertion is silently lost
         if irq in self.active:
-            return  # already being handled; level stays noted via gic state
+            return  # already being handled; a held level line re-pends at EOI
         self.pending.add(irq)
         self._best = _STALE
         self._maybe_signal()
 
     def clear_pending(self, irq: int) -> None:
-        self.pending.discard(irq)
-        self._best = _STALE
+        if irq in self.pending:
+            self.pending.discard(irq)
+            self._best = _STALE
+
+    def raise_line(self, irq: int) -> None:
+        """Assert this core's banked level line `irq` (a timer PPI): held
+        high, it goes pending again at every EOI until lowered."""
+        self.asserted.add(irq)
+        self.set_pending(irq)
+
+    def lower_line(self, irq: int) -> None:
+        """Deassert this core's banked level line `irq`."""
+        self.asserted.discard(irq)
+        self.clear_pending(irq)
 
     def peek(self) -> Optional[int]:
         """Highest-priority deliverable IRQ without acknowledging it (the
@@ -259,9 +280,6 @@ class GicCpuInterface:
             return
         if self.peek() is not None:
             self.irq_entry()
-
-    def has_deliverable(self) -> bool:
-        return self.peek() is not None
 
     # -- software interface ----------------------------------------------------
 
@@ -283,11 +301,12 @@ class GicCpuInterface:
         return irq
 
     def eoi(self, irq: int) -> None:
-        """Write EOIR. A still-asserted level line goes pending again."""
+        """Write EOIR. A still-asserted level line goes pending again: this
+        core's own line for a banked IRQ, the shared line for an SPI."""
         if irq not in self.active:
             raise SimulationError(f"EOI for inactive IRQ {irq} on core {self.core_id}")
         self.active.discard(irq)
-        if self.gic.level_state.get(irq):
+        if (irq in self.asserted) if irq < SPI_BASE else self.gic.level_state.get(irq):
             self.pending.add(irq)
             self._best = _STALE
             self._maybe_signal()

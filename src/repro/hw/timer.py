@@ -32,10 +32,11 @@ class TimerChannel:
         if kind not in CHANNEL_PPIS:
             raise ConfigurationError(f"unknown timer channel {kind!r}")
         self.engine = engine
-        self.gic = gic
         self.core_id = core_id
         self.kind = kind
         self.ppi = CHANNEL_PPIS[kind]
+        #: the core's CPU interface: the channel drives its banked PPI line
+        self._iface = gic.cpu_ifaces[core_id]
         self._event: Optional[Event] = None
         self.fire_count = 0
         self.deadline: Optional[int] = None
@@ -56,13 +57,13 @@ class TimerChannel:
             self._event.cancel()
             self._event = None
         self.deadline = None
-        self.gic.deassert_level(self.ppi, core=self.core_id)
+        self._iface.lower_line(self.ppi)
 
     def _fire(self) -> None:
         self._event = None
         self.deadline = None
         self.fire_count += 1
-        self.gic.assert_level(self.ppi, core=self.core_id)
+        self._iface.raise_line(self.ppi)
 
     @property
     def armed(self) -> bool:

@@ -27,6 +27,24 @@ exit and be recreated at the next ``vcpu_run`` with perfect continuity.
 Subclasses (Kitten, Linux) provide the scheduler: ``enqueue``,
 ``dequeue_next``, ``on_tick``, ``should_preempt_on_wake``, ``quantum_ps``,
 plus their tick rate and handler-cost class.
+
+Per-event budget. The tick and VM-exit round trip runs a handful of
+engine events per core every 4 ms of simulated time, and each event
+resumes this module's generators. Code on that path follows two rules:
+
+* no per-event allocation, beyond the engine's ``Event`` and the
+  exceptions that carry an interrupt or a VM exit — fixed costs are ready
+  ``Timeout`` waits priced at build, the idle and phase-slice waits are
+  per-slot descriptors and the barrier wait is the barrier's own, a
+  thread's ``PricingContext`` is reused while its key holds, and the
+  process resumes through one bound method;
+* a sub-generator is built only when it has work — the IRQ-pending test
+  (``core.irq_doorbell or iface.peek() is not None``) is inlined before
+  entering ``_irq_path``, and ``_deliver_virqs`` is entered only with a
+  deliverable vIRQ.
+
+Both keep the simulation exact: the same events, in the same order, with
+the same RNG draws.
 """
 
 from __future__ import annotations
@@ -98,6 +116,12 @@ class CpuSlot:
         self.need_resched = False
         self.runqueue: List[Thread] = []        # scheduler-managed
         self.wake_signal = Signal(kernel.machine.engine, f"{kernel.name}.cpu{index}.wake")
+        #: the idle wait on ``wake_signal``, built once: every idle pass
+        #: yields this same descriptor
+        self.idle_wait = WaitSignal(self.wake_signal)
+        #: the phase-slice wait, re-armed in place: ``Process`` reads its
+        #: delay the instant it is yielded, so one descriptor serves them all
+        self.slice_wait = Timeout(0)
         self.tick_armed = False
         self.ticks = 0
         self.idle_ps = 0
@@ -153,6 +177,9 @@ class KernelBase:
         self._tick_ppi = PPI_VIRT_TIMER if self.is_guest else PPI_PHYS_TIMER
         self._jitter_stream = machine.rng.stream(f"jitter.{name}")
         self._jitter_sigma = jitter_sigma
+        #: bound once: a thread's reused PricingContext holds this object,
+        #: and its identity keys the context to this kernel
+        self._jitter = self._jitter_factor
         # Every fixed kernel-path cost (these paths run IRQ-masked), priced
         # once as a ready wait. CostParams may zero the first four (see
         # _priced); the handler constants below them are never zero.
@@ -310,46 +337,55 @@ class KernelBase:
             slot.core = core
             proc = Process(
                 self.machine.engine,
-                self._loop_forever(slot),
+                self._schedule_loop(slot),
                 name=f"{self.name}.cpu{slot.index}",
             )
             core.attach_loop(proc)
-
-    def _loop_forever(self, slot: CpuSlot) -> Generator:
-        self._arm_tick(slot)
-        while not self.shutdown:
-            yield from self._schedule_loop(slot)
 
     # ------------------------------------------------------------------
     # The unified scheduling loop
     # ------------------------------------------------------------------
 
     def _schedule_loop(self, slot: CpuSlot) -> Generator:
-        """One full scheduling pass; hosts loop it forever, the SPM drives
-        it for guests until a VmExit escapes."""
-        if self.is_guest and not slot.tick_armed:
+        """The scheduling loop: a host core's loop process runs it once,
+        until shutdown; the SPM drives it for guests until a VmExit
+        escapes, and enters it afresh at every ``vcpu_run``."""
+        if not self.is_guest:
+            # Entered once, at the loop process's first step.
+            self._arm_tick(slot)
+        elif not slot.tick_armed:
             # First entry of this VCPU: enable the virtual timer and start
             # the periodic tick on the para-virtual timer channel.
             if slot.vcpu is not None:
                 slot.vcpu.vgic.enable(PPI_VIRT_TIMER, priority=0x20)
             self._arm_tick(slot)
+        engine = self.machine.engine
+        # Fixed for the loop's lifetime: a host slot's core is set at boot,
+        # a guest's before each entry (the loop dies at every VM exit).
+        core = self._core(slot)
+        iface = core.cpu_iface
         while not self.shutdown:
             if self.panic_requested is not None:
                 yield from self._do_panic(slot)
                 return
-            if slot.stall_until_ps > self.machine.engine.now:
+            if slot.stall_until_ps > engine.now:
                 yield from self._stall(slot)
                 continue
             if self.is_guest:
-                if self.spm is not None and self.spm.watchdog is not None:
+                spm = self.spm
+                if spm is not None and spm.watchdog is not None:
                     # Reaching the dispatch boundary proves this VCPU makes
                     # forward progress — the heartbeat the SPM's watchdog
                     # deadline tracks. (Deliberately after the stall check:
                     # a wedged VCPU must stop beating, even though the
                     # primary keeps re-entering it on interrupt exits.)
-                    self.spm.watchdog.beat(self.vm_id, slot.index)
-                yield from self._deliver_virqs(slot)
-            yield from self._poll_irqs(slot)
+                    spm.watchdog.beat(self.vm_id, slot.index)
+                vcpu = slot.vcpu
+                if vcpu is not None and vcpu.vgic.next_deliverable() is not None:
+                    yield from self._deliver_virqs(slot)
+            if core.irq_doorbell or iface.peek() is not None:
+                core.irq_doorbell = False
+                yield from self._irq_path(slot)
             thread = slot.current
             if thread is None:
                 thread = self.dequeue_next(slot)
@@ -384,11 +420,14 @@ class KernelBase:
         thread = slot.current
         if thread is None:
             return
+        core = slot.core
+        iface = core.cpu_iface
         while thread.state is ThreadState.RUNNING and not slot.need_resched:
             if thread.crashed is not None:
                 break
-            if self._irq_pending(slot):
-                yield from self._poll_irqs(slot)
+            if core.irq_doorbell or iface.peek() is not None:
+                core.irq_doorbell = False
+                yield from self._irq_path(slot)
                 continue
             item = thread.current_item
             if item is None:
@@ -397,7 +436,13 @@ class KernelBase:
                     self._retire(slot, thread, "thread.exit")
                     return
                 thread.current_item = item
-            yield from self._process_item(slot, thread, item)
+            if isinstance(item, Phase):
+                # The common item, run without the _process_item frame.
+                yield from self._execute_phase(slot, thread, item)
+                if item.done:
+                    thread.current_item = None
+            else:
+                yield from self._process_item(slot, thread, item)
             if thread.state is not ThreadState.RUNNING:
                 # Blocked or dead: the item handler cleared what it had to.
                 if thread.state is ThreadState.BLOCKED:
@@ -420,10 +465,33 @@ class KernelBase:
     # ------------------------------------------------------------------
 
     def _process_item(self, slot: CpuSlot, thread: Thread, item: Any) -> Generator:
-        if isinstance(item, Phase):
-            yield from self._execute_phase(slot, thread, item)
-            if item.done:
-                thread.current_item = None
+        """Interpret a control item (phases run in ``_run_current``)."""
+        if isinstance(item, Hypercall):
+            # The primary's vcpu_run calls: first in the chain, and run
+            # inline, since every guest event resumes through this frame.
+            self.stats["hypercalls"] += 1
+            if self.spm is None:
+                raise SimulationError(
+                    f"{self.name}: hypercall {item.name!r} without a hypervisor"
+                )
+            try:
+                result = yield from self.spm.hypercall(
+                    self, slot, thread, item.name, item.args
+                )
+            except HypercallError as err:
+                self.machine.trace(
+                    "hypercall.denied",
+                    f"{self.name}.cpu{slot.index}",
+                    call=item.name,
+                    error=str(err),
+                )
+                if self.is_guest:
+                    # A guest overstepping its privileges is killed, the
+                    # same way a stage-2 violation would end it.
+                    raise VmExitAbort({"hypercall": item.name, "error": str(err)})
+                result = {"ok": False, "error": str(err)}
+            thread.pending_send = result
+            thread.current_item = None
         elif isinstance(item, Sleep):
             thread.current_item = None
             thread.state = ThreadState.BLOCKED
@@ -451,11 +519,6 @@ class KernelBase:
             yield from self._barrier_wait(slot, thread, item)
             if item.satisfied:
                 thread.current_item = None
-        elif isinstance(item, Hypercall):
-            self.stats["hypercalls"] += 1
-            result = yield from self._do_hypercall(slot, thread, item)
-            thread.pending_send = result
-            thread.current_item = None
         else:
             raise SimulationError(
                 f"{self.name}: thread {thread.name} yielded unknown item {item!r}"
@@ -494,61 +557,53 @@ class KernelBase:
             raise VmExitAbort({"thread": thread.name, "fault": trap})
         thread.pending_send = core.pmu.read(item.event)
 
-    def _do_hypercall(self, slot: CpuSlot, thread: Thread, call: Hypercall) -> Generator:
-        if self.spm is None:
-            raise SimulationError(
-                f"{self.name}: hypercall {call.name!r} without a hypervisor"
-            )
-        try:
-            result = yield from self.spm.hypercall(
-                self, slot, thread, call.name, call.args
-            )
-        except HypercallError as err:
-            self.machine.trace(
-                "hypercall.denied",
-                f"{self.name}.cpu{slot.index}",
-                call=call.name,
-                error=str(err),
-            )
-            if self.is_guest:
-                # A guest overstepping its privileges is killed, the same
-                # way a stage-2 violation would end it.
-                raise VmExitAbort({"hypercall": call.name, "error": str(err)})
-            result = {"ok": False, "error": str(err)}
-        return result
-
     # ------------------------------------------------------------------
     # Phase execution (the hot path)
     # ------------------------------------------------------------------
 
-    def _pricing_ctx(self, slot: CpuSlot, thread: Thread) -> PricingContext:
-        core = self._core(slot)
-        ctx_key = (self.name, thread.aspace)
+    def _jitter_factor(self) -> float:
+        """The multiplicative noise of one phase slice, ~1.0."""
         sigma = self._jitter_sigma
+        if sigma <= 0:
+            return 1.0
+        return max(0.9, 1.0 + sigma * float(self._jitter_stream.standard_normal()))
 
-        def jitter() -> float:
-            if sigma <= 0:
-                return 1.0
-            return max(0.9, 1.0 + sigma * float(self._jitter_stream.standard_normal()))
-
-        return PricingContext(
-            perf=self.machine.perf,
-            env=core.env,
-            base_key=ctx_key,
-            trans=self.trans,
-            jitter=jitter,
-        )
+    def _pricing_ctx(self, core: Core, thread: Thread) -> PricingContext:
+        """The thread's pricing context, built once and reused while it
+        stays valid: keyed by this kernel (its jitter and translation),
+        the thread's address space and the core's memory environment."""
+        env = core.env
+        ctx = thread.pricing
+        if (
+            ctx is None
+            or ctx.env is not env
+            or ctx.jitter is not self._jitter
+            or ctx.trans is not self.trans
+            or ctx.base_key[1] != thread.aspace
+        ):
+            ctx = thread.pricing = PricingContext(
+                perf=self.machine.perf,
+                env=env,
+                base_key=(self.name, thread.aspace),
+                trans=self.trans,
+                jitter=self._jitter,
+            )
+        return ctx
 
     def _execute_phase(self, slot: CpuSlot, thread: Thread, phase: Phase) -> Generator:
         engine = self.machine.engine
+        core = slot.core
+        iface = core.cpu_iface
+        wait = slot.slice_wait
         while not phase.done:
             if thread.state is not ThreadState.RUNNING or slot.need_resched:
                 return
-            if self._irq_pending(slot):
-                yield from self._poll_irqs(slot)
+            if core.irq_doorbell or iface.peek() is not None:
+                core.irq_doorbell = False
+                yield from self._irq_path(slot)
                 continue
-            dur = phase.arm(self._pricing_ctx(slot, thread), engine.now)
-            waited = yield from self._wait_unmasked(slot, Timeout(dur))
+            wait.delay = phase.arm(self._pricing_ctx(core, thread), engine.now)
+            waited = yield from self._wait_unmasked(slot, wait)
             if waited is None:
                 # Unmasking revealed a latched interrupt: un-arm and handle.
                 phase.advance(0, engine.now, interrupted=True)
@@ -556,7 +611,7 @@ class KernelBase:
                 continue
             elapsed, interrupted = waited
             thread.cpu_time_ps += elapsed
-            self._core(slot).pmu.count_cycles_for(elapsed, self.machine.soc.freq_hz)
+            core.pmu.count_cycles_for(elapsed, self.machine.soc.freq_hz)
             phase.advance(elapsed, engine.now, interrupted=interrupted)
             if interrupted:
                 yield from self._irq_path(slot)
@@ -572,10 +627,12 @@ class KernelBase:
         while barrier.generation == item.start_gen:
             if thread.state is not ThreadState.RUNNING or slot.need_resched:
                 return
-            if self._irq_pending(slot):
-                yield from self._poll_irqs(slot)
+            core = slot.core
+            if core.irq_doorbell or core.cpu_iface.peek() is not None:
+                core.irq_doorbell = False
+                yield from self._irq_path(slot)
                 continue
-            waited = yield from self._wait_unmasked(slot, WaitSignal(barrier.signal))
+            waited = yield from self._wait_unmasked(slot, barrier.release_wait)
             if waited is None:
                 continue
             elapsed, interrupted = waited
@@ -589,9 +646,10 @@ class KernelBase:
         unmasked and return ``(elapsed_ps, interrupted)`` with them masked
         again; the caller accounts, then calls :meth:`_irq_path`.
         None (nothing yielded) when unmasking revealed a latched IRQ."""
-        iface = self._core(slot).cpu_iface
+        core = slot.core
+        iface = core.cpu_iface
         iface.set_masked(False)
-        if self._irq_pending(slot):
+        if core.irq_doorbell or iface.peek() is not None:
             iface.set_masked(True)
             return None
         engine = self.machine.engine
@@ -611,9 +669,11 @@ class KernelBase:
     def _idle(self, slot: CpuSlot) -> Generator:
         if self.is_guest:
             raise VmExitWfi()
-        waited = yield from self._wait_unmasked(slot, WaitSignal(slot.wake_signal))
+        waited = yield from self._wait_unmasked(slot, slot.idle_wait)
         if waited is None:
-            yield from self._poll_irqs(slot)
+            # Unmasking revealed a pending interrupt: take it now.
+            slot.core.irq_doorbell = False
+            yield from self._irq_path(slot)
             return
         elapsed, interrupted = waited
         slot.idle_ps += elapsed
@@ -687,24 +747,14 @@ class KernelBase:
             raise SimulationError(f"{self.name}: slot {slot.index} has no core")
         return core
 
-    def _irq_pending(self, slot: CpuSlot) -> bool:
-        core = slot.core
-        return core is not None and core.irq_pending()
-
-    def _poll_irqs(self, slot: CpuSlot) -> Generator:
-        if not self._irq_pending(slot):
-            return
-        self._core(slot).take_doorbell()
-        yield from self._irq_path(slot)
-
     def _irq_path(self, slot: CpuSlot) -> Generator:
         """A physical interrupt demands attention on this slot's core."""
         if self.is_guest:
             # Guests cannot handle physical interrupts: trap to the SPM.
             raise VmExitIntr()
-        core = self._core(slot)
+        core = slot.core
         iface = core.cpu_iface
-        core.take_doorbell()
+        core.irq_doorbell = False
         if self.role == ROLE_PRIMARY:
             # Hafnium owns EL2: physical IRQs bounce through the hypervisor
             # before reaching the primary VM (paper Section II-a). Under
@@ -716,7 +766,7 @@ class KernelBase:
             if spm is not None:
                 if spm.irq_routing_mode == "direct":
                     yield from spm.el2_claim_device_irqs(core)
-                if not iface.has_deliverable():
+                if iface.peek() is None:
                     return  # everything pending was claimed at EL2
         if self._irq_entry is not None:
             yield self._irq_entry
@@ -733,9 +783,9 @@ class KernelBase:
 
     def handle_irq(self, slot: CpuSlot, irq: int) -> Generator:
         """Host-side interrupt dispatch."""
-        core = self._core(slot)
+        core = slot.core
         if irq == self._tick_ppi:
-            core.timer[self._timer_channel].stop()  # deassert the line
+            core.timer.channels[self._timer_channel].stop()  # deassert the line
             yield from self._tick(slot, self._tick_handler)
         elif irq == SGI_RESCHED:
             yield self._sgi_handler
@@ -798,7 +848,7 @@ class KernelBase:
         injected virtual timer (guests) alike: handler cost, cache
         pollution, scheduler accounting, re-arm."""
         yield handler
-        self._core(slot).env.pollute(self.TICK_POLLUTION)
+        slot.core.env.pollute(self.TICK_POLLUTION)
         slot.ticks += 1
         self.stats["ticks"] += 1
         self.on_tick(slot)
@@ -807,7 +857,7 @@ class KernelBase:
     def _arm_tick(self, slot: CpuSlot) -> None:
         if self.tick_period_ps <= 0 or slot.core is None:
             return
-        slot.core.timer[self._timer_channel].program(self.tick_period_ps)
+        slot.core.timer.channels[self._timer_channel].program(self.tick_period_ps)
         slot.tick_armed = True
 
     # ------------------------------------------------------------------

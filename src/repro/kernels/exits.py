@@ -28,8 +28,14 @@ class VmExit(Exception):
     reason = ExitReason.ABORT
 
     def __init__(self, detail: Any = None):
-        super().__init__(f"{self.reason.value}: {detail!r}")
+        # The message is formatted only when asked for (as ``Interrupted``
+        # does): a guest raises an exit on every interrupt that reaches its
+        # core, and almost none is ever printed.
+        super().__init__(detail)
         self.detail = detail
+
+    def __str__(self) -> str:
+        return f"{self.reason.value}: {self.detail!r}"
 
 
 class VmExitIntr(VmExit):

@@ -10,10 +10,14 @@ is suspended, so bodies survive arbitrary slicing.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Dict, Generator, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.sim.engine import Engine, Signal
+from repro.sim.process import WaitSignal
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.kernels.phases import PricingContext
 
 
 class ThreadState(Enum):
@@ -136,6 +140,8 @@ class SpinBarrier:
         self.count = 0
         self.generation = 0
         self.signal = Signal(engine, f"{name}.release")
+        #: the spin-wait on ``signal``, shared by every waiting thread
+        self.release_wait = WaitSignal(self.signal)
         self.episodes = 0
 
     def arrive(self) -> bool:
@@ -190,6 +196,9 @@ class Thread:
         self.preemptions = 0
         self.exit_value: Any = None
         self.done_signal: Optional[Signal] = None
+        #: the owning kernel's reusable pricing context for this thread's
+        #: phase slices (see ``KernelBase._pricing_ctx``)
+        self.pricing: Optional["PricingContext"] = None
 
     def next_item(self) -> Optional[Any]:
         """Resume the body; returns the next yielded item or None when the

@@ -15,7 +15,7 @@ Supported yields:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
 from repro.common.errors import SimulationError
 from repro.sim.engine import Engine, Event, Signal
@@ -69,10 +69,14 @@ class Process:
         self.alive = True
         self.result: Any = None
         self.exception: Optional[BaseException] = None
+        #: ``_step`` bound once: every wait resumes through this one object
+        #: (the engine event's callback, or the signal subscription), so a
+        #: resume allocates no bound method and no closure, and
+        #: ``Signal.unsubscribe`` finds it by identity.
+        self._resume = self._step
         self._pending_event: Optional[Event] = None
         self._pending_signal: Optional[Signal] = None
-        self._signal_cb: Optional[Callable] = None
-        self._pending_event = engine.schedule(0, self._step)
+        self._pending_event = engine.schedule(0, self._resume)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -80,7 +84,10 @@ class Process:
         """Resume the generator: send ``send`` into it, or throw ``throw``.
 
         A ``Timeout`` (and the start) schedules the bound method with no
-        arguments, so the engine drain takes its plain ``fn()`` call.
+        arguments, so the engine drain takes its plain ``fn()`` call; a
+        ``WaitSignal`` subscribes it, so ``Signal.fire`` sends the payload.
+        The engine's ``schedule`` is looked up per wait, never cached, so
+        an instance-level wrapper (the sanitizer) sees every wait.
         """
         self._pending_event = None
         self._pending_signal = None
@@ -98,22 +105,14 @@ class Process:
         except Exception as exc:  # simlint: disable=broad-except -- _finish re-raises
             self._finish(exception=exc)
             return
-        self._arm(item)
-
-    def _arm(self, item: Any) -> None:
-        if isinstance(item, Timeout):
-            self._pending_event = self.engine.schedule(item.delay, self._step)
-        elif isinstance(item, WaitSignal):
+        # Exact-type dispatch: the two descriptors are final classes.
+        kind = type(item)
+        if kind is Timeout:
+            self._pending_event = self.engine.schedule(item.delay, self._resume)
+        elif kind is WaitSignal:
             sig = item.signal
-
-            def _cb(payload, _self=self):
-                _self._signal_cb = None
-                _self._pending_signal = None
-                _self._step(payload)
-
-            self._signal_cb = _cb
             self._pending_signal = sig
-            sig.subscribe(_cb)
+            sig.subscribe(self._resume)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported item {item!r}"
@@ -139,13 +138,12 @@ class Process:
         if self._pending_event is not None and self._pending_event.pending:
             self._pending_event.cancel()
             self._pending_event = None
-        elif self._pending_signal is not None and self._signal_cb is not None:
-            self._pending_signal.unsubscribe(self._signal_cb)
-            self._signal_cb = None
+        elif self._pending_signal is not None:
+            self._pending_signal.unsubscribe(self._resume)
             self._pending_signal = None
         else:
             return False
-        self.engine.schedule(0, self._step, None, Interrupted(reason))
+        self.engine.schedule(0, self._resume, None, Interrupted(reason))
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -118,3 +118,49 @@ def test_machine_wires_the_sanitizer(monkeypatch):
 
     monkeypatch.delenv("REPRO_SANITIZE")
     assert Machine().sanitizer is None
+
+
+def _selfish_cell():
+    from repro.core.experiments import run_selfish_profile
+
+    profile = run_selfish_profile("hafnium-linux", duration_s=0.2, seed=11)
+    return (profile.times_us.tobytes(), profile.latencies_us.tobytes())
+
+
+def _fault_cell():
+    from repro.faults.campaign import run_randomized
+
+    return run_randomized("hafnium-linux", seed=11, count=3)["digest"]
+
+
+@pytest.mark.parametrize("cell", [_selfish_cell, _fault_cell], ids=["selfish", "faults"])
+def test_sanitized_run_steps_every_event_and_matches(monkeypatch, cell):
+    """Under the sanitizer every event is fired through the checked
+    ``step`` and scheduled through the checked ``schedule``, and the run
+    is the same as the inline drain's: the same result and the same
+    event count."""
+    from repro.analysis import invariants
+
+    engines = []
+    attach = invariants.attach_if_enabled
+
+    def recording_attach(engine):
+        engines.append(engine)
+        return attach(engine)
+
+    monkeypatch.setattr(invariants, "attach_if_enabled", recording_attach)
+    runs = {}
+    for flag in ("0", "1"):
+        monkeypatch.setenv("REPRO_SANITIZE", flag)
+        del engines[:]
+        result = cell()
+        (engine,) = engines
+        runs[flag] = (result, engine.events_fired)
+        checker = getattr(engine, "sanitizer", None)
+        if flag == "1":
+            assert checker.events_checked == engine.events_fired > 0
+            # ... and every schedule went through the checked one too.
+            assert checker.checks == checker.events_checked + engine._seq
+        else:
+            assert checker is None
+    assert runs["1"] == runs["0"]

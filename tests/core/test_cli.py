@@ -76,6 +76,7 @@ def test_extension_commands_identical_across_jobs(capsys, argv):
     ["irq-routing", "--duration", "-1"],
     ["irq-routing", "--duration", "0"],
     ["irq-routing", "--duration", "0.001"],
+    ["irq-routing", "--duration", "0.005"],
     ["cluster", "--supersteps", "0"],
 ], ids=" ".join)
 def test_refused_input_is_one_line_and_exit_2(capsys, argv):

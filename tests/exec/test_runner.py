@@ -90,7 +90,7 @@ def test_in_process_run_never_loads_the_process_pool():
     code = (
         "import sys; from repro.exec import ParallelRunner, SimJob; "
         "ParallelRunner(1).run([SimJob.make("
-        "'irq-latency', routing='direct', seed=1, duration_s=0.005)]); "
+        "'irq-latency', routing='direct', seed=1, duration_s=0.01)]); "
         "print('concurrent.futures.process' in sys.modules)"
     )
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
@@ -108,7 +108,7 @@ def test_pooled_run_shuts_its_executor_down_at_exit():
         "import atexit; from repro.exec import ParallelRunner, SimJob, runner; "
         "atexit.register(lambda: print('cached at exit:', len(runner._EXECUTORS))); "
         "ParallelRunner(2).run([SimJob.make("
-        "'irq-latency', routing=r, seed=1, duration_s=0.005) "
+        "'irq-latency', routing=r, seed=1, duration_s=0.01) "
         "for r in ('forwarded', 'direct')])"
     )
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")

@@ -42,7 +42,7 @@ def failing_kinds(monkeypatch):
 
 
 def _ok(seed):
-    return SimJob.make("irq-latency", routing="direct", seed=seed, duration_s=0.005)
+    return SimJob.make("irq-latency", routing="direct", seed=seed, duration_s=0.01)
 
 
 def test_killed_worker_raises_naming_the_cell_then_pool_recovers(failing_kinds):

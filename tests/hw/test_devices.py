@@ -19,7 +19,7 @@ class TestUart:
         uart.transmit("world")
         assert uart.output == "hello world"
         eng.run_until(seconds(0.01))
-        assert gic.cpu_ifaces[0].has_deliverable()
+        assert gic.cpu_ifaces[0].peek() is not None
 
     def test_tx_time_scales_with_length(self):
         eng = Engine()
@@ -29,9 +29,9 @@ class TestUart:
         uart.transmit("x" * 100)
         # 100 chars at ~86.8 us/char: nothing before ~8 ms.
         eng.run_until(ms(5))
-        assert not gic.cpu_ifaces[0].has_deliverable()
+        assert gic.cpu_ifaces[0].peek() is None
         eng.run_until(ms(10))
-        assert gic.cpu_ifaces[0].has_deliverable()
+        assert gic.cpu_ifaces[0].peek() is not None
 
     def test_no_irq_mode(self):
         eng = Engine()
@@ -40,7 +40,7 @@ class TestUart:
         gic.enable(32)
         uart.transmit("quiet", irq=False)
         eng.run_until(seconds(1))
-        assert not gic.cpu_ifaces[0].has_deliverable()
+        assert gic.cpu_ifaces[0].peek() is None
 
 
 class TestPeriodicDevice:

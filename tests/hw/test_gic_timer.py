@@ -45,7 +45,7 @@ class TestDeliveryPath:
         gic.cpu_ifaces[2].set_masked(False)
         gic.pulse(40)
         assert fired == [2]
-        assert gic.cpu_ifaces[0].has_deliverable() is False
+        assert gic.cpu_ifaces[0].peek() is None
 
     def test_retarget_spi(self, gic):
         gic.configure(40, target_core=0)
@@ -53,8 +53,8 @@ class TestDeliveryPath:
         gic.retarget_spi(40, 3)
         gic.cpu_ifaces[3].set_masked(False)
         gic.pulse(40)
-        assert gic.cpu_ifaces[3].has_deliverable()
-        assert not gic.cpu_ifaces[0].has_deliverable()
+        assert gic.cpu_ifaces[3].peek() is not None
+        assert gic.cpu_ifaces[0].peek() is None
 
     def test_retarget_rejects_non_spi(self, gic):
         with pytest.raises(ConfigurationError):
@@ -67,14 +67,14 @@ class TestDeliveryPath:
         with pytest.raises(SimulationError):
             gic.assert_level(PPI_PHYS_TIMER)
         gic.assert_level(PPI_PHYS_TIMER, core=1)
-        assert gic.cpu_ifaces[1].has_deliverable()
+        assert gic.cpu_ifaces[1].peek() is not None
 
     def test_disabled_irq_not_deliverable(self, gic):
         gic.configure(40)
         gic.pulse(40)
-        assert not gic.cpu_ifaces[0].has_deliverable()
+        assert gic.cpu_ifaces[0].peek() is None
         gic.enable(40)
-        assert gic.cpu_ifaces[0].has_deliverable()
+        assert gic.cpu_ifaces[0].peek() is not None
 
     def test_masked_core_defers_until_unmask(self, gic):
         gic.configure(40, target_core=0)
@@ -90,14 +90,14 @@ class TestDeliveryPath:
     def test_enable_of_asserted_level_line_propagates(self, gic):
         gic.configure(40, trigger=IrqTrigger.LEVEL)
         gic.assert_level(40)
-        assert not gic.cpu_ifaces[0].has_deliverable()
+        assert gic.cpu_ifaces[0].peek() is None
         gic.enable(40)
-        assert gic.cpu_ifaces[0].has_deliverable()
+        assert gic.cpu_ifaces[0].peek() is not None
 
     def test_sgi_targets_core(self, gic):
         gic.enable(1)
         gic.send_sgi(1, target_core=2)
-        assert gic.cpu_ifaces[2].has_deliverable()
+        assert gic.cpu_ifaces[2].peek() is not None
         with pytest.raises(ConfigurationError):
             gic.send_sgi(40, target_core=0)
 
@@ -110,7 +110,7 @@ class TestAckEoi:
         iface = gic.cpu_ifaces[0]
         irq = iface.ack()
         assert irq == 40
-        assert not iface.has_deliverable()
+        assert iface.peek() is None
         iface.eoi(40)
 
     def test_ack_priority_order(self, gic):
@@ -139,12 +139,35 @@ class TestAckEoi:
         irq = iface.ack()
         iface.eoi(irq)
         # Line still asserted: pending again (handler must deassert source).
-        assert iface.has_deliverable()
+        assert iface.peek() is not None
         irq = iface.ack()
         # Proper handler order: deassert the source, then EOI -> no re-pend.
         gic.deassert_level(PPI_PHYS_TIMER, core=0)
         iface.eoi(irq)
-        assert not iface.has_deliverable()
+        assert iface.peek() is None
+
+    def test_banked_level_line_repends_per_core(self, gic):
+        """PPIs are banked: lowering core 1's timer line leaves core 2's
+        high, so core 2's EOI re-pends its still-asserted line."""
+        gic.enable(PPI_PHYS_TIMER)
+        gic.assert_level(PPI_PHYS_TIMER, core=1)
+        gic.assert_level(PPI_PHYS_TIMER, core=2)
+        core2 = gic.cpu_ifaces[2]
+        assert core2.ack() == PPI_PHYS_TIMER
+        gic.deassert_level(PPI_PHYS_TIMER, core=1)
+        core2.eoi(PPI_PHYS_TIMER)
+        assert core2.peek() == PPI_PHYS_TIMER
+        assert gic.cpu_ifaces[1].peek() is None
+
+    def test_drop_pending_lowers_only_the_named_cores_line(self, gic):
+        gic.enable(PPI_PHYS_TIMER)
+        gic.assert_level(PPI_PHYS_TIMER, core=0)
+        gic.assert_level(PPI_PHYS_TIMER, core=1)
+        assert gic.drop_pending(PPI_PHYS_TIMER, core=0)
+        core1 = gic.cpu_ifaces[1]
+        core1.eoi(core1.ack())
+        assert core1.peek() == PPI_PHYS_TIMER
+        assert gic.cpu_ifaces[0].peek() is None
 
     def test_delivery_stats(self, gic):
         gic.configure(40)
@@ -162,7 +185,7 @@ class TestGenericTimer:
         timer = GenericTimer(eng, gic, core_id=1)
         timer["phys"].program(ms(1))
         eng.run_until(ms(1))
-        assert gic.cpu_ifaces[1].has_deliverable()
+        assert gic.cpu_ifaces[1].peek() is not None
         assert timer["phys"].fire_count == 1
 
     def test_reprogram_cancels_previous(self):
@@ -185,9 +208,9 @@ class TestGenericTimer:
         timer = GenericTimer(eng, gic, 0)
         timer["virt"].program(ms(1))
         eng.run_until(ms(1))
-        assert gic.cpu_ifaces[0].has_deliverable()
+        assert gic.cpu_ifaces[0].peek() is not None
         timer["virt"].stop()
-        assert not gic.cpu_ifaces[0].has_deliverable()
+        assert gic.cpu_ifaces[0].peek() is None
 
     def test_remaining_and_armed(self):
         eng = Engine()

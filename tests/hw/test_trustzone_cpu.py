@@ -162,7 +162,7 @@ class TestCoreIrqPlumbing:
         assert core.irq_doorbell
         assert core.take_doorbell() is True
         assert core.take_doorbell() is False
-        assert core.irq_pending()  # still deliverable at the GIC
+        assert core.cpu_iface.peek() == 40  # still deliverable at the GIC
 
     def test_attach_twice_rejected(self):
         m = Machine()

@@ -183,6 +183,28 @@ def test_touch_memory_native_ok_and_fault(machine, kernel):
     assert isinstance(results[1], HardwareFault)
 
 
+def test_pricing_context_is_reused_until_its_key_changes(machine, kernel):
+    """A thread's PricingContext is built once and reused per slice; it is
+    rebuilt when the thread's address space, its core or the pricing
+    kernel changes."""
+    thread = Thread("t", iter(()), cpu=0, aspace="a")
+    core0, core1 = machine.cores[0], machine.cores[1]
+    ctx = kernel._pricing_ctx(core0, thread)
+    assert kernel._pricing_ctx(core0, thread) is ctx
+    thread.aspace = "b"
+    moved = kernel._pricing_ctx(core0, thread)
+    assert moved is not ctx
+    assert moved.base_key == (kernel.name, "b")
+    migrated = kernel._pricing_ctx(core1, thread)
+    assert migrated is not moved
+    assert migrated.env is core1.env
+    assert kernel._pricing_ctx(core1, thread) is migrated
+    other = KittenKernel(machine, "k2", jitter_sigma=0.0)
+    rebuilt = other._pricing_ctx(core1, thread)
+    assert rebuilt is not migrated
+    assert rebuilt.base_key == ("k2", "b")
+
+
 def test_tick_rate_is_configured(machine, kernel):
     machine.engine.run_until(seconds(1.0))
     # 10 Hz on each of 4 cores.

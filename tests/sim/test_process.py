@@ -126,6 +126,60 @@ def test_interrupt_signal_wait():
     assert sig.fire() == 0
 
 
+def test_interrupt_while_parked_on_a_reused_wait_is_not_resumed_by_a_later_fire():
+    """One WaitSignal descriptor yielded again and again (the kernel's idle
+    wait): an interrupt unsubscribes the process, so a later fire of the
+    signal does not resume it a second time."""
+    eng = Engine()
+    sig = Signal(eng)
+    wait = WaitSignal(sig)
+    log = []
+
+    def body():
+        for _ in range(3):
+            try:
+                payload = yield wait
+                log.append(("woken", payload, eng.now))
+            except Interrupted:
+                log.append(("intr", eng.now))
+                yield Timeout(100)
+
+    p = Process(eng, body())
+    eng.schedule(10, sig.fire, "a")
+    eng.schedule(20, p.interrupt)
+    eng.schedule(50, sig.fire, "stale")  # the process is in its Timeout
+    eng.schedule(200, sig.fire, "b")
+    eng.run()
+    assert log == [("woken", "a", 10), ("intr", 20), ("woken", "b", 200)]
+    assert not p.alive
+
+
+def test_processes_on_one_signal_unsubscribe_independently():
+    """Each process subscribes its own bound resume; interrupting one
+    removes only its subscription, never the other process's."""
+    eng = Engine()
+    sig = Signal(eng)
+    log = []
+
+    def body(name):
+        try:
+            payload = yield WaitSignal(sig)
+            log.append((name, payload))
+        except Interrupted:
+            log.append((name, "intr"))
+
+    first = Process(eng, body("first"))
+    second = Process(eng, body("second"))
+    eng.run()
+    assert first._resume != second._resume
+    assert first.interrupt()
+    eng.run()
+    assert sig.fire("go") == 1
+    eng.run()
+    assert log == [("first", "intr"), ("second", "go")]
+    assert not first.interrupt() and not second.interrupt()
+
+
 def test_interrupt_dead_process_returns_false():
     eng = Engine()
 
