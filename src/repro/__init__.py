@@ -22,7 +22,16 @@ See README.md for the architecture overview, DESIGN.md for the
 paper-to-model mapping, and EXPERIMENTS.md for reproduced results.
 """
 
-from repro.core.configs import (
+import os
+
+# numpy's OpenBLAS starts one worker thread per extra core at import, and
+# each worker busy-waits ~0.1 s of CPU before it sleeps. The model calls no
+# BLAS routine, so on a 2-core host that spin only doubled the CPU time of
+# `import numpy` (0.05 -> 0.10 s) and of the package imports running beside
+# it. Set before any submodule imports numpy; a value already set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from repro.core.configs import (  # noqa: E402
     ALL_CONFIGS,
     CONFIG_HAFNIUM_KITTEN,
     CONFIG_HAFNIUM_LINUX,
@@ -32,7 +41,7 @@ from repro.core.configs import (
     build_native_node,
     build_node,
 )
-from repro.core.node import Node, run_until_done
+from repro.core.node import Node, run_until_done  # noqa: E402
 
 __version__ = "0.1.0"
 

@@ -68,9 +68,3 @@ def normalize_to(
         raise ValueError("baseline mean is zero")
     return {cfg: agg.mean / base for cfg, agg in aggregates.items()}
 
-
-def within_noise(a: Aggregate, b: Aggregate, sigmas: float = 1.0) -> bool:
-    """The paper's significance argument for Stream: means within the
-    (pooled) standard deviation are not meaningfully different."""
-    spread = sigmas * max(a.stdev, b.stdev)
-    return abs(a.mean - b.mean) <= spread if spread > 0 else a.mean == b.mean

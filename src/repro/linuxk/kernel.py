@@ -133,6 +133,11 @@ class LinuxKernel(KernelBase):
 
     def quantum_ps(self, thread: Thread) -> int:
         # sched_latency / nr_running, floored at the minimum granularity.
+        # nr_running is deliberately global: the longest runqueue over
+        # every slot, not this slot's. That is the CFS coupling through
+        # which one tenant's load shifts another's timing on a Linux
+        # primary (README, and `strict_isolation_expected` in
+        # faults/campaign.py); a per-slot count would move digests.
         nr = max(1, max(len(s.runqueue) for s in self.slots) + 1)
         return max(MIN_GRANULARITY_PS, SCHED_LATENCY_PS // nr)
 

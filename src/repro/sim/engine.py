@@ -257,11 +257,17 @@ class Signal:
     def subscribe(self, callback: Callable[[Any], None]) -> None:
         self._waiters.append(callback)
 
-    def unsubscribe(self, callback: Callable[[Any], None]) -> None:
+    def unsubscribe(self, callback: Callable[[Any], None]) -> bool:
+        """Drop ``callback`` from the next edge; False if it was not on it.
+
+        A callback that an edge already being fired has taken is not on the
+        next edge: this cannot stop that fire from calling it.
+        """
         try:
             self._waiters.remove(callback)
         except ValueError:
-            pass
+            return False
+        return True
 
     def fire(self, payload: Any = None) -> int:
         """Wake all current subscribers immediately (same timestamp).

@@ -54,6 +54,27 @@ class WaitSignal:
         self.signal = signal
 
 
+class _ThrowOnSend:
+    """Stands in for a process's generator until its next resume, which
+    throws ``exc`` into the real generator instead of sending a value.
+
+    Only :meth:`Process.interrupt` installs one, in the rare case a
+    signal's fire has taken the wait but not resumed it yet, so the
+    per-event resume path carries no check for it.
+    """
+
+    __slots__ = ("_proc", "_gen", "_exc")
+
+    def __init__(self, proc: "Process", exc: BaseException):
+        self._proc = proc
+        self._gen = proc._gen
+        self._exc = exc
+
+    def send(self, _payload: Any) -> Any:
+        self._proc._gen = self._gen
+        return self._gen.throw(self._exc)
+
+
 class Process:
     """A coroutine scheduled on an :class:`Engine`.
 
@@ -139,8 +160,14 @@ class Process:
             self._pending_event.cancel()
             self._pending_event = None
         elif self._pending_signal is not None:
-            self._pending_signal.unsubscribe(self._resume)
-            self._pending_signal = None
+            sig, self._pending_signal = self._pending_signal, None
+            if not sig.unsubscribe(self._resume):
+                # The signal is firing and has yet to reach this process
+                # (an earlier waiter's wake-up is interrupting it). That
+                # fire's resume cannot be withdrawn, so it delivers the
+                # interrupt instead of the payload.
+                self._gen = _ThrowOnSend(self, Interrupted(reason))
+                return True
         else:
             return False
         self.engine.schedule(0, self._resume, None, Interrupted(reason))

@@ -8,7 +8,6 @@ from repro.core.metrics import (
     TrialResult,
     aggregate,
     normalize_to,
-    within_noise,
 )
 
 
@@ -49,21 +48,6 @@ def test_normalize_zero_baseline():
     aggs = {"native": aggregate([trial(0.0)])}
     with pytest.raises(ValueError):
         normalize_to(aggs, "native")
-
-
-def test_within_noise():
-    a = Aggregate("a", "b", "u", mean=10.0, stdev=0.5, n=3)
-    b = Aggregate("b", "b", "u", mean=10.4, stdev=0.1, n=3)
-    assert within_noise(a, b)           # |0.4| <= 0.5
-    c = Aggregate("c", "b", "u", mean=11.1, stdev=0.1, n=3)
-    assert not within_noise(a, c)
-    assert within_noise(a, c, sigmas=3)
-
-
-def test_within_noise_zero_spread():
-    a = Aggregate("a", "b", "u", mean=10.0, stdev=0.0, n=1)
-    b = Aggregate("b", "b", "u", mean=10.0, stdev=0.0, n=1)
-    assert within_noise(a, b)
 
 
 @given(st.lists(st.floats(min_value=0.1, max_value=1e6), min_size=2, max_size=20))

@@ -180,6 +180,43 @@ def test_processes_on_one_signal_unsubscribe_independently():
     assert not first.interrupt() and not second.interrupt()
 
 
+def test_interrupt_from_an_earlier_waiter_of_the_same_fire_wins():
+    """Two processes wait on one signal and the first one's wake-up
+    interrupts the second: the second sees only the interrupt, never the
+    payload, and its next Timeout resumes it exactly once."""
+    eng = Engine()
+    sig = Signal(eng)
+    log = []
+    procs = {}
+
+    def waker():
+        yield WaitSignal(sig)
+        assert procs["sleeper"].interrupt("from waker")
+        assert not procs["sleeper"].interrupt("twice")
+
+    def sleeper():
+        try:
+            payload = yield WaitSignal(sig)
+            log.append(("woken", payload))
+        except Interrupted as exc:
+            log.append(("intr", exc.reason, eng.now))
+        for _ in range(2):
+            try:
+                yield Timeout(100)
+                log.append(("timeout", eng.now))
+            except Interrupted as exc:
+                log.append(("late intr", exc.reason, eng.now))
+
+    Process(eng, waker())
+    procs["sleeper"] = Process(eng, sleeper())
+    eng.run()
+    sig.fire("go")
+    eng.run()
+    assert log == [("intr", "from waker", 0), ("timeout", 100), ("timeout", 200)]
+    assert not procs["sleeper"].alive
+    assert eng.peek_time() is None
+
+
 def test_interrupt_dead_process_returns_false():
     eng = Engine()
 
