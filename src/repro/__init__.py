@@ -27,8 +27,10 @@ import os
 # numpy's OpenBLAS starts one worker thread per extra core at import, and
 # each worker busy-waits ~0.1 s of CPU before it sleeps. The model calls no
 # BLAS routine, so on a 2-core host that spin only doubled the CPU time of
-# `import numpy` (0.05 -> 0.10 s) and of the package imports running beside
-# it. Set before any submodule imports numpy; a value already set is kept.
+# `import numpy` (0.05 -> 0.10 s) and of the work running beside it. numpy
+# loads at the first ndarray a run builds (a selfish profile, an IRQ latency
+# window, `Tracer.times`, a report plot), not when the package is imported;
+# set here so that load sees it. A value already set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from repro.core.configs import (  # noqa: E402

@@ -13,10 +13,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from pathlib import Path
 from typing import Any, Dict, Tuple
-
-import numpy as np
 
 from repro.core.experiments import DEFAULT_SEED
 from repro.exec import ParallelRunner, SimJob
@@ -100,7 +99,10 @@ CORPUS: Tuple[SimJob, ...] = (
 def _canonical(value: Any) -> Any:
     if isinstance(value, dict):
         return sorted(value.items())
-    if isinstance(value, np.ndarray):
+    # An ndarray exists only once numpy is loaded; a run that built none
+    # does not load numpy just to rule one out.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.ndarray):
         return value.tobytes()
     return value
 

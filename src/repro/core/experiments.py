@@ -15,9 +15,7 @@ these drivers' results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import PS_PER_S, ms
@@ -29,6 +27,9 @@ from repro.workloads.npb import PAPER_SUBSET, make_npb
 from repro.workloads.randomaccess import RandomAccessBenchmark
 from repro.workloads.selfish import SelfishDetour
 from repro.workloads.stream import StreamBenchmark
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -283,6 +284,8 @@ def run_irq_latency(
             f"duration_s must be at least the device period "
             f"{IRQ_LATENCY_PERIOD_PS / PS_PER_S:g} s, got {duration_s}"
         )
+    import numpy as np
+
     from repro.common.units import seconds
     from repro.core.configs import build_hafnium_node
     from repro.hw.devices import PeriodicDevice

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.core.configs import ALL_CONFIGS, PAPER_LABELS
 from repro.core.experiments import (
     BenchmarkTable,
@@ -21,6 +19,8 @@ PLOT_HEIGHT = 12
 
 def render_selfish(profile: SelfishProfile) -> str:
     """ASCII scatter of detour latency vs time (one of Figures 4-6)."""
+    import numpy as np
+
     width, height = PLOT_WIDTH, PLOT_HEIGHT
     lines = [
         f"Selfish Detour — {PAPER_LABELS.get(profile.config, profile.config)} "

@@ -14,12 +14,13 @@ throughput loss in the reproduced figures).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.hw.perfmodel import MemContext, MemEnv, PerfModel, TranslationInfo
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -297,7 +298,11 @@ class SpinPhase(Phase):
             self.detours.append((start, latency))
 
     def detour_times_us(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([t for t, _ in self.detours], dtype=np.int64) / 1e6
 
     def detour_latencies_us(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([l for _, l in self.detours], dtype=np.int64) / 1e6

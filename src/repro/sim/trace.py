@@ -2,17 +2,18 @@
 
 Model components emit trace records (interrupt delivered, VM exit, context
 switch, detour observed, ...). Experiments and tests query the trace rather
-than scraping printed output. Records are cheap tuples; heavy analysis is
-done post-run, often vectorized via :meth:`Tracer.column`.
+than scraping printed output. Records are cheap tuples; analysis is done
+post-run.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Records serialized per hashlib update when digesting incrementally —
 #: large enough to amortize the call overhead, small enough to bound the
@@ -109,16 +110,10 @@ class Tracer:
 
     def times(self, category: str, subject: Optional[str] = None) -> np.ndarray:
         """Timestamps (ps) of matching records as an array."""
+        import numpy as np
+
         return np.array(
             [r.time for r in self.filter(category, subject)], dtype=np.int64
-        )
-
-    def column(
-        self, category: str, key: str, subject: Optional[str] = None
-    ) -> np.ndarray:
-        """Extract ``data[key]`` across matching records as a float array."""
-        return np.array(
-            [r.data[key] for r in self.filter(category, subject)], dtype=float
         )
 
     def __iter__(self) -> Iterator[TraceRecord]:

@@ -12,14 +12,15 @@ frequent, randomly-placed detours (250 Hz ticks + background threads).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.common.units import seconds, us
 from repro.kernels.phases import SpinPhase
 from repro.kernels.thread import SpinBarrier
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SelfishDetour(Workload):
@@ -79,6 +80,8 @@ class SelfishDetour(Workload):
         """Coefficient of variation of detour inter-arrival times: ~0 for
         a purely periodic source (timer ticks), >>0 for random noise.
         Used to test the paper's "more randomly distributed" claim."""
+        import numpy as np
+
         times, _ = self.detour_series_us()
         if len(times) < 3:
             return 0.0

@@ -1,8 +1,12 @@
 """The golden corpus: every cell matches the committed GOLDEN.json, and
 `repro check-golden` names each cell that drifted."""
 
+import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +15,7 @@ import pytest
 from repro.analysis import golden
 from repro.cli import main
 from repro.core.configs import ALL_CONFIGS
-from repro.exec import job_kinds
+from repro.exec import execute_job, job_kinds
 
 COMMITTED = golden.GOLDEN_PATH
 
@@ -42,6 +46,48 @@ def test_result_digest_canonical_forms():
     )
     moved = Cell("x", np.array([0.0, 1.0, 2.0000000001]), {"a": 2, "b": 1})
     assert golden.result_digest(moved) != golden.result_digest(a)
+    # An ndarray field is hashed as its raw bytes.
+    raw = ("x", np.arange(3.0).tobytes(), [("a", 2), ("b", 1)])
+    assert golden.result_digest(a) == hashlib.sha256(repr(raw).encode()).hexdigest()
+
+
+# Refuses numpy at import time, then prints the digest of each corpus cell
+# whose index is on the command line.
+_DIGEST_WITHOUT_NUMPY = """
+import sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, RefuseNumpy())
+from repro.analysis import golden
+from repro.exec import execute_job
+
+for i in sys.argv[1:]:
+    print(golden.result_digest(execute_job(golden.CORPUS[int(i)])))
+"""
+
+
+def test_result_digest_needs_no_numpy():
+    kinds = ("quickstart", "fault-scenario")
+    picks = [
+        next(i for i, job in enumerate(golden.CORPUS) if job.kind == kind)
+        for kind in kinds
+    ]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
+    out = subprocess.run(
+        [sys.executable, "-c", _DIGEST_WITHOUT_NUMPY, *map(str, picks)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.returncode == 0, out.stderr
+    jobs = [golden.CORPUS[i] for i in picks]
+    in_process = [golden.result_digest(execute_job(job)) for job in jobs]
+    assert out.stdout.split() == in_process
+    committed = golden.load_golden()
+    assert in_process == [committed[job.key] for job in jobs]
 
 
 @pytest.fixture

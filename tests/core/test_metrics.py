@@ -1,5 +1,8 @@
 """Statistics containers for the experiment harness."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,6 +29,20 @@ def test_aggregate_mean_std():
 def test_aggregate_single_trial_has_zero_stdev():
     agg = aggregate([trial(5.0)])
     assert agg.stdev == 0.0
+
+
+def test_aggregate_equals_numpy_mean_and_std_exactly():
+    # Lengths on both sides of the pairwise sum's 8-value unroll and
+    # 128-value block; a sequential sum differs from numpy's at some of them.
+    rng = random.Random(7)
+    lengths = [rng.randint(1, 300) for _ in range(200)] + [7, 8, 9, 128, 129, 257]
+    for n in lengths:
+        values = [rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-3, 6) for _ in range(n)]
+        agg = aggregate([trial(v, n=i) for i, v in enumerate(values)])
+        arr = np.array(values)
+        assert agg.mean == float(np.mean(arr)), n
+        if n > 1:
+            assert agg.stdev == float(np.std(arr, ddof=1)), n
 
 
 def test_aggregate_rejects_empty_and_mixed():

@@ -27,19 +27,16 @@ def test_predicate_filter():
     assert len(picked) == 5
 
 
-def test_times_and_column_arrays():
+def test_times_array():
     tr = Tracer()
     tr.emit(100, "detour", "core0", latency=5.0)
     tr.emit(250, "detour", "core0", latency=7.5)
     times = tr.times("detour")
     assert times.dtype == np.int64
     assert list(times) == [100, 250]
-    lat = tr.column("detour", "latency")
-    assert np.allclose(lat, [5.0, 7.5])
 
 
 def test_empty_queries():
     tr = Tracer()
     assert tr.times("nothing").size == 0
-    assert tr.column("nothing", "k").size == 0
     assert list(iter(tr)) == []

@@ -1,6 +1,6 @@
-"""The package's only third-party runtime dependency is NumPy; a
-simulation run loads neither ``numpy.random`` nor the linter, and starts
-no BLAS worker thread."""
+"""The package's only third-party runtime dependency is NumPy; a run that
+returns no ndarray loads neither numpy nor the linter, and a run that does
+load numpy starts no BLAS worker thread."""
 
 import os
 import subprocess
@@ -41,18 +41,29 @@ def test_every_module_imports_without_scipy():
     assert (out.returncode, out.stdout.strip()) == (0, ""), out.stderr
 
 
-# One cell per config, then the modules a run must not have loaded.
+# One quickstart cell per config, both fault job kinds, a cluster cell and
+# a Figure 7/8 trial with its aggregate (none returns an ndarray), then the
+# modules a run must not have loaded.
 _RUN_CELLS = """
 import sys
+from repro.core.metrics import aggregate
 from repro.exec import SimJob, execute_job
 
 for config in ("native", "hafnium-kitten", "hafnium-linux"):
     execute_job(SimJob.make("quickstart", config=config, seed=1))
 execute_job(SimJob.make("fault-scenario", config="hafnium-kitten",
                         scenario="mem-bit-flip", seed=1))
+execute_job(SimJob.make("randomized-faults", config="hafnium-kitten",
+                        seed=1, count=3))
+execute_job(SimJob.make("cluster-run", config="hafnium-kitten", nodes=4,
+                        seed=1, supersteps=2))
+aggregate([execute_job(SimJob.make(
+    "bench-trial", benchmark_set="memory", benchmark="randomaccess",
+    config="hafnium-kitten", trial=0, seed=1,
+))])
 print(" ".join(sorted(
     name for name in sys.modules
-    if name.startswith("numpy.random")
+    if name == "numpy" or name.startswith("numpy.random")
     or name in ("repro.analysis.simlint", "repro.analysis.rules")
 )))
 """
@@ -65,15 +76,18 @@ def test_a_run_loads_neither_numpy_random_nor_the_linter():
     assert (out.returncode, out.stdout.strip()) == (0, ""), out.stderr
 
 
-# Imports the package, runs one cell, then reports the process's threads
-# and the OpenBLAS thread setting the run saw.
+# Imports the package, runs one selfish cell (its profile is an ndarray, so
+# the cell loads numpy), then reports whether numpy loaded, the process's
+# threads and the OpenBLAS thread setting the run saw.
 _THREADS = """
-import os
+import os, sys
 import repro
 from repro.exec import SimJob, execute_job
 
-execute_job(SimJob.make("quickstart", config="native", seed=1))
-print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+execute_job(SimJob.make("selfish-profile", config="native", duration_s=0.02,
+                        threshold_us=1.0, seed=1))
+print("numpy" in sys.modules, len(os.listdir("/proc/self/task")),
+      os.environ.get("OPENBLAS_NUM_THREADS"))
 """
 
 
@@ -92,7 +106,8 @@ def test_a_run_starts_no_blas_worker_threads(preset, setting):
     out = subprocess.run([sys.executable, "-c", _THREADS], capture_output=True,
                          text=True, env=env)
     assert out.returncode == 0, out.stderr
-    threads, seen = out.stdout.split()
+    loaded, threads, seen = out.stdout.split()
+    assert loaded == "True"
     if preset is None:
         assert threads == "1"
     assert seen == setting
