@@ -71,13 +71,13 @@ def run_selfish_profile(
     node = build_node(config, seed=seed, **(node_kwargs or {}))
     workload = SelfishDetour(duration_s=duration_s, threshold_us=threshold_us)
     WorkloadRun(node, workload)
-    times, lats = workload.detour_series_us()
+    series = workload.detour_series_us()
     return SelfishProfile(
         config=config,
-        times_us=times,
-        latencies_us=lats,
-        summary=workload.noise_summary(),
-        interarrival_cv=workload.interarrival_cv(),
+        times_us=series[0],
+        latencies_us=series[1],
+        summary=workload.noise_summary(series),
+        interarrival_cv=workload.interarrival_cv(series),
     )
 
 

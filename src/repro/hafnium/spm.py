@@ -505,8 +505,11 @@ class Spm:
             except VmExit as exc:
                 exit_exc = exc
             except Interrupted:
-                # A physical interrupt landed in an SPM frame (e.g. during
-                # entry/exit accounting): treat as an interrupt exit.
+                # Only a forced abort throws here (a hardware IRQ arrives
+                # as a value, at the guest's one unmasked wait): it landed
+                # at a wait outside that one, e.g. a fixed handler or
+                # hypercall cost. Treat it as an interrupt exit; the next
+                # vcpu_run observes the abort.
                 exit_exc = VmExitIntr("in-hypervisor")
             # --- world/VM switch out -------------------------------------
             vcpu.state = VcpuState.READY

@@ -2,10 +2,11 @@
 
 A core is where one kernel's per-core loop (a :class:`repro.sim.Process`)
 executes. The core mediates interrupt delivery: when its GIC CPU interface
-signals a deliverable interrupt, the core interrupts the attached loop
-process — or latches a doorbell if the loop is not at an interruptible
-point, which the loop polls at its next scheduling boundary (this mirrors
-how PSTATE.I-masked regions defer interrupts to the next unmask).
+signals a deliverable interrupt, the core preempts the attached loop
+process's wait with its :class:`IrqPreemption` marker — or latches a
+doorbell if the loop is not at an interruptible point, which the loop
+polls at its next scheduling boundary (this mirrors how PSTATE.I-masked
+regions defer interrupts to the next unmask).
 
 The core also tracks the architectural context the paper's isolation story
 depends on: current exception level, security world, and active
@@ -45,7 +46,13 @@ class SecurityWorld(Enum):
 
 
 class IrqPreemption:
-    """The payload delivered as Interrupted.reason on a hardware interrupt."""
+    """The value a hardware interrupt sends into the core's loop process.
+
+    One per core, built with it: :meth:`Process.preempt` sends it as the
+    result of the loop's pending wait, and the kernel's one interruptible
+    point tells an interrupted wait from a completed one by identity with
+    ``Core.preemption``. Nothing is allocated or thrown per interrupt.
+    """
 
     __slots__ = ("core_id",)
 
@@ -82,8 +89,8 @@ class Core:
         self.loop_process: Optional[Process] = None
         self.irq_doorbell = False
         self.idle_time_ps = 0
-        # Immutable, so one payload serves every preemption of this core.
-        self._preemption = IrqPreemption(core_id)
+        #: the marker every hardware interrupt of this core sends its loop
+        self.preemption = IrqPreemption(core_id)
         cpu_iface.irq_entry = self._on_deliverable_irq
 
     # -- loop attachment -----------------------------------------------------
@@ -98,7 +105,7 @@ class Core:
     def _on_deliverable_irq(self) -> None:
         """GIC signals a deliverable interrupt for this core."""
         proc = self.loop_process
-        if proc is not None and proc.interrupt(self._preemption):
+        if proc is not None and proc.preempt(self.preemption):
             return
         # Loop is mid-callback (conceptually: IRQs masked); latch for poll.
         self.irq_doorbell = True

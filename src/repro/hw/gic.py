@@ -247,7 +247,8 @@ class GicCpuInterface:
             return  # already being handled; a held level line re-pends at EOI
         self.pending.add(irq)
         self._best = _STALE
-        self._maybe_signal()
+        if not self.masked and self.irq_entry is not None and self.peek() is not None:
+            self.irq_entry()
 
     def clear_pending(self, irq: int) -> None:
         if irq in self.pending:
@@ -263,7 +264,9 @@ class GicCpuInterface:
     def lower_line(self, irq: int) -> None:
         """Deassert this core's banked level line `irq`."""
         self.asserted.discard(irq)
-        self.clear_pending(irq)
+        if irq in self.pending:  # clear_pending, inline: every tick lowers
+            self.pending.discard(irq)
+            self._best = _STALE
 
     def peek(self) -> Optional[int]:
         """Highest-priority deliverable IRQ without acknowledging it (the

@@ -45,7 +45,10 @@ class TimerChannel:
         """Arm the channel `delay_ps` from now (reprogramming deasserts)."""
         if delay_ps < 0:
             raise ConfigurationError(f"negative timer delay {delay_ps}")
-        self.stop()
+        # stop(), inline: the tick handler re-arms through here every tick.
+        if self._event is not None:
+            self._event.cancel()
+        self._iface.lower_line(self.ppi)
         self.deadline = self.engine.now + delay_ps
         self._event = self.engine.schedule(
             delay_ps, self._fire, priority=PRIO_HW

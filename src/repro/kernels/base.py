@@ -14,10 +14,16 @@ three configurations:
 
 The interrupt path has one copy of each step: ``_wait_unmasked`` is the
 only interruptible point (phases, barrier spins and idle all wait through
-it, and an interruption lands in ``_irq_path``: the host IRQ path, or a
-``VmExitIntr`` for guests); ``_tick`` is the one tick handler (the
-physical timer PPI on hosts, the injected virtual timer on guests);
-``_resched`` and ``_retire`` are the one resched-IPI and thread-death steps.
+it). A hardware IRQ ends its wait as a value: the core's ``preemption``
+marker, sent by :meth:`~repro.sim.process.Process.preempt`, which the
+wait tells from a completed one by identity. The interruption then lands
+in ``_irq_path``: the host IRQ path, or a ``VmExitIntr`` for guests.
+``_tick_done`` is the one tick handler's work (the physical timer PPI,
+handled inline in ``_irq_path`` on hosts; the injected virtual timer in
+``handle_virq`` on guests); ``_resched`` and ``_retire`` are the one
+resched-IPI and thread-death steps. Only the SPM's forced abort still
+throws (``Process.interrupt``), and its ``Interrupted`` ends a guest's
+run wherever the guest waits.
 
 All persistent execution state (current thread, in-progress phase,
 scheduler bookkeeping) lives in :class:`CpuSlot`/:class:`Thread` objects,
@@ -33,15 +39,18 @@ engine events per core every 4 ms of simulated time, and each event
 resumes this module's generators. Code on that path follows two rules:
 
 * no per-event allocation, beyond the engine's ``Event`` and the
-  exceptions that carry an interrupt or a VM exit — fixed costs are ready
-  ``Timeout`` waits priced at build, the idle and phase-slice waits are
-  per-slot descriptors and the barrier wait is the barrier's own, a
-  thread's ``PricingContext`` is reused while its key holds, and the
-  process resumes through one bound method;
+  exception that carries a VM exit — a hardware IRQ allocates nothing
+  but its ``Event``, fixed costs are ready ``Timeout`` waits priced at
+  build, the idle and phase-slice waits are per-slot descriptors and the
+  barrier wait is the barrier's own, a thread's ``PricingContext`` is
+  reused while its key holds, and the process resumes through one bound
+  method, which pushes a ``Timeout`` resume onto the heap itself;
 * a sub-generator is built only when it has work — the IRQ-pending test
   (``core.irq_doorbell or iface.peek() is not None``) is inlined before
-  entering ``_irq_path``, and ``_deliver_virqs`` is entered only with a
-  deliverable vIRQ.
+  entering ``_irq_path``, ``_deliver_virqs`` is entered only with a
+  deliverable vIRQ, the host idle wait and the tick handler run with no
+  frame of their own, and an idle primary tick's six events make ~59
+  Python calls (``tests/kernels/test_tick_budget.py`` holds the ceiling).
 
 Both keep the simulation exact: the same events, in the same order, with
 the same RNG draws.
@@ -390,7 +399,18 @@ class KernelBase:
             if thread is None:
                 thread = self.dequeue_next(slot)
                 if thread is None:
-                    yield from self._idle(slot)
+                    # Idle: a guest exits to the primary (WFI); a host
+                    # waits for a wake-up or an interrupt.
+                    if self.is_guest:
+                        raise VmExitWfi()
+                    waited = yield from self._wait_unmasked(slot, slot.idle_wait)
+                    if waited is not None:
+                        elapsed, interrupted = waited
+                        slot.idle_ps += elapsed
+                        if not interrupted:
+                            continue
+                    # Interrupted, or unmasking revealed a pending interrupt.
+                    yield from self._irq_path(slot)
                     continue
                 yield from self._switch_in(slot, thread)
             yield from self._run_current(slot)
@@ -645,7 +665,12 @@ class KernelBase:
         """The loop's one interruptible point: yield `wait` with IRQs
         unmasked and return ``(elapsed_ps, interrupted)`` with them masked
         again; the caller accounts, then calls :meth:`_irq_path`.
-        None (nothing yielded) when unmasking revealed a latched IRQ."""
+        None (nothing yielded) when unmasking revealed a latched IRQ.
+
+        A hardware interrupt ends the wait by sending the core's
+        ``preemption`` marker as the yield's value (IRQs are unmasked only
+        here, so it can arrive nowhere else). A forced abort's
+        ``Interrupted`` thrown here counts as an interrupt too."""
         core = slot.core
         iface = core.cpu_iface
         iface.set_masked(False)
@@ -655,30 +680,11 @@ class KernelBase:
         engine = self.machine.engine
         t0 = engine.now
         try:
-            yield wait
-            interrupted = False
+            interrupted = (yield wait) is core.preemption
         except Interrupted:
             interrupted = True
         iface.set_masked(True)
         return engine.now - t0, interrupted
-
-    # ------------------------------------------------------------------
-    # Idle
-    # ------------------------------------------------------------------
-
-    def _idle(self, slot: CpuSlot) -> Generator:
-        if self.is_guest:
-            raise VmExitWfi()
-        waited = yield from self._wait_unmasked(slot, slot.idle_wait)
-        if waited is None:
-            # Unmasking revealed a pending interrupt: take it now.
-            slot.core.irq_doorbell = False
-            yield from self._irq_path(slot)
-            return
-        elapsed, interrupted = waited
-        slot.idle_ps += elapsed
-        if interrupted:
-            yield from self._irq_path(slot)
 
     # ------------------------------------------------------------------
     # Fault injection: panic and stall
@@ -776,18 +782,22 @@ class KernelBase:
                 break
             self.stats["irqs"] += 1
             core.pmu.count(EVT_IRQS, 1)
-            yield from self.handle_irq(slot, irq)
+            if irq == self._tick_ppi:
+                # The tick, without a handler frame: it is most of the IRQs.
+                core.timer.channels[self._timer_channel].stop()  # deassert the line
+                yield self._tick_handler
+                self._tick_done(slot)
+            else:
+                yield from self.handle_irq(slot, irq)
             iface.eoi(irq)
         if self._irq_exit is not None:
             yield self._irq_exit
 
     def handle_irq(self, slot: CpuSlot, irq: int) -> Generator:
-        """Host-side interrupt dispatch."""
+        """Host-side dispatch of every IRQ but the tick (``_irq_path``
+        handles that one inline)."""
         core = slot.core
-        if irq == self._tick_ppi:
-            core.timer.channels[self._timer_channel].stop()  # deassert the line
-            yield from self._tick(slot, self._tick_handler)
-        elif irq == SGI_RESCHED:
+        if irq == SGI_RESCHED:
             yield self._sgi_handler
             slot.need_resched = True
         elif irq == PPI_VIRT_TIMER and self.spm is not None:
@@ -832,7 +842,8 @@ class KernelBase:
 
     def handle_virq(self, slot: CpuSlot, virq: int) -> Generator:
         if virq == PPI_VIRT_TIMER:
-            yield from self._tick(slot, self._vtick_handler)
+            yield self._vtick_handler
+            self._tick_done(slot)
         else:
             yield self._unclaimed_virq_handler
             self.machine.trace(
@@ -843,11 +854,10 @@ class KernelBase:
     # Tick management
     # ------------------------------------------------------------------
 
-    def _tick(self, slot: CpuSlot, handler: Timeout) -> Generator:
-        """The tick handler, for the physical timer PPI (hosts) and the
-        injected virtual timer (guests) alike: handler cost, cache
-        pollution, scheduler accounting, re-arm."""
-        yield handler
+    def _tick_done(self, slot: CpuSlot) -> None:
+        """The tick handler's work once its cost has elapsed, for the
+        physical timer PPI (hosts) and the injected virtual timer (guests)
+        alike: cache pollution, scheduler accounting, re-arm."""
         slot.core.env.pollute(self.TICK_POLLUTION)
         slot.ticks += 1
         self.stats["ticks"] += 1

@@ -56,8 +56,11 @@ class SelfishDetour(Workload):
         p = self.phases[0]
         return p.detour_times_us(), p.detour_latencies_us()
 
-    def noise_summary(self) -> Dict[str, float]:
-        times, lats = self.detour_series_us()
+    # The two reductions below take the ``detour_series_us()`` pair from
+    # their caller, so a profile builds its arrays once.
+
+    def noise_summary(self, series: Tuple[np.ndarray, np.ndarray]) -> Dict[str, float]:
+        _, lats = series
         if len(lats) == 0:
             return {
                 "count": 0.0,
@@ -76,13 +79,13 @@ class SelfishDetour(Workload):
             "stolen_fraction": float(lats.sum() * 1e-6 / window_s),
         }
 
-    def interarrival_cv(self) -> float:
+    def interarrival_cv(self, series: Tuple[np.ndarray, np.ndarray]) -> float:
         """Coefficient of variation of detour inter-arrival times: ~0 for
         a purely periodic source (timer ticks), >>0 for random noise.
         Used to test the paper's "more randomly distributed" claim."""
         import numpy as np
 
-        times, _ = self.detour_series_us()
+        times, _ = series
         if len(times) < 3:
             return 0.0
         gaps = np.diff(times)

@@ -188,6 +188,28 @@ class TestExecutionAndExits:
         # And the primary cores are idle, not spinning in vcpu_run.
         assert all(s.idle_ps > 0 for s in plain_node.kernels["primary"].slots)
 
+    def test_force_abort_ends_a_resident_guest_run_with_an_interrupt_exit(self, plain_node):
+        """A forced abort throws ``Interrupted`` into the resident guest:
+        its run ends with an interrupt exit at once, and the primary's
+        next ``vcpu_run`` of the aborted VM does not enter it again. The
+        throw lands in the guest's unmasked phase wait, which accounts
+        the slice cut short before the exit, as a hardware IRQ's would."""
+        spm = plain_node.spm
+        engine = plain_node.engine
+        t = Thread("w", iter([ComputePhase(5e9)]), cpu=0, aspace="b")
+        plain_node.spawn_workload_threads([t])
+        engine.run_until(engine.now + seconds(0.2))
+        vcpu = spm.vm_by_name("compute").vcpus[0]
+        assert vcpu.state == VcpuState.RUNNING and vcpu.resident_core is not None
+        exits, runs, cpu_ps = dict(vcpu.exits), vcpu.runs, t.cpu_time_ps
+        spm.force_abort("compute", "test")
+        engine.run_until(engine.now + seconds(0.1))
+        assert vcpu.exits == {**exits, "interrupt": exits["interrupt"] + 1}
+        assert t.cpu_time_ps > cpu_ps
+        assert vcpu.runs == runs
+        assert vcpu.resident_core is None
+        assert t.state is not ThreadState.DEAD
+
     def test_stage2_violation_aborts_vm(self, plain_node):
         spm = plain_node.spm
         victim = spm.vm_by_name("primary")

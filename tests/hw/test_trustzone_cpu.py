@@ -13,7 +13,7 @@ from repro.hw.cpu import ExceptionLevel, SecurityWorld
 from repro.hw.soc import PINE_A64
 from repro.hw.trustzone import TrustZoneController
 from repro.sim.engine import Engine
-from repro.sim.process import Process, Timeout, Interrupted
+from repro.sim.process import Process, Timeout
 
 
 class TestTrustZone:
@@ -131,16 +131,18 @@ class TestCoreTouch:
 
 class TestCoreIrqPlumbing:
     def test_irq_interrupts_attached_loop(self):
+        """A hardware IRQ ends the attached loop's wait by sending the
+        core's preemption marker as the wait's value."""
         m = Machine()
         core = m.cores[0]
         log = []
 
         def loop():
-            try:
-                yield Timeout(10_000)
-                log.append("no-irq")
-            except Interrupted as e:
+            got = yield Timeout(10_000)
+            if got is core.preemption:
                 log.append(("irq", m.engine.now))
+            else:
+                log.append("no-irq")
 
         p = Process(m.engine, loop(), "loop0")
         core.attach_loop(p)

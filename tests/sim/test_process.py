@@ -217,6 +217,101 @@ def test_interrupt_from_an_earlier_waiter_of_the_same_fire_wins():
     assert eng.peek_time() is None
 
 
+MARK = object()
+
+
+def test_preempt_timeout_wait_sends_the_marker_and_stale_handle_is_inert():
+    """preempt() cancels the pending Timeout and sends the marker as the
+    wait's value at the same instant; cancel() on the wait's now-stale
+    handle cancels nothing."""
+    eng = Engine()
+    log = []
+
+    def body():
+        got = yield Timeout(1000)
+        log.append(("woken", got is MARK, eng.now))
+        got = yield Timeout(50)
+        log.append(("resumed", got, eng.now))
+
+    p = Process(eng, body())
+    eng.run_until(0)
+    stale = p._pending_event
+    assert stale.pending
+    eng.schedule(300, p.preempt, MARK)
+    eng.run_until(300)
+    assert log == [("woken", True, 300)]
+    assert not stale.pending
+    stale.cancel()
+    assert p._pending_event is not stale and p._pending_event.pending
+    eng.run()
+    assert log == [("woken", True, 300), ("resumed", None, 350)]
+    assert eng.events_fired == 4  # start, preempt, its resume, the 50 ps wait
+
+
+def test_preempt_signal_wait_unsubscribes_so_a_later_fire_does_not_resume():
+    """preempt() on a signal wait takes the process off the signal: a
+    later fire wakes nobody, and the process sees only the marker."""
+    eng = Engine()
+    sig = Signal(eng)
+    wait = WaitSignal(sig)
+    log = []
+
+    def body():
+        log.append((yield wait))
+        log.append((yield Timeout(100)))
+
+    p = Process(eng, body())
+    eng.run()
+    assert p.preempt(MARK)
+    assert not p.preempt(MARK)  # already resuming
+    assert sig.fire("stale") == 0
+    eng.run()
+    assert log == [MARK, None]
+    assert not p.alive
+
+
+def test_preempt_from_an_earlier_waiter_of_the_same_fire_wins():
+    """Two processes wait on one signal and the first one's wake-up
+    preempts the second: the second sees only the marker, never the
+    payload, and its next Timeout resumes it exactly once."""
+    eng = Engine()
+    sig = Signal(eng)
+    log = []
+    procs = {}
+
+    def waker():
+        yield WaitSignal(sig)
+        assert procs["sleeper"].preempt(MARK)
+        assert not procs["sleeper"].preempt(MARK)
+
+    def sleeper():
+        got = yield WaitSignal(sig)
+        log.append(("marker" if got is MARK else got, eng.now))
+        for _ in range(2):
+            got = yield Timeout(100)
+            log.append(("late marker" if got is MARK else "timeout", eng.now))
+
+    Process(eng, waker())
+    procs["sleeper"] = Process(eng, sleeper())
+    eng.run()
+    sig.fire("go")
+    eng.run()
+    assert log == [("marker", 0), ("timeout", 100), ("timeout", 200)]
+    assert not procs["sleeper"].alive
+    assert eng.peek_time() is None
+
+
+def test_preempt_dead_process_returns_false():
+    eng = Engine()
+
+    def body():
+        yield Timeout(1)
+
+    p = Process(eng, body())
+    eng.run()
+    assert p.preempt(MARK) is False
+
+
 def test_interrupt_dead_process_returns_false():
     eng = Engine()
 

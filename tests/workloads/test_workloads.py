@@ -132,10 +132,26 @@ class TestSelfish:
     def test_native_profile_is_periodic_ticks(self, node):
         w = SelfishDetour(duration_s=0.5)
         WorkloadRun(node, w)
-        s = w.noise_summary()
+        series = w.detour_series_us()
+        s = w.noise_summary(series)
         # 10 Hz Kitten ticks -> ~5 detours in 0.5 s, tightly periodic.
         assert s["count"] == pytest.approx(5, abs=2)
-        assert w.interarrival_cv() < 0.2
+        assert w.interarrival_cv(series) < 0.2
+
+    def test_profile_builds_its_detour_arrays_once(self, monkeypatch):
+        from repro.core.experiments import run_selfish_profile
+        from repro.kernels.phases import SpinPhase
+
+        built = []
+        for name in ("detour_times_us", "detour_latencies_us"):
+            def counting(phase, _orig=getattr(SpinPhase, name), _name=name):
+                built.append(_name)
+                return _orig(phase)
+
+            monkeypatch.setattr(SpinPhase, name, counting)
+        profile = run_selfish_profile(CONFIG_NATIVE, duration_s=0.3, seed=8)
+        assert sorted(built) == ["detour_latencies_us", "detour_times_us"]
+        assert profile.summary["count"] == len(profile.times_us) > 0
 
     def test_empty_summary_without_detours(self):
         w = SelfishDetour()
@@ -144,5 +160,6 @@ class TestSelfish:
         from repro.common.units import seconds, us
 
         w.phases.append(SpinPhase(seconds(1), us(1)))
-        assert w.noise_summary()["count"] == 0
-        assert w.interarrival_cv() == 0.0
+        series = w.detour_series_us()
+        assert w.noise_summary(series)["count"] == 0
+        assert w.interarrival_cv(series) == 0.0
