@@ -78,7 +78,7 @@ def check_gic(gic: Gic) -> List[str]:
         for irq in sorted(iface.pending | iface.active):
             if not 0 <= irq < MAX_IRQ:
                 problems.append(f"core{iface.core_id}: IRQ {irq} out of range")
-            elif irq not in gic.trigger:
+            elif irq not in gic.priority:
                 problems.append(
                     f"core{iface.core_id}: orphaned IRQ {irq} "
                     "(pending/active but never configured)"

@@ -48,7 +48,7 @@ from repro.hafnium.spm import PRIMARY_VM_ID
 from repro.hafnium.vm import VcpuState, Vm
 from repro.kernels.base import KernelBase
 from repro.kernels.thread import Hypercall, Thread
-from repro.hw.gic import IrqTrigger, PPI_PHYS_TIMER
+from repro.hw.gic import PPI_PHYS_TIMER
 
 
 def _rogue_sender_body(count: int, dest_vm_id: int, size_bytes: int):
@@ -225,7 +225,7 @@ class FaultInjector:
         count = int(spec.param("count", 150))
         gap_ps = int(spec.param("gap_ps", 40_000_000))
         gic = self.machine.gic
-        gic.configure(irq, trigger=IrqTrigger.EDGE, target_core=core)
+        gic.configure(irq, target_core=core)
         gic.enable(irq)
         engine = self.machine.engine
         for i in range(count):

@@ -579,7 +579,6 @@ class Spm:
         iface = core.cpu_iface
         irq = iface.peek()
         if irq is None:
-            core.take_doorbell()
             return False
         if irq == PPI_VIRT_TIMER:
             ours, cost = self._vtimer_owner.get(core.core_id) is vcpu, self._vtimer_claim
@@ -592,7 +591,6 @@ class Spm:
         if irq == PPI_VIRT_TIMER:
             core.timer["virt"].stop()  # deassert; the guest re-arms its tick
         iface.eoi(irq)
-        core.take_doorbell()
         vcpu.vgic.inject(irq)
         return True
 

@@ -13,7 +13,7 @@ analytic cost model in :mod:`repro.hw.perfmodel`.
 from repro.hw.soc import SoCConfig, PINE_A64, QEMU_VIRT
 from repro.hw.memory import MemoryRegion, PhysicalMemoryMap, RegionKind
 from repro.hw.mmu import PageTable, PageAttrs, TranslationRegime, TranslationFault
-from repro.hw.gic import Gic, GicCpuInterface, IrqTrigger
+from repro.hw.gic import Gic, GicCpuInterface
 from repro.hw.timer import GenericTimer, TimerChannel
 from repro.hw.cpu import Core, ExceptionLevel, SecurityWorld
 from repro.hw.trustzone import TrustZoneController
@@ -36,7 +36,6 @@ __all__ = [
     "TranslationFault",
     "Gic",
     "GicCpuInterface",
-    "IrqTrigger",
     "GenericTimer",
     "TimerChannel",
     "Core",

@@ -3,10 +3,7 @@
 A core is where one kernel's per-core loop (a :class:`repro.sim.Process`)
 executes. The core mediates interrupt delivery: when its GIC CPU interface
 signals a deliverable interrupt, the core preempts the attached loop
-process's wait with its :class:`IrqPreemption` marker — or latches a
-doorbell if the loop is not at an interruptible point, which the loop
-polls at its next scheduling boundary (this mirrors how PSTATE.I-masked
-regions defer interrupts to the next unmask).
+process's wait with its :class:`IrqPreemption` marker.
 
 The core also tracks the architectural context the paper's isolation story
 depends on: current exception level, security world, and active
@@ -87,7 +84,6 @@ class Core:
         self.regime: Optional[TranslationRegime] = None
         # Execution plumbing.
         self.loop_process: Optional[Process] = None
-        self.irq_doorbell = False
         self.idle_time_ps = 0
         #: the marker every hardware interrupt of this core sends its loop
         self.preemption = IrqPreemption(core_id)
@@ -103,18 +99,11 @@ class Core:
         self.loop_process = process
 
     def _on_deliverable_irq(self) -> None:
-        """GIC signals a deliverable interrupt for this core."""
+        """GIC signals a deliverable interrupt for this core. A loop that
+        is not waiting finds it pending at its next ``peek()``."""
         proc = self.loop_process
-        if proc is not None and proc.preempt(self.preemption):
-            return
-        # Loop is mid-callback (conceptually: IRQs masked); latch for poll.
-        self.irq_doorbell = True
-
-    def take_doorbell(self) -> bool:
-        """Consume the latched-IRQ flag (polled at scheduling boundaries)."""
-        was = self.irq_doorbell
-        self.irq_doorbell = False
-        return was
+        if proc is not None:
+            proc.preempt(self.preemption)
 
     # -- architectural context -----------------------------------------------
 

@@ -6,15 +6,17 @@ PPIs 16-31 (per-core private — the generic timers live here), SPIs 32+
 (shared peripherals, routable to any core — the routing table is what the
 paper's super-secondary "selective IRQ routing" modifies).
 
-Sources assert lines (level) or pulse them (edge). When a core has an
-enabled, pending, unmasked interrupt the CPU interface invokes the core's
-``irq_entry`` callback — which preempts whatever the core is executing.
-Software then ``ack``s (get the IRQ id, mark active) and ``eoi``s it.
+Devices (and the IRQ-storm fault) pulse SPIs, which latch pending once;
+the generic timers hold their banked PPI lines high on each core's CPU
+interface (``raise_line``/``lower_line``), and a held line goes pending
+again at every EOI. When a core has an enabled, pending, unmasked
+interrupt the CPU interface invokes the core's ``irq_entry`` callback —
+which preempts whatever the core is executing. Software then ``ack``s
+(get the IRQ id, mark active) and ``eoi``s it.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Callable, Collection, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
@@ -26,11 +28,6 @@ MAX_IRQ = 1020
 PPI_HYP_TIMER = 26
 PPI_VIRT_TIMER = 27
 PPI_PHYS_TIMER = 30
-
-
-class IrqTrigger(Enum):
-    EDGE = "edge"
-    LEVEL = "level"
 
 
 def highest_priority(
@@ -53,18 +50,14 @@ def highest_priority(
 class Gic:
     """Distributor + per-core CPU interfaces."""
 
-    def __init__(self, num_cores: int, version: str = "gic2"):
+    def __init__(self, num_cores: int):
         if num_cores < 1:
             raise ConfigurationError("GIC needs at least one core")
         self.num_cores = num_cores
-        self.version = version
         self.enabled: Set[int] = set()
-        self.trigger: Dict[int, IrqTrigger] = {}
+        #: IRQ -> priority; an IRQ is configured once it has an entry here
         self.priority: Dict[int, int] = {}
         self.spi_target: Dict[int, int] = {}  # SPI -> core
-        #: SPI -> line level. Private (SGI/PPI) lines are banked per core:
-        #: their level lives in each CPU interface's ``asserted`` set.
-        self.level_state: Dict[int, bool] = {}
         self.cpu_ifaces: List[GicCpuInterface] = [
             GicCpuInterface(self, c) for c in range(num_cores)
         ]
@@ -88,12 +81,10 @@ class Gic:
     def configure(
         self,
         irq: int,
-        trigger: IrqTrigger = IrqTrigger.LEVEL,
         priority: int = 0xA0,
         target_core: int = 0,
     ) -> None:
         kind = self.classify(irq)
-        self.trigger[irq] = trigger
         self.priority[irq] = priority
         self._invalidate_all()
         if kind == "spi":
@@ -102,13 +93,10 @@ class Gic:
             self.spi_target[irq] = target_core
 
     def enable(self, irq: int) -> None:
-        if irq not in self.trigger:
+        if irq not in self.priority:
             self.configure(irq)
         self.enabled.add(irq)
         self._invalidate_all()
-        # An asserted SPI line becomes deliverable on enable.
-        if self.level_state.get(irq):
-            self.cpu_ifaces[self.spi_target.get(irq, 0)].set_pending(irq)
 
     def disable(self, irq: int) -> None:
         self.enabled.discard(irq)
@@ -118,14 +106,6 @@ class Gic:
         """An enable or priority write can change every core's answer."""
         for iface in self.cpu_ifaces:
             iface._best = _STALE
-
-    def retarget_spi(self, irq: int, core: int) -> None:
-        """Change SPI routing (the selective-routing experiment's hook)."""
-        if self.classify(irq) != "spi":
-            raise ConfigurationError(f"IRQ {irq} is not an SPI")
-        if not 0 <= core < self.num_cores:
-            raise ConfigurationError(f"core {core} invalid")
-        self.spi_target[irq] = core
 
     # -- source side ---------------------------------------------------------
 
@@ -141,23 +121,6 @@ class Gic:
         self.classify(irq)  # range check
         return self.cpu_ifaces[self.spi_target.get(irq, 0)]
 
-    def assert_level(self, irq: int, core: Optional[int] = None) -> None:
-        """Assert a level-triggered line (stays pending until deassert)."""
-        iface = self._iface(irq, core)
-        if irq < SPI_BASE:
-            iface.raise_line(irq)
-        else:
-            self.level_state[irq] = True
-            iface.set_pending(irq)
-
-    def deassert_level(self, irq: int, core: Optional[int] = None) -> None:
-        iface = self._iface(irq, core)
-        if irq < SPI_BASE:
-            iface.lower_line(irq)
-        else:
-            self.level_state[irq] = False
-            iface.clear_pending(irq)
-
     def pulse(self, irq: int, core: Optional[int] = None) -> None:
         """Edge-triggered assertion: latches pending once."""
         self._iface(irq, core).set_pending(irq)
@@ -172,15 +135,12 @@ class Gic:
 
     def drop_pending(self, irq: int, core: Optional[int] = None) -> bool:
         """Silently lose a pending (not yet acked) interrupt — the
-        fault-injection hook for a glitched/lost IRQ. The level state is
-        cleared too, so the line will not re-pend on its own: the device
+        fault-injection hook for a glitched/lost IRQ. A held banked line
+        is lowered too, so it will not re-pend on its own: the source
         thinks it delivered, the CPU never sees it. Returns True if a
         pending instance was actually discarded."""
         iface = self._iface(irq, core)
-        if irq < SPI_BASE:
-            iface.asserted.discard(irq)
-        else:
-            self.level_state[irq] = False
+        iface.asserted.discard(irq)
         if irq not in iface.pending:
             return False
         iface.clear_pending(irq)
@@ -234,6 +194,7 @@ class GicCpuInterface:
         self.asserted: Set[int] = set()
         # Installed by the Core model: called when a deliverable IRQ appears.
         self.irq_entry: Optional[Callable[[], None]] = None
+        #: PSTATE.I: a plain flag, so unmasking signals nothing by itself
         self.masked = True  # cores boot with IRQs masked
         self._best = _STALE  # cached peek() answer
 
@@ -244,7 +205,7 @@ class GicCpuInterface:
         if gic._drop_next and gic._consume_armed_drop(self.core_id, irq):
             return  # injected fault: this assertion is silently lost
         if irq in self.active:
-            return  # already being handled; a held level line re-pends at EOI
+            return  # already being handled; a held line re-pends at EOI
         self.pending.add(irq)
         self._best = _STALE
         if not self.masked and self.irq_entry is not None and self.peek() is not None:
@@ -278,19 +239,7 @@ class GicCpuInterface:
             best = self._best = highest_priority(self.pending, gic.enabled, gic.priority)
         return best
 
-    def _maybe_signal(self) -> None:
-        if self.masked or self.irq_entry is None:
-            return
-        if self.peek() is not None:
-            self.irq_entry()
-
     # -- software interface ----------------------------------------------------
-
-    def set_masked(self, masked: bool) -> None:
-        """PSTATE.I equivalent: unmasking re-checks for pending work."""
-        self.masked = masked
-        if not masked:
-            self._maybe_signal()
 
     def ack(self) -> Optional[int]:
         """Read IAR: highest-priority deliverable IRQ -> active. None = spurious."""
@@ -304,12 +253,12 @@ class GicCpuInterface:
         return irq
 
     def eoi(self, irq: int) -> None:
-        """Write EOIR. A still-asserted level line goes pending again: this
-        core's own line for a banked IRQ, the shared line for an SPI."""
+        """Write EOIR. This core's still-held line goes pending again."""
         if irq not in self.active:
             raise SimulationError(f"EOI for inactive IRQ {irq} on core {self.core_id}")
         self.active.discard(irq)
-        if (irq in self.asserted) if irq < SPI_BASE else self.gic.level_state.get(irq):
+        if irq in self.asserted:
             self.pending.add(irq)
             self._best = _STALE
-            self._maybe_signal()
+            if not self.masked and self.irq_entry is not None and self.peek() is not None:
+                self.irq_entry()

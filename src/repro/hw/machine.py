@@ -50,7 +50,7 @@ class Machine:
         self.memmap = PhysicalMemoryMap(soc)
         self.bus = DramBus()
         self.trustzone = TrustZoneController()
-        self.gic = Gic(soc.num_cores, soc.gic_version)
+        self.gic = Gic(soc.num_cores)
         self.timers: List[GenericTimer] = [
             GenericTimer(self.engine, self.gic, c) for c in range(soc.num_cores)
         ]

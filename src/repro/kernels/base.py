@@ -14,9 +14,12 @@ three configurations:
 
 The interrupt path has one copy of each step: ``_wait_unmasked`` is the
 only interruptible point (phases, barrier spins and idle all wait through
-it). A hardware IRQ ends its wait as a value: the core's ``preemption``
-marker, sent by :meth:`~repro.sim.process.Process.preempt`, which the
-wait tells from a completed one by identity. The interruption then lands
+it). The GIC CPU interface is the one record of a pending IRQ: every
+caller tests ``iface.peek()`` with no yield between that test and the
+wait, so the loop never waits with an IRQ pending. A hardware IRQ ends
+its wait as a value: the core's ``preemption`` marker, sent by
+:meth:`~repro.sim.process.Process.preempt`, which the wait tells from a
+completed one by identity. The interruption then lands
 in ``_irq_path``: the host IRQ path, or a ``VmExitIntr`` for guests.
 ``_tick_done`` is the one tick handler's work (the physical timer PPI,
 handled inline in ``_irq_path`` on hosts; the injected virtual timer in
@@ -46,10 +49,10 @@ resumes this module's generators. Code on that path follows two rules:
   reused while its key holds, and the process resumes through one bound
   method, which pushes a ``Timeout`` resume onto the heap itself;
 * a sub-generator is built only when it has work — the IRQ-pending test
-  (``core.irq_doorbell or iface.peek() is not None``) is inlined before
+  (``iface.peek() is not None``) is inlined before
   entering ``_irq_path``, ``_deliver_virqs`` is entered only with a
   deliverable vIRQ, the host idle wait and the tick handler run with no
-  frame of their own, and an idle primary tick's six events make ~59
+  frame of their own, and an idle primary tick's six events make ~55
   Python calls (``tests/kernels/test_tick_budget.py`` holds the ceiling).
 
 Both keep the simulation exact: the same events, in the same order, with
@@ -371,8 +374,7 @@ class KernelBase:
         engine = self.machine.engine
         # Fixed for the loop's lifetime: a host slot's core is set at boot,
         # a guest's before each entry (the loop dies at every VM exit).
-        core = self._core(slot)
-        iface = core.cpu_iface
+        iface = self._core(slot).cpu_iface
         while not self.shutdown:
             if self.panic_requested is not None:
                 yield from self._do_panic(slot)
@@ -392,8 +394,7 @@ class KernelBase:
                 vcpu = slot.vcpu
                 if vcpu is not None and vcpu.vgic.next_deliverable() is not None:
                     yield from self._deliver_virqs(slot)
-            if core.irq_doorbell or iface.peek() is not None:
-                core.irq_doorbell = False
+            if iface.peek() is not None:
                 yield from self._irq_path(slot)
             thread = slot.current
             if thread is None:
@@ -403,13 +404,14 @@ class KernelBase:
                     # waits for a wake-up or an interrupt.
                     if self.is_guest:
                         raise VmExitWfi()
-                    waited = yield from self._wait_unmasked(slot, slot.idle_wait)
-                    if waited is not None:
-                        elapsed, interrupted = waited
+                    if iface.peek() is None:
+                        elapsed, interrupted = yield from self._wait_unmasked(
+                            slot, slot.idle_wait
+                        )
                         slot.idle_ps += elapsed
                         if not interrupted:
                             continue
-                    # Interrupted, or unmasking revealed a pending interrupt.
+                    # Interrupted, or an IRQ went pending since the last test.
                     yield from self._irq_path(slot)
                     continue
                 yield from self._switch_in(slot, thread)
@@ -440,13 +442,11 @@ class KernelBase:
         thread = slot.current
         if thread is None:
             return
-        core = slot.core
-        iface = core.cpu_iface
+        iface = slot.core.cpu_iface
         while thread.state is ThreadState.RUNNING and not slot.need_resched:
             if thread.crashed is not None:
                 break
-            if core.irq_doorbell or iface.peek() is not None:
-                core.irq_doorbell = False
+            if iface.peek() is not None:
                 yield from self._irq_path(slot)
                 continue
             item = thread.current_item
@@ -618,18 +618,11 @@ class KernelBase:
         while not phase.done:
             if thread.state is not ThreadState.RUNNING or slot.need_resched:
                 return
-            if core.irq_doorbell or iface.peek() is not None:
-                core.irq_doorbell = False
+            if iface.peek() is not None:
                 yield from self._irq_path(slot)
                 continue
             wait.delay = phase.arm(self._pricing_ctx(core, thread), engine.now)
-            waited = yield from self._wait_unmasked(slot, wait)
-            if waited is None:
-                # Unmasking revealed a latched interrupt: un-arm and handle.
-                phase.advance(0, engine.now, interrupted=True)
-                phase.abandon_gap()
-                continue
-            elapsed, interrupted = waited
+            elapsed, interrupted = yield from self._wait_unmasked(slot, wait)
             thread.cpu_time_ps += elapsed
             core.pmu.count_cycles_for(elapsed, self.machine.soc.freq_hz)
             phase.advance(elapsed, engine.now, interrupted=interrupted)
@@ -647,15 +640,12 @@ class KernelBase:
         while barrier.generation == item.start_gen:
             if thread.state is not ThreadState.RUNNING or slot.need_resched:
                 return
-            core = slot.core
-            if core.irq_doorbell or core.cpu_iface.peek() is not None:
-                core.irq_doorbell = False
+            if slot.core.cpu_iface.peek() is not None:
                 yield from self._irq_path(slot)
                 continue
-            waited = yield from self._wait_unmasked(slot, barrier.release_wait)
-            if waited is None:
-                continue
-            elapsed, interrupted = waited
+            elapsed, interrupted = yield from self._wait_unmasked(
+                slot, barrier.release_wait
+            )
             thread.cpu_time_ps += elapsed  # spin-waiting burns CPU
             if interrupted:
                 yield from self._irq_path(slot)
@@ -665,25 +655,24 @@ class KernelBase:
         """The loop's one interruptible point: yield `wait` with IRQs
         unmasked and return ``(elapsed_ps, interrupted)`` with them masked
         again; the caller accounts, then calls :meth:`_irq_path`.
-        None (nothing yielded) when unmasking revealed a latched IRQ.
 
-        A hardware interrupt ends the wait by sending the core's
-        ``preemption`` marker as the yield's value (IRQs are unmasked only
-        here, so it can arrive nowhere else). A forced abort's
-        ``Interrupted`` thrown here counts as an interrupt too."""
+        The caller has just found ``peek()`` empty, with no yield since,
+        so unmasking has nothing to signal: the wait ends early only when
+        an interrupt goes pending during it. A hardware interrupt ends it
+        by sending the core's ``preemption`` marker as the yield's value
+        (IRQs are unmasked only here, so it can arrive nowhere else). A
+        forced abort's ``Interrupted`` thrown here counts as an interrupt
+        too."""
         core = slot.core
         iface = core.cpu_iface
-        iface.set_masked(False)
-        if core.irq_doorbell or iface.peek() is not None:
-            iface.set_masked(True)
-            return None
         engine = self.machine.engine
         t0 = engine.now
+        iface.masked = False
         try:
             interrupted = (yield wait) is core.preemption
         except Interrupted:
             interrupted = True
-        iface.set_masked(True)
+        iface.masked = True
         return engine.now - t0, interrupted
 
     # ------------------------------------------------------------------
@@ -760,7 +749,6 @@ class KernelBase:
             raise VmExitIntr()
         core = slot.core
         iface = core.cpu_iface
-        core.irq_doorbell = False
         if self.role == ROLE_PRIMARY:
             # Hafnium owns EL2: physical IRQs bounce through the hypervisor
             # before reaching the primary VM (paper Section II-a). Under

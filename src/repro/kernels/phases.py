@@ -105,11 +105,6 @@ class Phase:
         off-CPU (or handling an interrupt). Subclasses may record it."""
         self.total_gap_ps += max(0, end - start)
 
-    def abandon_gap(self) -> None:
-        """Forget a pending gap (used when the owning thread blocks
-        voluntarily rather than being preempted)."""
-        self._gap_start = None
-
 
 class ComputePhase(Phase):
     """CPU-bound work: `ops` retired operations at the core's IPC.

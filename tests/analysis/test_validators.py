@@ -9,7 +9,7 @@ from repro.analysis.validators import (
     validate_node,
 )
 from repro.common.errors import SecurityViolation
-from repro.hw.gic import Gic, IrqTrigger
+from repro.hw.gic import Gic
 
 MiB = 1024 * 1024
 
@@ -58,7 +58,7 @@ def test_aliasing_within_one_vm_is_allowed():
 
 def gic():
     g = Gic(num_cores=2)
-    g.configure(40, IrqTrigger.EDGE, target_core=1)
+    g.configure(40, target_core=1)
     return g
 
 

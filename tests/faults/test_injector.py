@@ -7,7 +7,7 @@ from repro.common.units import ms, seconds, us
 from repro.faults.campaign import VICTIM_VM, build_faults_node
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.hw.gic import Gic, IrqTrigger
+from repro.hw.gic import Gic
 
 
 def _kitten_node(seed=31):
@@ -83,7 +83,7 @@ class TestBusError:
 class TestIrqDrop:
     def test_armed_drop_eats_exactly_next_pulse(self):
         gic = Gic(2)
-        gic.configure(40, trigger=IrqTrigger.EDGE, target_core=1)
+        gic.configure(40, target_core=1)
         gic.enable(40)
         gic.arm_drop_next(40)
         gic.pulse(40)
@@ -94,7 +94,7 @@ class TestIrqDrop:
 
     def test_drop_pending_eats_in_flight(self):
         gic = Gic(1)
-        gic.configure(40, trigger=IrqTrigger.EDGE, target_core=0)
+        gic.configure(40, target_core=0)
         gic.enable(40)
         gic.pulse(40)
         assert gic.drop_pending(40)

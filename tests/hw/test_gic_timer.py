@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.hw.gic import (
     Gic,
-    IrqTrigger,
     PPI_PHYS_TIMER,
     PPI_VIRT_TIMER,
     highest_priority,
@@ -42,32 +41,19 @@ class TestDeliveryPath:
         gic.enable(40)
         fired = []
         gic.cpu_ifaces[2].irq_entry = lambda: fired.append(2)
-        gic.cpu_ifaces[2].set_masked(False)
+        gic.cpu_ifaces[2].masked = False
         gic.pulse(40)
         assert fired == [2]
         assert gic.cpu_ifaces[0].peek() is None
 
-    def test_retarget_spi(self, gic):
-        gic.configure(40, target_core=0)
-        gic.enable(40)
-        gic.retarget_spi(40, 3)
-        gic.cpu_ifaces[3].set_masked(False)
-        gic.pulse(40)
-        assert gic.cpu_ifaces[3].peek() is not None
-        assert gic.cpu_ifaces[0].peek() is None
-
-    def test_retarget_rejects_non_spi(self, gic):
-        with pytest.raises(ConfigurationError):
-            gic.retarget_spi(PPI_PHYS_TIMER, 1)
-        with pytest.raises(ConfigurationError):
-            gic.retarget_spi(40, 9)
-
     def test_ppi_needs_explicit_core(self, gic):
+        """A banked line has no routing: the distributor needs the core."""
         gic.enable(PPI_PHYS_TIMER)
         with pytest.raises(SimulationError):
-            gic.assert_level(PPI_PHYS_TIMER)
-        gic.assert_level(PPI_PHYS_TIMER, core=1)
-        assert gic.cpu_ifaces[1].peek() is not None
+            gic.pulse(PPI_PHYS_TIMER)
+        gic.pulse(PPI_PHYS_TIMER, core=1)
+        assert gic.cpu_ifaces[1].peek() == PPI_PHYS_TIMER
+        assert gic.cpu_ifaces[0].peek() is None
 
     def test_disabled_irq_not_deliverable(self, gic):
         gic.configure(40)
@@ -77,22 +63,23 @@ class TestDeliveryPath:
         assert gic.cpu_ifaces[0].peek() is not None
 
     def test_masked_core_defers_until_unmask(self, gic):
+        """A masked interface does not signal: the IRQ waits in
+        ``pending`` for the kernel's ``peek()`` test, and only a pending
+        write while unmasked signals."""
         gic.configure(40, target_core=0)
+        gic.configure(41, target_core=0)
         gic.enable(40)
+        gic.enable(41)
         fired = []
         iface = gic.cpu_ifaces[0]
         iface.irq_entry = lambda: fired.append("x")
         gic.pulse(40)  # masked: no signal
         assert fired == []
-        iface.set_masked(False)
+        assert iface.peek() == 40
+        iface.masked = False  # unmasking is a plain write
+        assert fired == []
+        gic.pulse(41)
         assert fired == ["x"]
-
-    def test_enable_of_asserted_level_line_propagates(self, gic):
-        gic.configure(40, trigger=IrqTrigger.LEVEL)
-        gic.assert_level(40)
-        assert gic.cpu_ifaces[0].peek() is None
-        gic.enable(40)
-        assert gic.cpu_ifaces[0].peek() is not None
 
     def test_sgi_targets_core(self, gic):
         gic.enable(1)
@@ -132,17 +119,16 @@ class TestAckEoi:
             gic.cpu_ifaces[0].eoi(40)
 
     def test_level_line_repends_after_eoi(self, gic):
-        gic.configure(PPI_PHYS_TIMER, trigger=IrqTrigger.LEVEL)
         gic.enable(PPI_PHYS_TIMER)
         iface = gic.cpu_ifaces[0]
-        gic.assert_level(PPI_PHYS_TIMER, core=0)
+        iface.raise_line(PPI_PHYS_TIMER)
         irq = iface.ack()
         iface.eoi(irq)
         # Line still asserted: pending again (handler must deassert source).
         assert iface.peek() is not None
         irq = iface.ack()
         # Proper handler order: deassert the source, then EOI -> no re-pend.
-        gic.deassert_level(PPI_PHYS_TIMER, core=0)
+        iface.lower_line(PPI_PHYS_TIMER)
         iface.eoi(irq)
         assert iface.peek() is None
 
@@ -150,19 +136,19 @@ class TestAckEoi:
         """PPIs are banked: lowering core 1's timer line leaves core 2's
         high, so core 2's EOI re-pends its still-asserted line."""
         gic.enable(PPI_PHYS_TIMER)
-        gic.assert_level(PPI_PHYS_TIMER, core=1)
-        gic.assert_level(PPI_PHYS_TIMER, core=2)
+        gic.cpu_ifaces[1].raise_line(PPI_PHYS_TIMER)
+        gic.cpu_ifaces[2].raise_line(PPI_PHYS_TIMER)
         core2 = gic.cpu_ifaces[2]
         assert core2.ack() == PPI_PHYS_TIMER
-        gic.deassert_level(PPI_PHYS_TIMER, core=1)
+        gic.cpu_ifaces[1].lower_line(PPI_PHYS_TIMER)
         core2.eoi(PPI_PHYS_TIMER)
         assert core2.peek() == PPI_PHYS_TIMER
         assert gic.cpu_ifaces[1].peek() is None
 
     def test_drop_pending_lowers_only_the_named_cores_line(self, gic):
         gic.enable(PPI_PHYS_TIMER)
-        gic.assert_level(PPI_PHYS_TIMER, core=0)
-        gic.assert_level(PPI_PHYS_TIMER, core=1)
+        gic.cpu_ifaces[0].raise_line(PPI_PHYS_TIMER)
+        gic.cpu_ifaces[1].raise_line(PPI_PHYS_TIMER)
         assert gic.drop_pending(PPI_PHYS_TIMER, core=0)
         core1 = gic.cpu_ifaces[1]
         core1.eoi(core1.ack())
@@ -267,8 +253,8 @@ def test_highest_priority_is_the_min_key_in_any_order(pending, enabled, priority
 
 _GIC_IRQS = (1, PPI_VIRT_TIMER, 33, 34)
 _GIC_OPS = (
-    "set", "clear", "ack", "eoi", "assert", "drop_pending", "arm_drop_next",
-    "enable", "disable", "configure",
+    "set", "clear", "ack", "eoi", "assert", "lower", "drop_pending",
+    "arm_drop_next", "enable", "disable", "configure",
 )
 
 
@@ -286,9 +272,14 @@ _GIC_OPS = (
 @example(ops=[
     ("assert", PPI_VIRT_TIMER, 0, 0xA0), ("ack", 1, 0, 0xA0), ("eoi", PPI_VIRT_TIMER, 0, 0xA0),
 ])
+# lower_line clears a pending line inline, without clear_pending.
+@example(ops=[
+    ("assert", PPI_VIRT_TIMER, 1, 0xA0), ("lower", PPI_VIRT_TIMER, 1, 0xA0),
+])
 def test_cached_peek_matches_the_selection_rule(ops):
-    """peek() caches its answer; after any sequence of pending, ack/EOI,
-    drop and distributor writes it equals a fresh recomputation."""
+    """peek() caches its answer; after any sequence of pending, line
+    raise/lower, ack/EOI, drop and distributor writes it equals a fresh
+    recomputation."""
     gic = Gic(num_cores=2)
     for irq in _GIC_IRQS:
         gic.enable(irq)
@@ -304,7 +295,9 @@ def test_cached_peek_matches_the_selection_rule(ops):
             if irq in iface.active:
                 iface.eoi(irq)
         elif op == "assert":
-            gic.assert_level(irq, core=core)
+            iface.raise_line(irq)
+        elif op == "lower":
+            iface.lower_line(irq)
         elif op == "drop_pending":
             gic.drop_pending(irq, core=core)
         elif op == "arm_drop_next":

@@ -146,25 +146,25 @@ class TestCoreIrqPlumbing:
 
         p = Process(m.engine, loop(), "loop0")
         core.attach_loop(p)
-        core.cpu_iface.set_masked(False)
+        core.cpu_iface.masked = False
         m.gic.configure(40, target_core=0)
         m.gic.enable(40)
         m.engine.schedule(5_000, m.gic.pulse, 40)
         m.engine.run()
         assert log == [("irq", 5_000)]
 
-    def test_doorbell_latched_when_loop_not_waiting(self):
+    def test_irq_without_waiting_loop_stays_pending(self):
+        """With no loop waiting, a deliverable IRQ is recorded only at the
+        GIC CPU interface: it stays ``peek()``'s answer until acked."""
         m = Machine()
         core = m.cores[0]
-        core.cpu_iface.set_masked(False)
+        core.cpu_iface.masked = False
         m.gic.configure(40, target_core=0)
         m.gic.enable(40)
-        # No loop attached: delivery latches the doorbell.
-        m.gic.pulse(40)
-        assert core.irq_doorbell
-        assert core.take_doorbell() is True
-        assert core.take_doorbell() is False
-        assert core.cpu_iface.peek() == 40  # still deliverable at the GIC
+        m.gic.pulse(40)  # no loop attached: nothing to preempt
+        assert core.cpu_iface.peek() == 40
+        assert core.cpu_iface.ack() == 40
+        assert core.cpu_iface.peek() is None
 
     def test_attach_twice_rejected(self):
         m = Machine()

@@ -58,7 +58,6 @@ class TestComputePhase:
             now += step
             total += step
             phase.advance(step, now=now, interrupted=interrupted)
-            phase.abandon_gap()
         expected = PerfModel(PINE_A64).compute_ps(1e8)
         assert total == pytest.approx(expected, rel=0.01)
 
@@ -153,7 +152,6 @@ class TestMemoryPhase:
         c = ctx()
         phase = MemoryPhase("rand", 8 * MiB, total_accesses=accesses)
         whole = phase.arm(c, 0)
-        phase.abandon_gap()
         # Slice the same work into n parts: durations sum ~ whole.
         c2 = ctx()
         p2 = MemoryPhase("rand", 8 * MiB, total_accesses=accesses)
@@ -167,7 +165,6 @@ class TestMemoryPhase:
             now += step
             total += step
             p2.advance(step, now=now, interrupted=interrupted)
-            p2.abandon_gap()
         assert p2.done
         assert total == pytest.approx(whole, rel=0.05)
 

@@ -17,9 +17,9 @@ from repro.core.configs import build_hafnium_node
 from repro.exec import SimJob, execute_job
 from repro.sim.process import Interrupted
 
-#: Python calls one idle primary tick may make: the measured count (59)
+#: Python calls one idle primary tick may make: the measured count (55)
 #: plus a margin for interpreter differences.
-CALLS_PER_IDLE_TICK = 62
+CALLS_PER_IDLE_TICK = 58
 TICKS = 40
 SEED = 0xC0FFEE
 
