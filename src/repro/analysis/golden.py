@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import sys
+from array import array
 from pathlib import Path
 from typing import Any, Dict, Tuple
 
@@ -85,6 +85,9 @@ CORPUS: Tuple[SimJob, ...] = (
     _fault("native", "vm-panic"),
     _fault("hafnium-linux", "vm-panic"),
     SimJob.make("containment", config="hafnium-kitten", seed=_S),
+    # The forced abort's throw into a guest's phase wait: the cut slice's
+    # accounting and the re-mask of the core's GIC CPU interface.
+    SimJob.make("forced-abort", config="hafnium-kitten", seed=_S),
     SimJob.make("randomized-faults", config="hafnium-kitten", seed=_S, count=3),
     # Cluster BSP runs.
     _cluster("hafnium-kitten", 4, supersteps=3),
@@ -99,10 +102,7 @@ CORPUS: Tuple[SimJob, ...] = (
 def _canonical(value: Any) -> Any:
     if isinstance(value, dict):
         return sorted(value.items())
-    # An ndarray exists only once numpy is loaded; a run that built none
-    # does not load numpy just to rule one out.
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(value, np.ndarray):
+    if isinstance(value, array):
         return value.tobytes()
     return value
 
@@ -111,7 +111,8 @@ def result_digest(obj: Any) -> str:
     """SHA-256 over the exact ``repr`` of a cell result (``repr`` of a
     float is exact, so any retiming shows). A dataclass becomes the tuple
     of its fields; a dict, at top level or as a field, its sorted items;
-    an ndarray its raw bytes."""
+    an ``array`` (a :class:`~repro.core.metrics.Float64Series`) its raw
+    bytes, as an equal ndarray's were."""
     if dataclasses.is_dataclass(obj):
         obj = tuple(_canonical(getattr(obj, f.name)) for f in dataclasses.fields(obj))
     else:

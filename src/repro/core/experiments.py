@@ -15,21 +15,25 @@ these drivers' results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import PS_PER_S, ms
 from repro.core.configs import ALL_CONFIGS, CONFIG_NATIVE, PAPER_LABELS, build_node
-from repro.core.metrics import Aggregate, TrialResult, aggregate, normalize_to
+from repro.core.metrics import (
+    Aggregate,
+    Float64Series,
+    TrialResult,
+    aggregate,
+    normalize_to,
+    pairwise_sum,
+)
 from repro.workloads.base import Workload, WorkloadRun
 from repro.workloads.hpcg import HpcgBenchmark
 from repro.workloads.npb import PAPER_SUBSET, make_npb
 from repro.workloads.randomaccess import RandomAccessBenchmark
 from repro.workloads.selfish import SelfishDetour
 from repro.workloads.stream import StreamBenchmark
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -39,8 +43,8 @@ class SelfishProfile:
     """One configuration's noise profile (one of Figures 4-6)."""
 
     config: str
-    times_us: np.ndarray
-    latencies_us: np.ndarray
+    times_us: Float64Series
+    latencies_us: Float64Series
     summary: Dict[str, float]
     interarrival_cv: float
 
@@ -266,6 +270,16 @@ IRQ_LATENCY_SPI = 40
 IRQ_LATENCY_PERIOD_PS = ms(5.0)
 
 
+def irq_latency_stats_us(
+    fires: Sequence[int], handled: Sequence[int]
+) -> Tuple[float, float]:
+    """Mean and max of the paired latencies ``(handled[:n] - fires[:n]) /
+    1e6`` (ps to us, n the shorter length), as numpy's int64 subtract,
+    float64 true divide, ``mean`` and ``max`` give them."""
+    lat_us = [(h - f) / 1e6 for h, f in zip(handled, fires)]
+    return pairwise_sum(lat_us) / len(lat_us), max(lat_us)
+
+
 def run_irq_latency(
     *,
     routing: str = "forwarded",
@@ -284,8 +298,6 @@ def run_irq_latency(
             f"duration_s must be at least the device period "
             f"{IRQ_LATENCY_PERIOD_PS / PS_PER_S:g} s, got {duration_s}"
         )
-    import numpy as np
-
     from repro.common.units import seconds
     from repro.core.configs import build_hafnium_node
     from repro.hw.devices import PeriodicDevice
@@ -306,7 +318,7 @@ def run_irq_latency(
     device.stop()
     # Pair device fires with the login guest's virq handling times.
     handled = machine.tracer.times("virq.unclaimed", subject="linux-login.vcpu0")
-    fires = np.array(device.fire_times, dtype=np.int64)
+    fires = device.fire_times
     n = min(len(fires), len(handled))
     if n == 0:
         # A window of about one period ends before the first interrupt's
@@ -315,11 +327,11 @@ def run_irq_latency(
             f"duration_s={duration_s} timed no interrupt: the first device "
             f"IRQ is handled after the window ends; use a longer duration"
         )
-    lat_us = (handled[:n] - fires[:n]) / 1e6
+    mean_us, max_us = irq_latency_stats_us(fires, handled)
     return {
         "n": float(n),
-        "mean_us": float(lat_us.mean()),
-        "max_us": float(lat_us.max()),
+        "mean_us": mean_us,
+        "max_us": max_us,
         "delivered_fraction": n / len(fires),
         "direct_claims": float(spm.stats["direct_device_irqs"]),
         "forwarded": float(spm.stats["forwarded_device_irqs"]),

@@ -3,11 +3,37 @@
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from types import SimpleNamespace
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: numpy's ``PW_BLOCKSIZE``: the longest run summed without splitting.
 _PAIRWISE_BLOCK = 128
+
+
+class Float64Series(array):
+    """A 1-D float64 series: an ``array('d')`` that a result carries in
+    place of an ndarray, so a run needs no numpy.
+
+    It pickles at protocol 3 and above (the ``ParallelRunner`` pool's),
+    its ``tobytes()`` are the bytes of the equal ndarray, and
+    ``np.asarray`` on it is a zero-copy float64 view. ``dtype.str`` and
+    ``shape`` mimic the ndarray's only because
+    ``perfbench/workloads.profile_digest`` hashes them; a benchmark change
+    that hashes the same header without them may drop both.
+    """
+
+    __slots__ = ()
+    dtype = SimpleNamespace(str=("<" if sys.byteorder == "little" else ">") + "f8")
+
+    def __new__(cls, values: Iterable[float] = ()) -> "Float64Series":
+        return super().__new__(cls, "d", values)
+
+    @property
+    def shape(self) -> Tuple[int]:
+        return (len(self),)
 
 
 @dataclass
@@ -41,7 +67,7 @@ class Aggregate:
         return self.stdev / self.mean if self.mean else 0.0
 
 
-def _pairwise_sum(values: Sequence[float]) -> float:
+def pairwise_sum(values: Sequence[float]) -> float:
     """numpy's float64 ``add.reduce``, bit for bit: below 8 values a
     sequential sum from 0.0; up to ``_PAIRWISE_BLOCK`` eight strided
     accumulators, combined pairwise, then the tail in order; above it,
@@ -64,7 +90,20 @@ def _pairwise_sum(values: Sequence[float]) -> float:
         return total
     half = n // 2
     half -= half % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
+def mean_std(values: Sequence[float], ddof: int = 0) -> Tuple[float, float]:
+    """numpy's float64 ``mean`` and ``std(ddof=ddof)``, bit for bit: the
+    deviations from the pairwise mean, squared by multiplication and
+    pairwise-summed, over ``n - ddof``. The std of fewer than ``ddof + 1``
+    values is 0.0 here (numpy gives nan)."""
+    n = len(values)
+    mean = pairwise_sum(values) / n
+    if n <= ddof:
+        return mean, 0.0
+    devs = [v - mean for v in values]
+    return mean, math.sqrt(pairwise_sum([d * d for d in devs]) / (n - ddof))
 
 
 def aggregate(trials: List[TrialResult]) -> Aggregate:
@@ -75,22 +114,14 @@ def aggregate(trials: List[TrialResult]) -> Aggregate:
     if len(configs) != 1 or len(benches) != 1:
         raise ValueError(f"mixed aggregation: {configs} x {benches}")
     values = [t.value for t in trials]
-    # The same float64 sums as numpy's mean and std(ddof=1), without
-    # loading numpy into a run that builds no array.
-    xs = [float(v) for v in values]
-    n = len(xs)
-    mean = _pairwise_sum(xs) / n
-    stdev = 0.0
-    if n > 1:
-        devs = [x - mean for x in xs]
-        stdev = math.sqrt(_pairwise_sum([d * d for d in devs]) / (n - 1))
+    mean, stdev = mean_std([float(v) for v in values], ddof=1)
     return Aggregate(
         config=trials[0].config,
         benchmark=trials[0].benchmark,
         unit=trials[0].unit,
         mean=mean,
         stdev=stdev,
-        n=n,
+        n=len(values),
         values=values,
     )
 

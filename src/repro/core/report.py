@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 from repro.core.configs import ALL_CONFIGS, PAPER_LABELS
@@ -19,8 +20,6 @@ PLOT_HEIGHT = 12
 
 def render_selfish(profile: SelfishProfile) -> str:
     """ASCII scatter of detour latency vs time (one of Figures 4-6)."""
-    import numpy as np
-
     width, height = PLOT_WIDTH, PLOT_HEIGHT
     lines = [
         f"Selfish Detour — {PAPER_LABELS.get(profile.config, profile.config)} "
@@ -35,10 +34,11 @@ def render_selfish(profile: SelfishProfile) -> str:
     if len(times) == 0:
         lines.append("  (no detours above threshold)")
         return "\n".join(lines)
-    t_max = max(times.max(), 1.0)
+    t_max = max(max(times), 1.0)
     # Log-scale latency axis, like the paper's figures.
-    l_log = np.log10(np.maximum(lats, 0.1))
-    l_min, l_max = l_log.min(), max(l_log.max(), l_log.min() + 1e-6)
+    l_log = [math.log10(max(lat, 0.1)) for lat in lats]
+    l_min = min(l_log)
+    l_max = max(max(l_log), l_min + 1e-6)
     grid = [[" "] * width for _ in range(height)]
     for t, ll in zip(times, l_log):
         x = min(width - 1, int(t / t_max * (width - 1)))

@@ -139,6 +139,13 @@ def _containment(config, seed, trial=0):
     return run_containment(config, seed=seed, trial=trial)
 
 
+@handler("forced-abort")
+def _forced_abort(config, seed):
+    from repro.faults.campaign import run_forced_abort
+
+    return run_forced_abort(config, seed=seed)
+
+
 @handler("irq-latency")
 def _irq_latency(routing, seed, duration_s=1.0):
     from repro.core.experiments import run_irq_latency

@@ -43,6 +43,7 @@ from repro.core.configs import (
     _boot_hafnium,
     _machine,
     build_native_node,
+    build_node,
     kitten_guest,
     linux_login,
 )
@@ -337,6 +338,48 @@ def run_containment(
         "bystander_digest": faulted["bystander"],
         "baseline": baseline,
         "faulted": faulted,
+    }
+
+
+def run_forced_abort(config: str, *, seed: int) -> Dict[str, Any]:
+    """The SPM force-aborts the compute VM 200 ms after boot, while its
+    one thread is in the middle of a compute phase on core 0, so the
+    abort's ``Interrupted`` lands in the guest's unmasked phase wait.
+
+    Returns what that wait's handler leaves behind: the slice cut short,
+    accounted to the thread and its phase before the exit; the masked
+    flag of the core's GIC CPU interface once the abort's resume has run
+    (the guest leaves it masked); and the VCPU's exits and runs 100 ms
+    later."""
+    node = build_node(config, seed=seed)
+    if node.spm is None:
+        raise ConfigurationError("a forced abort needs a Hafnium config")
+    engine = node.engine
+    phase = ComputePhase(5e9)
+    thread = Thread("w", iter([phase]), cpu=0, aspace="b")
+    node.spawn_workload_threads([thread])
+    engine.run_until(engine.now + ms(200))
+    vcpu = node.spm.vm_by_name("compute").vcpus[0]
+    core = vcpu.resident_core
+    if core is None:
+        raise ConfigurationError("the compute VCPU is not on a core at the abort")
+    abort_ps, cpu_ps, ops = engine.now, thread.cpu_time_ps, phase.remaining_ops
+    node.spm.force_abort("compute", "forced-abort cell")
+    engine.run_until(engine.now)  # the abort's zero-delay resume only
+    masked = core.cpu_iface.masked
+    cut_ps, cut_ops = thread.cpu_time_ps - cpu_ps, ops - phase.remaining_ops
+    engine.run_until(engine.now + ms(100))
+    return {
+        "config": config,
+        "abort_ps": abort_ps,
+        "cut_slice_ps": cut_ps,
+        "cut_slice_ops": cut_ops,
+        "iface_masked_after_exit": masked,
+        "cpu_time_ps": thread.cpu_time_ps,
+        "remaining_ops": phase.remaining_ops,
+        "exits": dict(sorted(vcpu.exits.items())),
+        "runs": vcpu.runs,
+        "resident": vcpu.resident_core is not None,
     }
 
 

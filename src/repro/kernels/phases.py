@@ -14,13 +14,11 @@ throughput loss in the reproduced figures).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.core.metrics import Float64Series
 from repro.hw.perfmodel import MemContext, MemEnv, PerfModel, TranslationInfo
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass
@@ -292,12 +290,12 @@ class SpinPhase(Phase):
         if latency >= self.threshold_ps:
             self.detours.append((start, latency))
 
-    def detour_times_us(self) -> np.ndarray:
-        import numpy as np
+    # ``ps / 1e6`` converts the int to float64 exactly and rounds once, as
+    # numpy's int64 -> float64 true divide does, while |ps| < 2**53 (~2.5
+    # simulated hours).
 
-        return np.array([t for t, _ in self.detours], dtype=np.int64) / 1e6
+    def detour_times_us(self) -> Float64Series:
+        return Float64Series(t / 1e6 for t, _ in self.detours)
 
-    def detour_latencies_us(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([l for _, l in self.detours], dtype=np.int64) / 1e6
+    def detour_latencies_us(self) -> Float64Series:
+        return Float64Series(l / 1e6 for _, l in self.detours)

@@ -9,11 +9,9 @@ post-run.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 #: Records serialized per hashlib update when digesting incrementally —
 #: large enough to amortize the call overhead, small enough to bound the
@@ -108,13 +106,9 @@ class Tracer:
         """Number of records of a category."""
         return sum(1 for r in self.records if r.category == category)
 
-    def times(self, category: str, subject: Optional[str] = None) -> np.ndarray:
-        """Timestamps (ps) of matching records as an array."""
-        import numpy as np
-
-        return np.array(
-            [r.time for r in self.filter(category, subject)], dtype=np.int64
-        )
+    def times(self, category: str, subject: Optional[str] = None) -> array:
+        """Timestamps (ps) of matching records as an int64 ``array('q')``."""
+        return array("q", [r.time for r in self.filter(category, subject)])
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)

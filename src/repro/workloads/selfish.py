@@ -12,15 +12,15 @@ frequent, randomly-placed detours (250 Hz ticks + background threads).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.units import seconds, us
+from repro.core.metrics import Float64Series, mean_std, pairwise_sum
 from repro.kernels.phases import SpinPhase
 from repro.kernels.thread import SpinBarrier
 from repro.workloads.base import Workload
 
-if TYPE_CHECKING:
-    import numpy as np
+Series = Tuple[Float64Series, Float64Series]
 
 
 class SelfishDetour(Workload):
@@ -51,15 +51,16 @@ class SelfishDetour(Workload):
     def detours(self) -> List[Tuple[int, int]]:
         return self.phases[0].detours
 
-    def detour_series_us(self) -> Tuple[np.ndarray, np.ndarray]:
+    def detour_series_us(self) -> Series:
         """(timestamps_us, latencies_us) — the scatter the figures plot."""
         p = self.phases[0]
         return p.detour_times_us(), p.detour_latencies_us()
 
     # The two reductions below take the ``detour_series_us()`` pair from
-    # their caller, so a profile builds its arrays once.
+    # their caller, so a profile builds its series once. Each gives the
+    # float64 result of the numpy expression in its comments, bit for bit.
 
-    def noise_summary(self, series: Tuple[np.ndarray, np.ndarray]) -> Dict[str, float]:
+    def noise_summary(self, series: Series) -> Dict[str, float]:
         _, lats = series
         if len(lats) == 0:
             return {
@@ -70,23 +71,23 @@ class SelfishDetour(Workload):
                 "stolen_fraction": 0.0,
             }
         window_s = self.duration_ps / 1e12
+        total = pairwise_sum(lats)  # lats.sum()
         return {
             "count": float(len(lats)),
             "rate_hz": len(lats) / window_s,
-            "mean_latency_us": float(lats.mean()),
-            "max_latency_us": float(lats.max()),
+            "mean_latency_us": total / len(lats),  # lats.mean()
+            "max_latency_us": max(lats),
             # Fraction of the window lost to detours ("noise").
-            "stolen_fraction": float(lats.sum() * 1e-6 / window_s),
+            "stolen_fraction": total * 1e-6 / window_s,
         }
 
-    def interarrival_cv(self, series: Tuple[np.ndarray, np.ndarray]) -> float:
+    def interarrival_cv(self, series: Series) -> float:
         """Coefficient of variation of detour inter-arrival times: ~0 for
         a purely periodic source (timer ticks), >>0 for random noise.
         Used to test the paper's "more randomly distributed" claim."""
-        import numpy as np
-
         times, _ = series
         if len(times) < 3:
             return 0.0
-        gaps = np.diff(times)
-        return float(gaps.std() / gaps.mean()) if gaps.mean() > 0 else 0.0
+        gaps = [b - a for a, b in zip(times, times[1:])]  # np.diff(times)
+        mean, std = mean_std(gaps)  # gaps.mean(), gaps.std()
+        return std / mean if mean > 0 else 0.0

@@ -107,6 +107,7 @@ def _all_kind_cells():
             seed=SEED,
         ),
         SimJob.make("containment", config="hafnium-kitten", seed=SEED),
+        SimJob.make("forced-abort", config="hafnium-kitten", seed=SEED),
         SimJob.make(
             "irq-latency", routing="forwarded", duration_s=0.01, seed=SEED,
         ),

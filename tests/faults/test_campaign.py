@@ -10,6 +10,7 @@ from repro.faults.campaign import (
     HAFNIUM_SCENARIOS,
     NATIVE_SCENARIOS,
     run_containment,
+    run_forced_abort,
     run_resilience,
     run_scenario,
     run_smoke,
@@ -112,6 +113,19 @@ class TestContainment:
         )
         assert not r["strict_isolation_expected"]
         assert r["victim_trace_changed"]
+
+
+class TestForcedAbort:
+    @pytest.mark.parametrize("config", ["hafnium-kitten", "hafnium-linux"])
+    def test_abort_mid_phase_accounts_the_cut_slice_and_remasks(self, config):
+        r = run_forced_abort(config, seed=SEED)
+        assert r["cut_slice_ps"] > 0 and r["cut_slice_ops"] > 0
+        assert r["iface_masked_after_exit"] is True
+        assert r["resident"] is False
+
+    def test_native_rejected(self):
+        with pytest.raises(ConfigurationError):
+            run_forced_abort("native", seed=SEED)
 
 
 class TestAvailabilityMetrics:

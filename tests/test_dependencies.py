@@ -1,12 +1,10 @@
-"""The package's only third-party runtime dependency is NumPy; a run that
-returns no ndarray loads neither numpy nor the linter, and a run that does
-load numpy starts no BLAS worker thread."""
+"""The package has no third-party runtime dependency: a run loads neither
+numpy (a test-only oracle) nor the linter, and the runs whose results are
+float64 series give the committed digests with numpy blocked."""
 
 import os
 import subprocess
 import sys
-
-import pytest
 
 # Refuses `scipy` at import time, then imports every module of the package
 # and prints one line per module that failed.
@@ -42,8 +40,8 @@ def test_every_module_imports_without_scipy():
 
 
 # One quickstart cell per config, both fault job kinds, a cluster cell and
-# a Figure 7/8 trial with its aggregate (none returns an ndarray), then the
-# modules a run must not have loaded.
+# a Figure 7/8 trial with its aggregate, then the modules a run must not
+# have loaded.
 _RUN_CELLS = """
 import sys
 from repro.core.metrics import aggregate
@@ -76,38 +74,55 @@ def test_a_run_loads_neither_numpy_random_nor_the_linter():
     assert (out.returncode, out.stdout.strip()) == (0, ""), out.stderr
 
 
-# Imports the package, runs one selfish cell (its profile is an ndarray, so
-# the cell loads numpy), then reports whether numpy loaded, the process's
-# threads and the OpenBLAS thread setting the run saw.
-_THREADS = """
-import os, sys
-import repro
-from repro.exec import SimJob, execute_job
+# Blocks numpy (`sys.modules["numpy"] = None` makes every import of it
+# fail), then runs the corpus's selfish-profile and irq-latency cells, a
+# selfish-profile cell per config, the same profiles pooled at jobs=2, their
+# plots and `Tracer.times`; prints the digests and plots as JSON.
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None
 
-execute_job(SimJob.make("selfish-profile", config="native", duration_s=0.02,
-                        threshold_us=1.0, seed=1))
-print("numpy" in sys.modules, len(os.listdir("/proc/self/task")),
-      os.environ.get("OPENBLAS_NUM_THREADS"))
+from repro.analysis import golden
+from repro.core.configs import ALL_CONFIGS
+from repro.core.experiments import DEFAULT_SEED, run_selfish_profiles
+from repro.core.report import render_selfish
+from repro.exec import SimJob, execute_job
+from repro.sim.trace import Tracer
+
+jobs = [job for job in golden.CORPUS if job.kind in ("selfish-profile", "irq-latency")]
+jobs += [SimJob.make("selfish-profile", config=config, duration_s=0.2,
+                     threshold_us=1.0, seed=DEFAULT_SEED) for config in ALL_CONFIGS]
+digests = {job.key: golden.result_digest(execute_job(job)) for job in jobs}
+pooled = run_selfish_profiles(duration_s=0.2, seed=DEFAULT_SEED, jobs=2)
+tracer = Tracer()
+tracer.emit(5, "irq", "core0")
+print(json.dumps({
+    "digests": digests,
+    "pooled": {c: golden.result_digest(p) for c, p in pooled.items()},
+    "plots": {c: render_selfish(p) for c, p in pooled.items()},
+    "times": list(tracer.times("irq")),
+}))
 """
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
-                    reason="needs /proc/self/task to count threads")
-@pytest.mark.parametrize("preset, setting", [
-    (None, "1"),  # unset: repro pins OpenBLAS to the calling thread
-    ("2", "2"),   # a value the user set is kept
-])
-def test_a_run_starts_no_blas_worker_threads(preset, setting):
+def test_selfish_and_irq_latency_runs_need_no_numpy():
+    import json
+
+    from repro.analysis import golden
+    from repro.core.experiments import DEFAULT_SEED, run_selfish_profile
+    from repro.core.report import render_selfish
+
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
-    out = subprocess.run([sys.executable, "-c", _THREADS], capture_output=True,
-                         text=True, env=env)
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.returncode == 0, out.stderr
-    loaded, threads, seen = out.stdout.split()
-    assert loaded == "True"
-    if preset is None:
-        assert threads == "1"
-    assert seen == setting
+    got = json.loads(out.stdout)
+    committed = golden.load_golden()
+    pinned = {key: d for key, d in got["digests"].items() if key in committed}
+    assert len(pinned) == 4
+    assert pinned == {key: committed[key] for key in pinned}
+    assert got["times"] == [5]
+    for config, digest in got["pooled"].items():
+        profile = run_selfish_profile(config, duration_s=0.2, seed=DEFAULT_SEED)
+        assert digest == golden.result_digest(profile), config
+        assert got["plots"][config] == render_selfish(profile), config
