@@ -18,7 +18,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngHub
-from repro.common.units import ms, us
 
 #: Every fault kind the injector implements.
 FAULT_KINDS = (
@@ -104,30 +103,17 @@ class FaultPlan:
     def scenario(name: str, target: str, at_ps: int) -> "FaultPlan":
         """The canonical single-fault plan for a named scenario.
 
-        A scenario is named after the fault kind it injects. Its parameters
-        are chosen so the standard resilience campaign (inject mid-run,
-        detect, recover, finish) exercises each failure mode end to end.
+        A scenario is named after the fault kind it injects, and takes
+        every parameter from the injector's defaults (``FaultInjector``'s
+        ``_do_*`` handlers). They are chosen so the standard resilience
+        campaign (inject mid-run, detect, recover, finish) exercises each
+        failure mode end to end.
         """
         if name not in FAULT_KINDS:
             raise ConfigurationError(
                 f"unknown scenario {name!r} (known: {', '.join(sorted(FAULT_KINDS))})"
             )
-        defaults: Dict[str, Any] = {}
-        if name == "vcpu-stall":
-            defaults = {"vcpu": 0, "duration_ps": ms(700)}
-        elif name == "vcpu-crash":
-            defaults = {"vcpu": 0}
-        elif name == "irq-storm":
-            defaults = {"irq": 63, "count": 150, "gap_ps": us(40), "core": 0}
-        elif name == "irq-drop":
-            defaults = {"core": 0}
-        elif name == "mailbox-storm":
-            defaults = {"count": 40, "size_bytes": 64}
-        elif name == "mem-bit-flip":
-            defaults = {"correctable": False}
-        elif name == "node-failure":
-            defaults = {"rank": 1}
-        return FaultPlan.single(name, target, at_ps, **defaults)
+        return FaultPlan.single(name, target, at_ps)
 
     @staticmethod
     def randomized(

@@ -12,14 +12,17 @@ three configurations:
   physical interrupts or idling, it raises :class:`~repro.kernels.exits.VmExit`
   exceptions that the SPM catches (the VM-exit path).
 
-The interrupt path has one copy of each step: ``_wait_unmasked`` is the
-only interruptible point (phases, barrier spins and idle all wait through
-it). The GIC CPU interface is the one record of a pending IRQ: every
-caller tests ``iface.peek()`` with no yield between that test and the
-wait, so the loop never waits with an IRQ pending. A hardware IRQ ends
-its wait as a value: the core's ``preemption`` marker, sent by
-:meth:`~repro.sim.process.Process.preempt`, which the wait tells from a
-completed one by identity. The interruption then lands
+``_schedule_loop`` is a CPU slot's one dispatch loop: each pass tests the
+boundary once (thread left RUNNING, killed, need_resched, IRQ pending),
+then steps the current item once: a phase slice, a barrier arrival or
+spin, or a control item. The interrupt path has one copy of each step:
+``_wait_unmasked`` is the only interruptible point (phase slices, barrier
+spins and idle all wait through it). The GIC CPU interface is the one
+record of a pending IRQ: the loop tests ``iface.peek()`` with no yield
+between that test and the wait, so it never waits with an IRQ pending.
+A hardware IRQ ends its wait as a value: the core's ``preemption``
+marker, sent by :meth:`~repro.sim.process.Process.preempt`, which the
+wait tells from a completed one by identity. The interruption then lands
 in ``_irq_path``: the host IRQ path, or a ``VmExitIntr`` for guests.
 ``_tick_done`` is the one tick handler's work (the physical timer PPI,
 handled inline in ``_irq_path`` on hosts; the injected virtual timer in
@@ -51,9 +54,11 @@ resumes this module's generators. Code on that path follows two rules:
 * a sub-generator is built only when it has work — the IRQ-pending test
   (``iface.peek() is not None``) is inlined before
   entering ``_irq_path``, ``_deliver_virqs`` is entered only with a
-  deliverable vIRQ, the host idle wait and the tick handler run with no
-  frame of their own, and an idle primary tick's six events make ~55
-  Python calls (``tests/kernels/test_tick_budget.py`` holds the ceiling).
+  deliverable vIRQ, the host idle wait, the tick handler and the
+  running thread's dispatch run with no frame of their own (a slice
+  resumes ``_schedule_loop``, ``_phase_slice``, ``_wait_unmasked``), and
+  an idle primary tick's six events make ~55 Python calls
+  (``tests/kernels/test_tick_budget.py`` holds it and per-cell ceilings).
 
 Both keep the simulation exact: the same events, in the same order, with
 the same RNG draws.
@@ -374,7 +379,7 @@ class KernelBase:
         engine = self.machine.engine
         # Fixed for the loop's lifetime: a host slot's core is set at boot,
         # a guest's before each entry (the loop dies at every VM exit).
-        iface = self._core(slot).cpu_iface
+        iface = slot.core.cpu_iface
         while not self.shutdown:
             if self.panic_requested is not None:
                 yield from self._do_panic(slot)
@@ -415,7 +420,47 @@ class KernelBase:
                     yield from self._irq_path(slot)
                     continue
                 yield from self._switch_in(slot, thread)
-            yield from self._run_current(slot)
+            # Dispatch the current thread, one step per pass, each pass after
+            # one test of each boundary.
+            while True:
+                if thread.state is not ThreadState.RUNNING:
+                    if thread.state is ThreadState.BLOCKED:
+                        # The item handler cleared what it had to.
+                        slot.current = None
+                    break
+                if thread.crashed is not None:
+                    # Marked for forcible termination (kill IPI): reap
+                    # instead of requeueing.
+                    self._reap_crashed(slot, thread)
+                    break
+                if slot.need_resched:
+                    # Preempted: back on the queue.
+                    thread.state = ThreadState.READY
+                    thread.preemptions += 1
+                    self.enqueue(slot, thread)
+                    slot.current = None
+                    break
+                if iface.peek() is not None:
+                    yield from self._irq_path(slot)
+                    continue
+                item = thread.current_item
+                if item is None:
+                    item = thread.next_item()
+                    if item is None:
+                        self._retire(slot, thread, "thread.exit")
+                        break
+                    thread.current_item = item
+                    if isinstance(item, Phase):
+                        # Resuming the body may have kicked this slot: test
+                        # the boundary again before the first slice.
+                        continue
+                # The two waiting items run without the _process_item frame.
+                if isinstance(item, Phase):
+                    yield from self._phase_slice(slot, thread, item)
+                elif isinstance(item, BarrierWait):
+                    yield from self._barrier_wait(slot, thread, item)
+                else:
+                    yield from self._process_item(slot, thread, item)
 
     def _switch_in(self, slot: CpuSlot, thread: Thread) -> Generator:
         slot.current = thread
@@ -438,54 +483,13 @@ class KernelBase:
             )
         slot.last_thread = thread
 
-    def _run_current(self, slot: CpuSlot) -> Generator:
-        thread = slot.current
-        if thread is None:
-            return
-        iface = slot.core.cpu_iface
-        while thread.state is ThreadState.RUNNING and not slot.need_resched:
-            if thread.crashed is not None:
-                break
-            if iface.peek() is not None:
-                yield from self._irq_path(slot)
-                continue
-            item = thread.current_item
-            if item is None:
-                item = thread.next_item()
-                if item is None:
-                    self._retire(slot, thread, "thread.exit")
-                    return
-                thread.current_item = item
-            if isinstance(item, Phase):
-                # The common item, run without the _process_item frame.
-                yield from self._execute_phase(slot, thread, item)
-                if item.done:
-                    thread.current_item = None
-            else:
-                yield from self._process_item(slot, thread, item)
-            if thread.state is not ThreadState.RUNNING:
-                # Blocked or dead: the item handler cleared what it had to.
-                if thread.state is ThreadState.BLOCKED:
-                    slot.current = None
-                return
-        if thread.crashed is not None and thread.state is ThreadState.RUNNING:
-            # Marked for forcible termination (kill IPI): reap instead of
-            # requeueing.
-            self._reap_crashed(slot, thread)
-            return
-        if thread.state is ThreadState.RUNNING:
-            # Preempted: back on the queue.
-            thread.state = ThreadState.READY
-            thread.preemptions += 1
-            self.enqueue(slot, thread)
-            slot.current = None
-
     # ------------------------------------------------------------------
     # Item interpretation
     # ------------------------------------------------------------------
 
     def _process_item(self, slot: CpuSlot, thread: Thread, item: Any) -> Generator:
-        """Interpret a control item (phases run in ``_run_current``)."""
+        """Interpret a control item (phases and barrier waits run in
+        ``_schedule_loop``)."""
         if isinstance(item, Hypercall):
             # The primary's vcpu_run calls: first in the chain, and run
             # inline, since every guest event resumes through this frame.
@@ -535,10 +539,6 @@ class KernelBase:
         elif isinstance(item, ReadPmu):
             thread.current_item = None
             yield from self._read_pmu(slot, thread, item)
-        elif isinstance(item, BarrierWait):
-            yield from self._barrier_wait(slot, thread, item)
-            if item.satisfied:
-                thread.current_item = None
         else:
             raise SimulationError(
                 f"{self.name}: thread {thread.name} yielded unknown item {item!r}"
@@ -610,46 +610,44 @@ class KernelBase:
             )
         return ctx
 
-    def _execute_phase(self, slot: CpuSlot, thread: Thread, phase: Phase) -> Generator:
+    def _phase_slice(self, slot: CpuSlot, thread: Thread, phase: Phase) -> Generator:
+        """Run one slice of `phase`: until it completes or an interrupt
+        cuts it. The loop has just found ``peek()`` empty."""
         engine = self.machine.engine
         core = slot.core
-        iface = core.cpu_iface
         wait = slot.slice_wait
-        while not phase.done:
-            if thread.state is not ThreadState.RUNNING or slot.need_resched:
-                return
-            if iface.peek() is not None:
-                yield from self._irq_path(slot)
-                continue
-            wait.delay = phase.arm(self._pricing_ctx(core, thread), engine.now)
-            elapsed, interrupted = yield from self._wait_unmasked(slot, wait)
-            thread.cpu_time_ps += elapsed
-            core.pmu.count_cycles_for(elapsed, self.machine.soc.freq_hz)
-            phase.advance(elapsed, engine.now, interrupted=interrupted)
-            if interrupted:
-                yield from self._irq_path(slot)
+        wait.delay = phase.arm(self._pricing_ctx(core, thread), engine.now)
+        elapsed, interrupted = yield from self._wait_unmasked(slot, wait)
+        thread.cpu_time_ps += elapsed
+        core.pmu.count_cycles_for(elapsed, self.machine.soc.freq_hz)
+        phase.advance(elapsed, engine.now, interrupted=interrupted)
+        # A slice that ran to its end finished the phase; a cut one may
+        # have too.
+        if not interrupted or phase.done:
+            thread.current_item = None
+        if interrupted:
+            yield from self._irq_path(slot)
 
     def _barrier_wait(self, slot: CpuSlot, thread: Thread, item: BarrierWait) -> Generator:
+        """Arrive at the barrier, or spin one wait on its release. The wait
+        is satisfied once the barrier's generation has moved; arriving is a
+        step of its own, so the loop tests its boundary before the first
+        spin."""
         barrier = item.barrier
         if not item.arrived:
             item.arrived = True
             item.start_gen = barrier.generation
-            if barrier.arrive():
-                item.satisfied = True
-                return
-        while barrier.generation == item.start_gen:
-            if thread.state is not ThreadState.RUNNING or slot.need_resched:
-                return
-            if slot.core.cpu_iface.peek() is not None:
-                yield from self._irq_path(slot)
-                continue
+            barrier.arrive()
+        elif barrier.generation == item.start_gen:
             elapsed, interrupted = yield from self._wait_unmasked(
                 slot, barrier.release_wait
             )
             thread.cpu_time_ps += elapsed  # spin-waiting burns CPU
             if interrupted:
                 yield from self._irq_path(slot)
-        item.satisfied = True
+        if barrier.generation != item.start_gen:
+            item.satisfied = True
+            thread.current_item = None
 
     def _wait_unmasked(self, slot: CpuSlot, wait: Any) -> Generator:
         """The loop's one interruptible point: yield `wait` with IRQs
@@ -861,9 +859,6 @@ class KernelBase:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-
-    def runnable_count(self, slot: CpuSlot) -> int:
-        return len(slot.runqueue) + (1 if slot.current is not None else 0)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}({self.name!r}, role={self.role})"

@@ -5,7 +5,19 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngHub
 from repro.common.units import ms
+from repro.faults.campaign import VICTIM_VM, build_faults_node
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FAULT_KINDS, FaultPlan, FaultSpec
+
+
+def _injected(plan_at):
+    """The injector's record of the one fault `plan_at(t)` injects at t."""
+    node = build_faults_node(scheduler="kitten", seed=31)
+    injector = FaultInjector(node, plan_at(node.engine.now + ms(1)))
+    injector.arm()
+    node.engine.run_until(node.engine.now + ms(2))
+    (record,) = injector.injections
+    return record
 
 
 class TestFaultSpec:
@@ -45,10 +57,25 @@ class TestFaultPlan:
             FaultPlan.scenario("meteor-strike", "vma", 0)
 
     def test_scenario_defaults_and_overrides(self):
-        plan = FaultPlan.scenario("vcpu-stall", "vma", ms(10))
-        (spec,) = plan.faults
-        assert spec.param("duration_ps") == ms(700)
-        assert spec.param("vcpu") == 0
+        # A scenario carries no parameters of its own: the injector's
+        # defaults are what lands, and a given parameter overrides them.
+        (spec,) = FaultPlan.scenario("vcpu-stall", VICTIM_VM, ms(10)).faults
+        assert spec.params == ()
+        landed = {
+            "vcpu-stall": {"vcpu": 0, "duration_ps": ms(700)},
+            "vcpu-crash": {"vcpu": 0},
+            "irq-storm": {"irq": 63, "core": 0, "count": 150},
+            "irq-drop": {"core": 0},
+            "mailbox-storm": {"count": 40},
+            "mem-bit-flip": {"correctable": False},
+        }
+        for kind, detail in landed.items():
+            record = _injected(lambda t: FaultPlan.scenario(kind, VICTIM_VM, t))
+            assert {k: record[k] for k in detail} == detail, kind
+        record = _injected(lambda t: FaultPlan.single(
+            "vcpu-stall", VICTIM_VM, t, vcpu=1, duration_ps=ms(50)
+        ))
+        assert (record["vcpu"], record["duration_ps"]) == (1, ms(50))
 
     def test_every_kind_has_a_scenario(self):
         for kind in FAULT_KINDS:

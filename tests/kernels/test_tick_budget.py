@@ -1,13 +1,23 @@
-"""The per-event budget of the idle host tick, held as numbers.
+"""The model's per-event Python work, held as numbers.
 
-An idle primary core's tick is six engine events: the timer fire, the
-IRQ preemption, the EL2 bounce, IRQ entry, the tick handler and IRQ exit.
-They are most of the events of a Linux-primary cell, so the Python work
-they do is counted here as ``sys.setprofile`` "call" events (generator
-resumes included), and a hardware IRQ must reach the kernel loop as a
-value, with no ``Interrupted`` built for it.
+Python work is counted as ``sys.setprofile`` "call" events (generator
+resumes included). Unlike host time, the count does not depend on the
+host's speed or load, so a budget can be tight. A cell is counted warm
+(its first run in a process also pays for lazy imports and caches) and
+after a full garbage collection, since collecting an earlier run's
+suspended generators closes them, which makes calls.
+
+* An idle primary core's tick is six engine events: the timer fire, the
+  IRQ preemption, the EL2 bounce, IRQ entry, the tick handler and IRQ
+  exit. They are most of the events of a Linux-primary cell.
+* A table of cells covers the rest: guest compute phases and barrier
+  spins, VM-exit round trips, fault handling and cluster supersteps.
+
+A hardware IRQ must also reach the kernel loop as a value, with no
+``Interrupted`` built for it.
 """
 
+import gc
 import sys
 
 import pytest
@@ -22,6 +32,21 @@ from repro.sim.process import Interrupted
 CALLS_PER_IDLE_TICK = 58
 TICKS = 40
 SEED = 0xC0FFEE
+
+#: (cell, ceiling): the Python calls of one warm run of each cell may not
+#: exceed its ceiling, the measured count (in the comment) plus about 3%.
+CELL_BUDGETS = [
+    (SimJob.make("quickstart", config="hafnium-linux", seed=SEED),
+     9_900),    # 9,586
+    (SimJob.make("quickstart", config="hafnium-kitten", seed=SEED),
+     2_050),    # 1,983
+    (SimJob.make("randomized-faults", config="hafnium-linux",
+                 seed=SEED + 24, count=3),
+     205_000),  # 198,848
+    (SimJob.make("cluster-run", config="hafnium-linux", nodes=4, seed=SEED,
+                 supersteps=3),
+     69_500),   # 67,290
+]
 
 
 def _count_calls(fn):
@@ -62,6 +87,17 @@ def test_idle_primary_tick_stays_within_its_call_budget(monkeypatch):
     assert ticks == TICKS
     assert events == 6 * ticks  # nothing but idle ticks ran
     assert calls <= CALLS_PER_IDLE_TICK * ticks, calls / ticks
+
+
+@pytest.mark.parametrize("job, ceiling", CELL_BUDGETS,
+                         ids=[f"{job.kind}-{job.kwargs()['config']}"
+                              for job, _ in CELL_BUDGETS])
+def test_cell_stays_within_its_call_budget(monkeypatch, job, ceiling):
+    monkeypatch.setenv("REPRO_SANITIZE", "0")
+    execute_job(job)
+    gc.collect()
+    calls = _count_calls(lambda: execute_job(job))
+    assert calls <= ceiling, calls
 
 
 @pytest.mark.parametrize("job", [
