@@ -26,8 +26,10 @@ from typing import Dict, List, Optional
 from repro.cluster.collectives import (
     COLLECTIVE_ROOT,
     allreduce,
+    is_stale_coverage,
     recv_match,
     send_message,
+    service_stale,
 )
 from repro.cluster.fabric import MSG_DEATH
 from repro.common.units import KiB
@@ -136,7 +138,7 @@ class BspClusterWorkload:
                 msg.kind == "halo"
                 and msg.tag == ("halo", step)
                 and msg.src in ring
-            ) or msg.kind == MSG_DEATH
+            ) or msg.kind == MSG_DEATH or is_stale_coverage(cluster, rank, msg)
 
         while True:
             need = [
@@ -149,6 +151,11 @@ class BspClusterWorkload:
                 if not cluster.alive(COLLECTIVE_ROOT):
                     return False
                 continue  # neighbor membership re-evaluated above
+            if msg.kind == "coverage":
+                # An orphan of the last collective, repaired to this rank:
+                # until it has the result it sends no halo.
+                yield from service_stale(cluster, rank, msg)
+                continue
             got.append(msg.src)
 
         result = yield from allreduce(

@@ -61,9 +61,7 @@ def run_cluster(
         at_ps = cluster.engine.now + ms(
             fail_at_ms if fail_at_ms is not None else 1.0
         )
-        plan = FaultPlan.single(
-            "node-failure", f"rank{fail_rank}", at_ps, rank=fail_rank
-        )
+        plan = FaultPlan.single("node-failure", f"rank{fail_rank}", at_ps)
         injector = FaultInjector(cluster.nodes[0].node, plan)
         injector.arm()
         injections = injector.injections

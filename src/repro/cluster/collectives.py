@@ -28,8 +28,11 @@ nearest live ancestor (the binomial parent chain guarantees the orphan's
 ancestor path passes through the dead parent's own parent), and each
 rank keeps a small memory of recently completed collectives so a
 straggler's duplicate coverage is answered with the stored result
-instead of being lost. Remaining limitation: an orphan whose repair
-lands on a rank that has already finished its *entire* workload
+instead of being lost. A caller that receives between collectives
+(the BSP halo exchange) answers such stragglers too, through
+:func:`is_stale_coverage` and :func:`service_stale`: the straggler may be
+the very peer it is waiting on. Remaining limitation: an orphan whose
+repair lands on a rank that has already finished its *entire* workload
 (nothing left to service the request) will hang until the cluster
 deadline — only reachable when a rank dies inside the final collective
 of a run.
@@ -111,6 +114,20 @@ def recv_match(cluster, rank: int, match: Callable[[NetMessage], bool]):
 COLLECTIVE_MEMORY = 16
 
 
+def is_stale_coverage(cluster, rank: int, msg: NetMessage) -> bool:
+    """A straggler's coverage for a collective `rank` already finished."""
+    return msg.kind == "coverage" and str(msg.tag) in cluster.collective_memory[rank]
+
+
+def service_stale(cluster, rank: int, msg: NetMessage):
+    """Yield-from fragment: answer stale coverage with the stored result."""
+    stored = cluster.collective_memory[rank].get(str(msg.tag))
+    if stored is not None:
+        yield from send_message(
+            cluster, rank, msg.src, stored, kind="result", tag=msg.tag,
+        )
+
+
 def tree_parent(v: int) -> int:
     """Binomial-tree parent of virtual rank ``v`` (> 0): clear the lowest
     set bit."""
@@ -174,14 +191,7 @@ def _tree_gather_broadcast(
         if msg.tag == tag and msg.kind in ("coverage", "result"):
             return True
         # Straggler repair for a collective this rank already finished.
-        return msg.kind == "coverage" and str(msg.tag) in memory
-
-    def service_stale(msg: NetMessage):
-        stored = memory.get(str(msg.tag))
-        if stored is not None:
-            yield from send_message(
-                cluster, rank, msg.src, stored, kind="result", tag=msg.tag,
-            )
+        return is_stale_coverage(cluster, rank, msg)
 
     coverage: Dict[int, Any] = {rank: value}
     contrib_srcs: List[int] = []
@@ -203,7 +213,7 @@ def _tree_gather_broadcast(
             if msg.src not in contrib_srcs:
                 contrib_srcs.append(msg.src)
         elif msg.kind == "coverage":
-            yield from service_stale(msg)
+            yield from service_stale(cluster, rank, msg)
         # A stray early "result" for this tag cannot arrive before this
         # rank has sent coverage up; ignore anything else defensively.
 
@@ -272,7 +282,7 @@ def _tree_gather_broadcast(
                         "error": err}
             continue
         if msg.kind == "coverage":
-            yield from service_stale(msg)
+            yield from service_stale(cluster, rank, msg)
             continue
         result = msg.payload
         break

@@ -29,9 +29,9 @@ class SimJob:
     params: Tuple[Tuple[str, Any], ...] = ()
 
     @staticmethod
-    def make(kind: str, **params: Any) -> "SimJob":
+    def make(kind: str, **kwargs: Any) -> "SimJob":
         """Build a job with parameters frozen in sorted-key order."""
-        return SimJob(kind, tuple(sorted(params.items())))
+        return SimJob(kind, tuple(sorted(kwargs.items())))
 
     @property
     def key(self) -> str:

@@ -49,7 +49,7 @@ from repro.core.configs import (
 )
 from repro.core.node import Node
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FAULT_KINDS, FaultPlan
 from repro.faults.recovery import RecoveryManager
 from repro.faults.watchdog import FailureRecord, Watchdog
 from repro.hafnium.spm import PRIMARY_VM_ID
@@ -60,12 +60,11 @@ from repro.kernels.thread import Thread
 VICTIM_VM = "vma"
 BYSTANDER_VM = "vmb"
 
-#: Scenarios applicable per configuration class. Bare metal has no VCPU
-#: threads, no mailboxes and no post-boot image re-verification.
-HAFNIUM_SCENARIOS = (
-    "mem-bit-flip", "bus-error", "irq-drop", "irq-storm", "vcpu-stall",
-    "vcpu-crash", "vm-panic", "mailbox-storm", "attestation-tamper",
-)
+#: Scenarios applicable per configuration class: a scenario injects the
+#: fault kind it is named after. Bare metal has no VCPU threads, no
+#: mailboxes and no post-boot image re-verification; node-failure needs
+#: a cluster. ``RANDOMIZED_KINDS`` draws index into this order.
+HAFNIUM_SCENARIOS = tuple(k for k in FAULT_KINDS if k != "node-failure")
 NATIVE_SCENARIOS = tuple(
     k for k in HAFNIUM_SCENARIOS
     if k not in ("vcpu-crash", "mailbox-storm", "attestation-tamper")
@@ -257,7 +256,7 @@ def run_scenario(
     target = VICTIM_VM if config != CONFIG_NATIVE else "native"
     run = _faulted_run(
         config, seed, trial,
-        lambda node, t0: FaultPlan.scenario(scenario, target, t0 + inject_delay_ps),
+        lambda node, t0: FaultPlan.single(scenario, target, t0 + inject_delay_ps),
         horizon_ps=horizon_ps,
         job_compute_s=job_compute_s,
     )
@@ -309,7 +308,7 @@ def run_containment(
         run = _faulted_run(
             config, seed, trial,
             lambda node, t0: (
-                FaultPlan.scenario(scenario, VICTIM_VM, t0 + inject_delay_ps)
+                FaultPlan.single(scenario, VICTIM_VM, t0 + inject_delay_ps)
                 if with_fault else None
             ),
             horizon_ps=horizon_ps,

@@ -7,30 +7,46 @@ hypervisor layers already implement:
 ==================  ========================================================
 kind                mechanism
 ==================  ========================================================
-mem-bit-flip        ``PhysicalMemoryMap.flip_bit`` in the target VM's DRAM
-                    partition; the consuming load takes an ECC
-                    ``HardwareFault`` and the SPM force-aborts the partition
-                    (machine-check containment). Native: kernel panic.
+mem-bit-flip        ``PhysicalMemoryMap.flip_bit`` of a drawn word and bit in
+                    the target VM's DRAM partition; the consuming load takes
+                    an ECC ``HardwareFault`` and the SPM force-aborts the
+                    partition (machine-check containment). Native: kernel
+                    panic.
 bus-error           ``DramBus.raise_bus_error`` attributed to the target VM;
                     same containment as above.
 irq-drop            ``Gic.drop_pending`` eats the next pending instance of
-                    an interrupt line (lost-IRQ hazard).
-irq-storm           repeated edge pulses of an unclaimed SPI at a core —
-                    interrupt-handling load on whoever runs there.
-vcpu-stall          ``KernelBase.stall_cpu`` wedges one VCPU; heartbeats
-                    stop and the watchdog's deadline detects it.
-vcpu-crash          ``kill_thread`` on the primary's driver thread for a
-                    VCPU; the guest silently stops being scheduled.
-vm-panic            ``KernelBase.panic`` — the guest aborts at its next
-                    dispatch boundary (the SPM contains it to the VM).
-mailbox-storm       a rogue guest thread floods the primary's mailbox;
-                    single-slot BUSY flow control absorbs it.
-attestation-tamper  corrupts the stored VM image so restart-time signature
-                    verification fails (recovery degrades gracefully).
-node-failure        ``Cluster.fail(rank)`` — host-kernel panic freezes the
-                    whole rank and the fabric partitions it (death notices
-                    to survivors). Requires a cluster-wired node.
+                    ``IRQ_DROP_LINE`` at ``IRQ_DROP_CORE`` (lost-IRQ
+                    hazard).
+irq-storm           ``IRQ_STORM_PULSES`` edge pulses of the unclaimed SPI
+                    ``IRQ_STORM_LINE`` at ``IRQ_STORM_CORE``, one every
+                    ``IRQ_STORM_GAP_PS`` — interrupt-handling load on
+                    whoever runs there.
+vcpu-stall          ``KernelBase.stall_cpu`` wedges VCPU ``FAULTED_VCPU`` for
+                    ``STALL_DURATION_PS``; heartbeats stop and the
+                    watchdog's deadline detects it.
+vcpu-crash          ``kill_thread`` on the primary's driver thread for VCPU
+                    ``FAULTED_VCPU``; the guest silently stops being
+                    scheduled.
+vm-panic            ``KernelBase.panic`` (``PANIC_REASON``) — the guest
+                    aborts at its next dispatch boundary (the SPM contains
+                    it to the VM).
+mailbox-storm       a rogue guest thread on CPU ``MAILBOX_STORM_CPU`` sends
+                    ``MAILBOX_STORM_SENDS`` messages of
+                    ``MAILBOX_STORM_BYTES`` to the primary's mailbox;
+                    single-slot BUSY flow control absorbs them.
+attestation-tamper  corrupts the stored VM image and crashes the VM, so the
+                    restart's signature verification fails (recovery
+                    degrades gracefully).
+node-failure        ``Cluster.fail(rank)`` for a ``rank<N>`` target
+                    (``NODE_FAILURE_REASON``) — host-kernel panic freezes
+                    the whole rank and the fabric partitions it (death
+                    notices to survivors). Requires a cluster-wired node.
 ==================  ========================================================
+
+A spec names only kind, target and time: every other value is one of the
+module constants above, the same for every plan. They are chosen so the
+standard resilience campaign (inject mid-run, detect, recover, finish)
+exercises each failure mode end to end.
 
 Every random choice (addresses, bits) draws from dedicated ``faults.*``
 RNG streams, so injection never perturbs any other stream's sequence —
@@ -50,17 +66,35 @@ from repro.kernels.base import KernelBase
 from repro.kernels.thread import Hypercall, Thread
 from repro.hw.gic import PPI_PHYS_TIMER
 
+#: The line and core an irq-drop loses one interrupt of.
+IRQ_DROP_LINE = PPI_PHYS_TIMER
+IRQ_DROP_CORE = 0
+#: An irq-storm: pulses of an unclaimed SPI at one core, 40 us apart.
+IRQ_STORM_LINE = 63
+IRQ_STORM_CORE = 0
+IRQ_STORM_PULSES = 150
+IRQ_STORM_GAP_PS = 40_000_000
+#: The VCPU a vcpu-stall wedges and a vcpu-crash kills the driver of.
+FAULTED_VCPU = 0
+STALL_DURATION_PS = ms(700)
+PANIC_REASON = "injected panic"
+#: The rogue guest thread of a mailbox-storm sends to the primary.
+MAILBOX_STORM_SENDS = 40
+MAILBOX_STORM_BYTES = 64
+MAILBOX_STORM_CPU = 0
+NODE_FAILURE_REASON = "injected node failure"
 
-def _rogue_sender_body(count: int, dest_vm_id: int, size_bytes: int):
+
+def _rogue_sender_body():
     """A misbehaving guest task spamming mailbox sends with no backoff."""
     sent = 0
     busy = 0
-    for i in range(count):
+    for i in range(MAILBOX_STORM_SENDS):
         res = yield Hypercall(
             "mailbox_send",
-            dest_vm_id=dest_vm_id,
+            dest_vm_id=PRIMARY_VM_ID,
             payload=("storm", i),
-            size_bytes=size_bytes,
+            size_bytes=MAILBOX_STORM_BYTES,
         )
         if res.get("ok"):
             sent += 1
@@ -161,20 +195,14 @@ class FaultInjector:
     def _do_mem_bit_flip(self, spec: FaultSpec) -> Dict[str, Any]:
         region = self._target_region(spec)
         words = region.size // 8
-        addr = spec.param("address")
-        if addr is None:
-            addr = region.base + 8 * int(self._addr_stream.integers(0, words))
-        bit = spec.param("bit")
-        if bit is None:
-            bit = int(self._addr_stream.integers(0, 64))
-        correctable = bool(spec.param("correctable", False))
-        self.machine.memmap.flip_bit(addr, bit, correctable=correctable)
+        addr = region.base + 8 * int(self._addr_stream.integers(0, words))
+        bit = int(self._addr_stream.integers(0, 64))
+        self.machine.memmap.flip_bit(addr, bit)
+        # The fault-scenario mem-bit-flip corpus cell hashes this record:
+        # the constant key stays so the GOLDEN.json digest holds.
         detail: Dict[str, Any] = {
-            "address": addr, "bit": bit, "correctable": correctable,
+            "address": addr, "bit": bit, "correctable": False,
         }
-        if correctable:
-            detail["action"] = "corrected"  # SEC-DED fixed it; nothing to do
-            return detail
         try:
             self.machine.memmap.read_word(addr, origin_vm=spec.target or None)
         except HardwareFault as fault:
@@ -184,17 +212,11 @@ class FaultInjector:
 
     def _do_bus_error(self, spec: FaultSpec) -> Dict[str, Any]:
         region = self._target_region(spec)
-        addr = spec.param("address")
-        if addr is None:
-            addr = region.base + 8 * int(
-                self._addr_stream.integers(0, region.size // 8)
-            )
+        addr = region.base + 8 * int(
+            self._addr_stream.integers(0, region.size // 8)
+        )
         try:
-            self.machine.bus.raise_bus_error(
-                addr,
-                cpu_index=spec.param("core"),
-                origin_vm=spec.target or None,
-            )
+            self.machine.bus.raise_bus_error(addr, origin_vm=spec.target or None)
         except HardwareFault as fault:
             return {
                 "address": addr,
@@ -204,55 +226,49 @@ class FaultInjector:
         return {"address": addr}  # pragma: no cover - raise_bus_error always raises
 
     def _do_irq_drop(self, spec: FaultSpec) -> Dict[str, Any]:
-        irq = int(spec.param("irq", PPI_PHYS_TIMER))
-        core = spec.param("core", 0)
-        count = int(spec.param("count", 1))
+        irq, core = IRQ_DROP_LINE, IRQ_DROP_CORE
         gic = self.machine.gic
         # Eat an in-flight pending instance if one exists; otherwise arm
-        # the distributor to lose the next assertion(s) deterministically.
+        # the distributor to lose the next assertion deterministically.
         if gic.drop_pending(irq, core):
-            count -= 1
             self.machine.trace(
                 "fault.irq_dropped", "fault-injector", irq=irq, core=core
             )
-        if count > 0:
-            gic.arm_drop_next(irq, core, count=count)
+        else:
+            gic.arm_drop_next(irq, core)
         return {"irq": irq, "core": core}
 
     def _do_irq_storm(self, spec: FaultSpec) -> Dict[str, Any]:
-        irq = int(spec.param("irq", 63))
-        core = int(spec.param("core", 0))
-        count = int(spec.param("count", 150))
-        gap_ps = int(spec.param("gap_ps", 40_000_000))
         gic = self.machine.gic
-        gic.configure(irq, target_core=core)
-        gic.enable(irq)
+        gic.configure(IRQ_STORM_LINE, target_core=IRQ_STORM_CORE)
+        gic.enable(IRQ_STORM_LINE)
         engine = self.machine.engine
-        for i in range(count):
-            engine.schedule(i * gap_ps, gic.pulse, irq)
-        return {"irq": irq, "core": core, "count": count}
+        for i in range(IRQ_STORM_PULSES):
+            engine.schedule(i * IRQ_STORM_GAP_PS, gic.pulse, IRQ_STORM_LINE)
+        return {
+            "irq": IRQ_STORM_LINE, "core": IRQ_STORM_CORE,
+            "count": IRQ_STORM_PULSES,
+        }
 
     def _do_vcpu_stall(self, spec: FaultSpec) -> Dict[str, Any]:
         kernel = self._target_kernel(spec)
-        idx = int(spec.param("vcpu", 0))
-        duration = int(spec.param("duration_ps", ms(700)))
-        kernel.stall_cpu(idx, duration)
-        return {"vcpu": idx, "duration_ps": duration}
+        kernel.stall_cpu(FAULTED_VCPU, STALL_DURATION_PS)
+        return {"vcpu": FAULTED_VCPU, "duration_ps": STALL_DURATION_PS}
 
     def _do_vcpu_crash(self, spec: FaultSpec) -> Dict[str, Any]:
-        idx = int(spec.param("vcpu", 0))
         threads = self.node.vcpu_threads(spec.target)
-        if threads is None or idx >= len(threads):
+        if not threads:
             raise ConfigurationError(
-                f"vcpu-crash: no driver thread {spec.target}#{idx}"
+                f"vcpu-crash: no driver thread {spec.target}#{FAULTED_VCPU}"
             )
+        thread = threads[FAULTED_VCPU]
         primary = self.node.kernels.get("primary") or self.node.workload_kernel
-        primary.kill_thread(threads[idx], reason="vcpu-crash")
-        return {"vcpu": idx, "thread": threads[idx].name}
+        primary.kill_thread(thread, reason="vcpu-crash")
+        return {"vcpu": FAULTED_VCPU, "thread": thread.name}
 
     def _do_vm_panic(self, spec: FaultSpec) -> Dict[str, Any]:
         kernel = self._target_kernel(spec)
-        kernel.panic(spec.param("reason", "injected panic"))
+        kernel.panic(PANIC_REASON)
         vm = self._target_vm(spec)
         if vm is not None:
             # Parked VCPUs must be rescheduled to notice the panic.
@@ -265,38 +281,40 @@ class FaultInjector:
 
     def _do_mailbox_storm(self, spec: FaultSpec) -> Dict[str, Any]:
         kernel = self._target_kernel(spec)
-        count = int(spec.param("count", 40))
-        size = int(spec.param("size_bytes", 64))
-        dest = int(spec.param("dest_vm_id", PRIMARY_VM_ID))
         rogue = Thread(
             f"fault.mbox-storm.{spec.target}",
-            _rogue_sender_body(count, dest, size),
-            cpu=int(spec.param("cpu", 0)),
+            _rogue_sender_body(),
+            cpu=MAILBOX_STORM_CPU,
             priority=100,
         )
         kernel.spawn(rogue)
-        return {"count": count, "dest_vm_id": dest}
+        return {"count": MAILBOX_STORM_SENDS, "dest_vm_id": PRIMARY_VM_ID}
 
     def _do_node_failure(self, spec: FaultSpec) -> Dict[str, Any]:
-        """Kill a whole cluster rank: host-kernel panic plus fabric
-        partition (death notices to surviving ranks). Only meaningful on
-        a node wired into a :class:`repro.cluster.node.Cluster`."""
+        """Kill the cluster rank the target names (``rank<N>``): host-kernel
+        panic plus fabric partition (death notices to surviving ranks).
+        Only meaningful on a node wired into a
+        :class:`repro.cluster.node.Cluster`."""
         cluster = getattr(self.node, "cluster", None)
         if cluster is None:
             raise ConfigurationError(
                 "node-failure targets a cluster rank, but this node is not "
                 "part of a repro.cluster Cluster"
             )
-        rank = int(spec.param("rank", 1))
-        reason = str(spec.param("reason", "injected node failure"))
-        cluster.fail(rank, reason=reason)
+        digits = spec.target[len("rank"):]
+        if not (spec.target.startswith("rank") and digits.isdigit()):
+            raise ConfigurationError(
+                f"node-failure target {spec.target!r} is not rank<N>"
+            )
+        rank = int(digits)
+        cluster.fail(rank, reason=NODE_FAILURE_REASON)
         # Wake the dead rank's idle host CPUs so the panic is reaped (and
         # its threads freeze) at the very next dispatch boundary.
         cnode = cluster.nodes[rank].node
         host = cnode.kernels.get("native") or cnode.kernels.get("primary")
         if host is not None:
             self._wake_idle_slots(host)
-        return {"rank": rank, "reason": reason}
+        return {"rank": rank, "reason": NODE_FAILURE_REASON}
 
     def _do_attestation_tamper(self, spec: FaultSpec) -> Dict[str, Any]:
         recovery = getattr(self.node, "recovery", None)
@@ -305,12 +323,9 @@ class FaultInjector:
                 "attestation-tamper needs a RecoveryManager on the node"
             )
         recovery.tamper_image(spec.target)
-        detail: Dict[str, Any] = {"tampered": spec.target}
-        if spec.param("abort", True):
-            # Crash the VM too, so a recovery is attempted — and refused
-            # when the tampered image fails signature verification.
-            fault = HardwareFault(
-                "post-tamper crash", fault_type="tamper", origin_vm=spec.target
-            )
-            detail["action"] = self._contain(spec, fault)
-        return detail
+        # Crash the VM too, so a recovery is attempted — and refused when
+        # the tampered image fails signature verification.
+        fault = HardwareFault(
+            "post-tamper crash", fault_type="tamper", origin_vm=spec.target
+        )
+        return {"tampered": spec.target, "action": self._contain(spec, fault)}

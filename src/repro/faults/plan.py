@@ -6,6 +6,10 @@ Plans are pure data: the same (seed, plan) pair always produces the same
 trace, which is what makes fault campaigns replay-deterministic and lets
 the determinism checker cover the failure paths, not just the happy path.
 
+A spec carries no parameters: how hard each kind hits (storm length,
+stall duration, IRQ line, ...) is a named constant of
+:mod:`repro.faults.injector`, the same for every plan.
+
 Randomised plans draw every choice (times, addresses, bits) from dedicated
 ``faults.*`` streams of the :class:`~repro.common.rng.RngHub`, so arming a
 fault plan never perturbs the draws of any other model component.
@@ -40,8 +44,7 @@ class FaultSpec:
 
     at_ps: int
     kind: str
-    target: str                                   # VM name ("" = machine-wide)
-    params: Tuple[Tuple[str, Any], ...] = ()      # frozen key/value pairs
+    target: str  # VM name ("" = machine-wide); "rank<N>" for node-failure
 
     def __post_init__(self):
         if self.at_ps < 0:
@@ -51,23 +54,15 @@ class FaultSpec:
                 f"unknown fault kind {self.kind!r} (known: {', '.join(FAULT_KINDS)})"
             )
 
-    def param(self, key: str, default: Any = None) -> Any:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
-
     def describe(self) -> Dict[str, Any]:
         return {
             "at_ps": self.at_ps,
             "kind": self.kind,
             "target": self.target,
-            "params": dict(self.params),
+            # The randomized-faults corpus cell hashes this dict into its
+            # report: the key stays so the GOLDEN.json digests hold.
+            "params": {},
         }
-
-
-def _freeze(params: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
-    return tuple(sorted(params.items()))
 
 
 class FaultPlan:
@@ -94,26 +89,9 @@ class FaultPlan:
     # -- construction --------------------------------------------------------
 
     @staticmethod
-    def single(
-        kind: str, target: str, at_ps: int, **params: Any
-    ) -> "FaultPlan":
-        return FaultPlan([FaultSpec(at_ps, kind, target, _freeze(params))])
-
-    @staticmethod
-    def scenario(name: str, target: str, at_ps: int) -> "FaultPlan":
-        """The canonical single-fault plan for a named scenario.
-
-        A scenario is named after the fault kind it injects, and takes
-        every parameter from the injector's defaults (``FaultInjector``'s
-        ``_do_*`` handlers). They are chosen so the standard resilience
-        campaign (inject mid-run, detect, recover, finish) exercises each
-        failure mode end to end.
-        """
-        if name not in FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown scenario {name!r} (known: {', '.join(sorted(FAULT_KINDS))})"
-            )
-        return FaultPlan.single(name, target, at_ps)
+    def single(kind: str, target: str, at_ps: int) -> "FaultPlan":
+        """A plan of one fault: `kind` hits `target` at `at_ps`."""
+        return FaultPlan([FaultSpec(at_ps, kind, target)])
 
     @staticmethod
     def randomized(
@@ -141,7 +119,7 @@ class FaultPlan:
             at = start_ps + int(gen.integers(0, max(1, window_ps)))
             kind = kinds[int(gen.integers(0, len(kinds)))]
             target = targets[int(gen.integers(0, len(targets)))]
-            faults.append(FaultSpec(at, kind, target, ()))
+            faults.append(FaultSpec(at, kind, target))
         return FaultPlan(faults)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

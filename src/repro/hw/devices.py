@@ -28,26 +28,12 @@ class Device:
 
 
 class Uart(Device):
-    """Console UART. TX completion raises its SPI (edge)."""
+    """Console UART: an MMIO region and an SPI configured at the GIC. The
+    model sends no console output, so the line never fires."""
 
-    def __init__(self, engine: Engine, gic: Gic, spi: int = 32, name: str = "uart0"):
+    def __init__(self, gic: Gic, spi: int = 32, name: str = "uart0"):
         super().__init__(name, name, spi)
-        self.engine = engine
-        self.gic = gic
-        self.tx_log: List[str] = []
         gic.configure(spi)
-
-    def transmit(self, text: str, irq: bool = True) -> None:
-        """Queue text for output; interrupt fires after the modeled TX time
-        (11.5 kB/s at 115200 baud)."""
-        self.tx_log.append(text)
-        if irq:
-            tx_ps = max(1, round(len(text) * 86.8 * 1_000_000))  # 86.8 us/char
-            self.engine.schedule(tx_ps, self.gic.pulse, self.spi, priority=PRIO_HW)
-
-    @property
-    def output(self) -> str:
-        return "".join(self.tx_log)
 
 
 class PeriodicDevice(Device):

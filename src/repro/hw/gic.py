@@ -147,17 +147,13 @@ class Gic:
         self.dropped[irq] = self.dropped.get(irq, 0) + 1
         return True
 
-    def arm_drop_next(
-        self, irq: int, core: Optional[int] = None, count: int = 1
-    ) -> None:
-        """Arm the distributor to silently lose the next `count` assertions
-        of `irq` toward its target core(s) — the deterministic variant of
+    def arm_drop_next(self, irq: int, core: Optional[int] = None) -> None:
+        """Arm the distributor to silently lose the next assertion of `irq`
+        toward its target core(s) — the deterministic variant of
         :meth:`drop_pending` for lines whose pending window is too short to
-        catch in flight."""
-        if count < 1:
-            raise ConfigurationError("arm_drop_next needs count >= 1")
+        catch in flight. Arming a line again loses one more assertion."""
         key = (self._iface(irq, core).core_id, irq)
-        self._drop_next[key] = self._drop_next.get(key, 0) + count
+        self._drop_next[key] = self._drop_next.get(key, 0) + 1
 
     def _consume_armed_drop(self, core: int, irq: int) -> bool:
         key = (core, irq)

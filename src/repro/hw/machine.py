@@ -61,7 +61,7 @@ class Machine:
         self.dram_alloc = DramAllocator(self.memmap)
         self.devices: Dict[str, Device] = {}
         if "uart0" in soc.mmio:
-            self.devices["uart0"] = Uart(self.engine, self.gic, spi=32)
+            self.devices["uart0"] = Uart(self.gic, spi=32)
         # Runtime sanitizer (REPRO_SANITIZE=1 or `repro --sanitize ...`):
         # wraps the engine with monotonic-clock/queue/reentrancy checks.
         # A shared cluster engine is wrapped once, by its first machine.

@@ -148,14 +148,15 @@ class PhysicalMemoryMap:
 
     # -- fault injection -----------------------------------------------------
 
-    def flip_bit(self, addr: int, bit: int, *, correctable: bool = False) -> int:
+    def flip_bit(self, addr: int, bit: int) -> int:
         """Flip one DRAM bit in place (fault-injection hook).
 
-        Models a radiation/Rowhammer-style upset: the stored word changes
-        and — unless ``correctable`` (SEC-DED fixes single flips silently)
-        — the word is marked poisoned, so the next ``read_word`` raises a
-        :class:`HardwareFault` with ``fault_type="ecc"``. Returns the new
-        word value."""
+        Models a radiation/Rowhammer-style upset past what SEC-DED can fix:
+        the stored word changes and is marked poisoned, so the next
+        ``read_word`` raises a :class:`HardwareFault` with
+        ``fault_type="ecc"``. The mem-bit-flip fault
+        (:mod:`repro.faults.injector`) draws ``addr`` and ``bit`` from the
+        ``faults.addr`` stream. Returns the new word value."""
         if addr % 8:
             raise ConfigurationError(f"flip_bit needs an 8-aligned address, got {addr:#x}")
         if not 0 <= bit < 64:
@@ -163,26 +164,11 @@ class PhysicalMemoryMap:
         self._check_dram(addr, 8)
         value = self._words.get(addr, 0) ^ (1 << bit)
         self._words[addr] = value
-        if not correctable:
-            self._poisoned.add(addr)
+        self._poisoned.add(addr)
         return value
 
     def is_poisoned(self, addr: int) -> bool:
         return addr in self._poisoned
-
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        """Write a byte string (addr 8-aligned; zero-padded to words)."""
-        self._check_dram(addr, max(1, len(data)))
-        for off in range(0, len(data), 8):
-            chunk = data[off : off + 8]
-            self.write_word(addr + off, int.from_bytes(chunk.ljust(8, b"\0"), "little"))
-
-    def read_bytes(self, addr: int, length: int) -> bytes:
-        self._check_dram(addr, max(1, length))
-        out = bytearray()
-        for off in range(0, length, 8):
-            out += self.read_word(addr + off).to_bytes(8, "little")
-        return bytes(out[:length])
 
 
 class DramAllocator:

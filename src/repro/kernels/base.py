@@ -646,7 +646,6 @@ class KernelBase:
             if interrupted:
                 yield from self._irq_path(slot)
         if barrier.generation != item.start_gen:
-            item.satisfied = True
             thread.current_item = None
 
     def _wait_unmasked(self, slot: CpuSlot, wait: Any) -> Generator:

@@ -119,13 +119,12 @@ class BarrierWait:
     exits: a re-entered kernel loop must not re-arrive.
     """
 
-    __slots__ = ("barrier", "arrived", "start_gen", "satisfied")
+    __slots__ = ("barrier", "arrived", "start_gen")
 
     def __init__(self, barrier: "SpinBarrier"):
         self.barrier = barrier
         self.arrived = False
         self.start_gen = -1
-        self.satisfied = False
 
 
 class SpinBarrier:

@@ -93,6 +93,22 @@ def test_node_failure_fault_composes_with_campaign():
     assert res == res2
 
 
+def test_orphan_repaired_to_a_rank_in_its_halo_exchange_is_answered():
+    # Rank 2 dies just after forwarding rank 3's coverage of superstep 0.
+    # Rank 3 re-sends it to the root, which has moved on to superstep 1's
+    # halo exchange and waits for rank 3's halo: the root must answer the
+    # orphan from there, or both wait for ever.
+    res = run_cluster(
+        "hafnium-kitten", 4, 0xC0FFEE,
+        supersteps=3,
+        step_compute_s=0.0008,
+        fail_rank=2,
+        fail_at_ms=1.0,
+    )
+    assert res["failed_ranks"] == [2]
+    assert res["completed_steps"] == 3
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_repeated_config_rejected_before_dispatch(jobs):
     with pytest.raises(ConfigurationError,

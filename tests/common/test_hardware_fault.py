@@ -68,14 +68,6 @@ class TestRaiseSites:
         assert exc.value.cpu_index == 3
         assert exc.value.fault_type == "bus"
 
-    def test_correctable_flip_does_not_poison(self):
-        m = _machine()
-        addr = m.memmap.dram.base + 64
-        m.memmap.write_word(addr, 0xAB)
-        m.memmap.flip_bit(addr, 1, correctable=True)
-        assert not m.memmap.is_poisoned(addr)
-        m.memmap.read_word(addr)  # must not raise
-
     def test_full_word_write_scrubs_poison(self):
         m = _machine()
         addr = m.memmap.dram.base + 128

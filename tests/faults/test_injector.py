@@ -31,19 +31,9 @@ class TestArming:
 
 
 class TestMemBitFlip:
-    def test_correctable_flip_is_absorbed(self):
-        node = _kitten_node()
-        plan = FaultPlan.single(
-            "mem-bit-flip", VICTIM_VM, node.engine.now + ms(1), correctable=True
-        )
-        FaultInjector(node, plan).arm()
-        node.engine.run_until(node.engine.now + ms(5))
-        vm = node.spm.vm_by_name(VICTIM_VM)
-        assert not vm.aborted
-
     def test_uncorrectable_flip_aborts_only_the_victim(self):
         node = _kitten_node()
-        plan = FaultPlan.scenario(
+        plan = FaultPlan.single(
             "mem-bit-flip", VICTIM_VM, node.engine.now + ms(1)
         )
         inj = FaultInjector(node, plan)
@@ -57,7 +47,7 @@ class TestMemBitFlip:
 
     def test_flip_lands_inside_victim_partition(self):
         node = _kitten_node()
-        plan = FaultPlan.scenario(
+        plan = FaultPlan.single(
             "mem-bit-flip", VICTIM_VM, node.engine.now + ms(1)
         )
         inj = FaultInjector(node, plan)
@@ -71,7 +61,7 @@ class TestMemBitFlip:
 class TestBusError:
     def test_bus_error_attributed_and_contained(self):
         node = _kitten_node()
-        plan = FaultPlan.scenario("bus-error", VICTIM_VM, node.engine.now + ms(1))
+        plan = FaultPlan.single("bus-error", VICTIM_VM, node.engine.now + ms(1))
         inj = FaultInjector(node, plan)
         inj.arm()
         node.engine.run_until(node.engine.now + ms(5))
@@ -101,13 +91,9 @@ class TestIrqDrop:
         assert 40 not in gic.cpu_ifaces[0].pending
         assert not gic.drop_pending(40)  # nothing left to drop
 
-    def test_arm_drop_count_validation(self):
-        with pytest.raises(ConfigurationError):
-            Gic(1).arm_drop_next(40, core=0, count=0)
-
     def test_scenario_registers_one_drop(self):
         node = _kitten_node()
-        plan = FaultPlan.scenario("irq-drop", VICTIM_VM, node.engine.now + ms(1))
+        plan = FaultPlan.single("irq-drop", VICTIM_VM, node.engine.now + ms(1))
         FaultInjector(node, plan).arm()
         node.engine.run_until(node.engine.now + ms(400))
         assert sum(node.machine.gic.dropped.values()) == 1
@@ -116,7 +102,7 @@ class TestIrqDrop:
 class TestVmPanic:
     def test_guest_panic_aborts_vm(self):
         node = _kitten_node()
-        plan = FaultPlan.scenario("vm-panic", VICTIM_VM, node.engine.now + ms(1))
+        plan = FaultPlan.single("vm-panic", VICTIM_VM, node.engine.now + ms(1))
         FaultInjector(node, plan).arm()
         node.engine.run_until(node.engine.now + ms(300))
         assert node.spm.vm_by_name(VICTIM_VM).aborted
@@ -134,7 +120,7 @@ class TestVmPanic:
             done.append(1)
 
         node.spawn_workload_threads([Thread("j", job(), cpu=0, aspace="t")])
-        plan = FaultPlan.scenario("vm-panic", "native", node.engine.now + ms(10))
+        plan = FaultPlan.single("vm-panic", "native", node.engine.now + ms(10))
         FaultInjector(node, plan).arm()
         node.engine.run_until(node.engine.now + seconds(1))
         assert done == []  # the panic interrupted the job mid-compute
@@ -147,7 +133,7 @@ class TestVcpuCrash:
 
         node = _kitten_node()
         thread = node.control_task.vcpu_threads[VICTIM_VM][0]
-        plan = FaultPlan.scenario("vcpu-crash", VICTIM_VM, node.engine.now + ms(1))
+        plan = FaultPlan.single("vcpu-crash", VICTIM_VM, node.engine.now + ms(1))
         FaultInjector(node, plan).arm()
         node.engine.run_until(node.engine.now + ms(100))
         assert thread.state is ThreadState.DEAD
@@ -155,9 +141,7 @@ class TestVcpuCrash:
 
     def test_unknown_vcpu_index_rejected(self):
         node = _kitten_node()
-        plan = FaultPlan.single(
-            "vcpu-crash", VICTIM_VM, node.engine.now + ms(1), vcpu=99
-        )
+        plan = FaultPlan.single("vcpu-crash", "no-such-vm", node.engine.now + ms(1))
         FaultInjector(node, plan).arm()
         with pytest.raises(ConfigurationError):
             node.engine.run_until(node.engine.now + ms(5))
@@ -168,20 +152,38 @@ class TestMailboxStorm:
         node = _kitten_node()
         primary_box = node.spm.mailboxes[1]
         before = primary_box.busy_rejections
-        plan = FaultPlan.single(
-            "mailbox-storm", VICTIM_VM, node.engine.now + ms(1), count=20, size_bytes=64
-        )
+        plan = FaultPlan.single("mailbox-storm", VICTIM_VM, node.engine.now + ms(1))
         FaultInjector(node, plan).arm()
         node.engine.run_until(node.engine.now + ms(500))
         assert primary_box.busy_rejections > before
         assert not node.spm.vm_by_name(VICTIM_VM).aborted
 
 
+class TestNodeFailure:
+    @staticmethod
+    def _inject(target):
+        from repro.cluster.node import Cluster
+
+        cluster = Cluster("native", 2, seed=31)
+        plan = FaultPlan.single("node-failure", target, cluster.engine.now + ms(1))
+        FaultInjector(cluster.nodes[0].node, plan).arm()
+        cluster.engine.run_until(cluster.engine.now + ms(2))
+        return cluster
+
+    def test_rank_comes_from_the_target(self):
+        assert self._inject("rank1").failed == [1]
+        assert self._inject("rank0").failed == [0]
+
+    def test_target_that_is_not_a_rank_rejected(self):
+        with pytest.raises(ConfigurationError, match="not rank<N>"):
+            self._inject("bogus")
+
+
 class TestDeterminism:
     def test_same_seed_same_injection_addresses(self):
         def run(seed):
             node = build_faults_node(scheduler="kitten", seed=seed)
-            plan = FaultPlan.scenario(
+            plan = FaultPlan.single(
                 "mem-bit-flip", VICTIM_VM, node.engine.now + ms(1)
             )
             inj = FaultInjector(node, plan)

@@ -41,7 +41,7 @@ class TestRestart:
         node, wd, rm = _resilient_node()
         completed = []
         _register_job(node, rm, completed, ops=5e9)  # outlives the fault
-        plan = FaultPlan.scenario("vm-panic", VICTIM_VM, node.engine.now + ms(10))
+        plan = FaultPlan.single("vm-panic", VICTIM_VM, node.engine.now + ms(10))
         FaultInjector(node, plan).arm()
         node.engine.run_until(node.engine.now + seconds(6))
         events = [e for e in rm.events if e["action"] == "restart"]
@@ -55,7 +55,7 @@ class TestRestart:
     def test_restarted_vm_is_monitored_again(self):
         node, wd, rm = _resilient_node()
         vm_id = node.spm.vm_by_name(VICTIM_VM).vm_id
-        plan = FaultPlan.scenario("vm-panic", VICTIM_VM, node.engine.now + ms(10))
+        plan = FaultPlan.single("vm-panic", VICTIM_VM, node.engine.now + ms(10))
         FaultInjector(node, plan).arm()
         node.engine.run_until(node.engine.now + seconds(3))
         assert not wd._suspended.get(vm_id)
@@ -65,7 +65,7 @@ class TestRestart:
 
     def test_bystander_untouched_by_recovery(self):
         node, wd, rm = _resilient_node()
-        plan = FaultPlan.scenario("vm-panic", VICTIM_VM, node.engine.now + ms(10))
+        plan = FaultPlan.single("vm-panic", VICTIM_VM, node.engine.now + ms(10))
         FaultInjector(node, plan).arm()
         node.engine.run_until(node.engine.now + seconds(3))
         bystander = node.spm.vm_by_name(BYSTANDER_VM)
@@ -76,7 +76,7 @@ class TestRestart:
 class TestTamper:
     def test_tampered_image_refuses_restart(self):
         node, wd, rm = _resilient_node()
-        plan = FaultPlan.scenario(
+        plan = FaultPlan.single(
             "attestation-tamper", VICTIM_VM, node.engine.now + ms(10)
         )
         FaultInjector(node, plan).arm()
@@ -109,7 +109,7 @@ class TestBudget:
     def test_budget_counts_successful_restarts(self):
         node, wd, rm = _resilient_node()
         for restarts in range(1, MAX_RESTARTS + 1):
-            plan = FaultPlan.scenario("vm-panic", VICTIM_VM, node.engine.now + ms(10))
+            plan = FaultPlan.single("vm-panic", VICTIM_VM, node.engine.now + ms(10))
             FaultInjector(node, plan).arm()
             node.engine.run_until(node.engine.now + seconds(3))
             assert rm.restarted[VICTIM_VM] == restarts

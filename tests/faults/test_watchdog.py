@@ -165,7 +165,7 @@ class TestInjectorDetectionChain:
             yield ComputePhase(3e9)
 
         node.kernels[VICTIM_VM].spawn(Thread("spin", spin(), cpu=0, aspace="wd"))
-        plan = FaultPlan.scenario("vcpu-stall", VICTIM_VM, node.engine.now + ms(30))
+        plan = FaultPlan.single("vcpu-stall", VICTIM_VM, node.engine.now + ms(30))
         FaultInjector(node, plan).arm()
         node.engine.run_until(node.engine.now + ms(800))
         assert any(f.kind == "stall" for f in wd.failures)

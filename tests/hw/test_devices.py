@@ -10,37 +10,13 @@ from repro.sim.engine import Engine, PRIO_HW
 
 
 class TestUart:
-    def test_transmit_logs_and_raises_irq(self):
-        eng = Engine()
+    def test_configures_its_spi(self):
         gic = Gic(4)
-        uart = Uart(eng, gic, spi=32)
-        gic.enable(32)
-        uart.transmit("hello ")
-        uart.transmit("world")
-        assert uart.output == "hello world"
-        eng.run_until(seconds(0.01))
-        assert gic.cpu_ifaces[0].peek() is not None
-
-    def test_tx_time_scales_with_length(self):
-        eng = Engine()
-        gic = Gic(4)
-        uart = Uart(eng, gic)
-        gic.enable(32)
-        uart.transmit("x" * 100)
-        # 100 chars at ~86.8 us/char: nothing before ~8 ms.
-        eng.run_until(ms(5))
-        assert gic.cpu_ifaces[0].peek() is None
-        eng.run_until(ms(10))
-        assert gic.cpu_ifaces[0].peek() is not None
-
-    def test_no_irq_mode(self):
-        eng = Engine()
-        gic = Gic(4)
-        uart = Uart(eng, gic)
-        gic.enable(32)
-        uart.transmit("quiet", irq=False)
-        eng.run_until(seconds(1))
-        assert gic.cpu_ifaces[0].peek() is None
+        uart = Uart(gic)
+        assert (uart.name, uart.mmio_region, uart.spi) == ("uart0", "uart0", 32)
+        assert gic.priority[32] == 0xA0
+        assert gic.spi_target[32] == 0
+        assert 32 not in gic.enabled
 
 
 class TestPeriodicDevice:

@@ -78,14 +78,6 @@ def test_access_straddling_dram_end(memmap):
         memmap.read_word(memmap.dram.end - 4 + 4)  # exactly at end
 
 
-@given(st.binary(min_size=0, max_size=100))
-def test_bytes_roundtrip(data):
-    memmap = PhysicalMemoryMap(PINE_A64)
-    addr = PINE_A64.dram_base + 0x2000
-    memmap.write_bytes(addr, data)
-    assert memmap.read_bytes(addr, len(data)) == data
-
-
 class TestDramAllocator:
     def test_allocations_disjoint_and_aligned(self, memmap):
         alloc = DramAllocator(memmap)

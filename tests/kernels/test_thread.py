@@ -75,7 +75,6 @@ class TestItems:
         b = SpinBarrier(Engine(), 2)
         item = BarrierWait(b)
         assert not item.arrived
-        assert not item.satisfied
 
     def test_yieldcpu_is_trivial(self):
         YieldCpu()

@@ -42,10 +42,10 @@ CELL_BUDGETS = [
      2_050),    # 1,983
     (SimJob.make("randomized-faults", config="hafnium-linux",
                  seed=SEED + 24, count=3),
-     205_000),  # 198,848
+     205_000),  # 198,844
     (SimJob.make("cluster-run", config="hafnium-linux", nodes=4, seed=SEED,
                  supersteps=3),
-     69_500),   # 67,290
+     69_500),   # 67,296
 ]
 
 
