@@ -32,8 +32,7 @@ def trace_digest(node) -> str:
     Every record contributes (time, category, subject, sorted payload), so
     any reordering, retiming, or payload drift changes the digest. The
     records are digested through :meth:`Tracer.digest_records`, which
-    hashes incrementally in batches — repeated digests of a growing trace
-    (per scenario, per sweep entry) never re-hash the prefix.
+    hashes them in bounded batches.
     """
     h = hashlib.sha256()
     engine = node.machine.engine

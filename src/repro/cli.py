@@ -346,41 +346,6 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.exec.bench import (
-        compare_bench,
-        load_bench,
-        run_bench,
-        summarize_bench,
-        write_bench,
-    )
-
-    baseline = None
-    if args.compare:
-        try:
-            baseline = load_bench(args.compare)
-        except (OSError, ValueError) as exc:
-            print(f"repro bench: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-    results = run_bench(quick=args.quick, jobs=_jobs(args))
-    path = write_bench(results, args.output or None)
-    print(f"wrote {path}")
-    print(summarize_bench(results))
-    if baseline is not None:
-        report, regressions = compare_bench(
-            results, baseline, regress_pct=args.regress_pct
-        )
-        print(report)
-        if regressions:
-            print(
-                f"bench: {len(regressions)} metric(s) regressed more than "
-                f"{args.regress_pct:g}% vs {args.compare}",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
 def _add_jobs_flag(p) -> None:
     p.add_argument(
         "--jobs", "-j", type=int, default=None,
@@ -523,28 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", type=str, default="")
     _add_jobs_flag(p)
     p.set_defaults(fn=_cmd_cluster)
-
-    p = sub.add_parser(
-        "bench",
-        help="performance benchmarks: engine events/sec, per-figure "
-        "wall-clock, and --jobs speedup; writes BENCH_<date>.json",
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="CI mode: smaller event counts, fig7/8 instead of the campaign",
-    )
-    p.add_argument(
-        "--compare", type=str, default="",
-        help="baseline BENCH_<date>.json to diff against; prints per-metric "
-        "speedups and exits 1 past --regress-pct",
-    )
-    p.add_argument(
-        "--regress-pct", type=float, default=25.0,
-        help="regression threshold for --compare, in percent (default 25)",
-    )
-    p.add_argument("--output", "-o", type=str, default="")
-    _add_jobs_flag(p)
-    p.set_defaults(fn=_cmd_bench)
 
     return parser
 

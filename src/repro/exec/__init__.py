@@ -17,8 +17,10 @@ from the parallel one. This package provides:
   *job order* (never completion order), so a parallel campaign is
   bit-identical to a serial one; a
   dead worker raises :class:`~repro.exec.runner.WorkerCrashError` naming
-  the unfinished cells instead of hanging;
-* :mod:`~repro.exec.bench` — the ``repro bench`` harness that proves it.
+  the unfinished cells instead of hanging.
+
+Its speedup is measured by ``perfbench/run.py``'s ``fault_campaign``
+workload (``exec.speedup``), not from inside the package.
 """
 
 from repro.exec.jobs import SimJob, execute_job, job_kinds

@@ -27,7 +27,6 @@ isolation contrast the paper's architecture exists to fix.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -107,24 +106,6 @@ def build_faults_node(
         config_name=f"faults-{scheduler}",
         workload_vm=VICTIM_VM,
     )
-
-
-def per_vm_digest(node, kernel_name: str) -> str:
-    """SHA-256 over the trace records attributable to one VM's kernel
-    (subjects ``<kernel_name>`` and ``<kernel_name>.*``) — the per-VM
-    event trace the containment check compares."""
-    from repro.sim.trace import record_bytes
-
-    h = hashlib.sha256()
-    dot_prefix = kernel_name + "."
-    h.update(
-        b"".join(
-            record_bytes(r) + b"\x1e"
-            for r in node.machine.tracer.records
-            if r.subject == kernel_name or r.subject.startswith(dot_prefix)
-        )
-    )
-    return h.hexdigest()
 
 
 def _spawn_jobs(
@@ -313,9 +294,10 @@ def run_containment(
             ),
             horizon_ps=horizon_ps,
         )
+        tracer = run.node.machine.tracer
         return {
-            "victim": per_vm_digest(run.node, f"kitten-{VICTIM_VM}"),
-            "bystander": per_vm_digest(run.node, f"kitten-{BYSTANDER_VM}"),
+            "victim": tracer.digest_records(f"kitten-{VICTIM_VM}"),
+            "bystander": tracer.digest_records(f"kitten-{BYSTANDER_VM}"),
             "completed": dict(sorted(run.completed.items())),
         }
 
@@ -594,19 +576,3 @@ def run_randomized_campaign(
             ),
         },
     }
-
-
-def run_smoke(seed: int = 0xC0FFEE) -> Dict[str, Any]:
-    """A small, fast, digest-stable scenario for CI and the determinism
-    sweep: vm-panic on the kitten config with a shortened timeline."""
-    result = run_scenario(
-        "hafnium-kitten",
-        "vm-panic",
-        seed=seed,
-        inject_delay_ps=ms(20),
-        horizon_ps=ms(700),
-        job_compute_s=0.04,
-    )
-    keys = ("config", "scenario", "seed", "detected", "restarts",
-            "job_survival_rate", "digest")
-    return {k: result[k] for k in keys}

@@ -117,10 +117,10 @@ class FaultInjector:
     # -- scheduling -----------------------------------------------------------
 
     def arm(self) -> None:
-        """Schedule every fault of the plan (absolute sim times)."""
+        """Schedule every fault of the plan (absolute sim times). Nothing
+        is scheduled unless every spec is valid."""
         if self._armed:
             raise ConfigurationError("fault plan already armed")
-        self._armed = True
         engine = self.machine.engine
         for spec in self.plan:
             if spec.at_ps < engine.now:
@@ -128,6 +128,13 @@ class FaultInjector:
                     f"fault {spec.kind!r} scheduled at {spec.at_ps} ps, "
                     f"but the clock is already at {engine.now} ps"
                 )
+            if spec.kind != "node-failure" and not self._names_target(spec):
+                raise ConfigurationError(
+                    f"fault {spec.kind!r} target {spec.target!r} names no VM "
+                    f"or kernel of node {self.node.config_name!r}"
+                )
+        self._armed = True
+        for spec in self.plan:
             engine.schedule_at(spec.at_ps, self._inject, spec)
 
     def _inject(self, spec: FaultSpec) -> None:
@@ -145,6 +152,13 @@ class FaultInjector:
         )
 
     # -- target resolution ----------------------------------------------------
+
+    def _names_target(self, spec: FaultSpec) -> bool:
+        """A VM of the node's SPM, a kernel of the node, or ``native`` on
+        a node without an SPM (node-failure checks its own ``rank<N>``)."""
+        if spec.target in self.node.kernels or self._target_vm(spec) is not None:
+            return True
+        return self.node.spm is None and spec.target == "native"
 
     def _target_vm(self, spec: FaultSpec) -> Optional[Vm]:
         spm = self.node.spm

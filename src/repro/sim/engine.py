@@ -165,8 +165,8 @@ class Engine:
     def _drain(self, limit: Optional[int]) -> None:
         """The hot fire loop: pop, skip tombstones, fire — all inline.
 
-        Batching tricks that pay for the structure (measured on the
-        ``repro bench`` engine churn with interleaved CPU-time rounds):
+        Batching tricks in the structure (the drain dominates
+        perfbench's ``selfish_noise`` workload):
 
         * no-arg callbacks (the overwhelmingly common case) call ``fn()``
           directly, skipping the slow ``fn(*args)`` unpacking path;

@@ -13,9 +13,9 @@ from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-#: Records serialized per hashlib update when digesting incrementally —
-#: large enough to amortize the call overhead, small enough to bound the
-#: transient join buffer.
+#: Records serialized per hashlib update when digesting — large enough to
+#: amortize the call overhead, small enough to bound the transient join
+#: buffer.
 DIGEST_BATCH = 4096
 
 
@@ -35,10 +35,9 @@ class TraceRecord:
 def record_bytes(record) -> bytes:
     """Canonical byte serialization of one record for digesting.
 
-    Any reordering, retiming, or payload drift changes the bytes; shared
-    by the incremental tracer digest, the determinism checker, and the
-    fault campaign's per-VM containment digests so they all agree on what
-    "the same trace" means.
+    Any reordering, retiming, or payload drift changes the bytes;
+    :meth:`Tracer.digest_records` is the one place that hashes them, for
+    whole-trace and per-subject digests alike.
     """
     return repr(
         (record.time, record.category, record.subject, sorted(record.data.items()))
@@ -50,38 +49,34 @@ class Tracer:
 
     def __init__(self) -> None:
         self.records: List[TraceRecord] = []
-        # Incremental digest state: records up to `_digested` are already
-        # folded into `_digest`, so repeated digest queries only hash the
-        # suffix appended since the previous call.
-        self._digest = hashlib.sha256()
-        self._digested = 0
 
     def emit(self, time: int, category: str, subject: str, **data: Any) -> None:
         self.records.append(TraceRecord(time, category, subject, data))
 
-    def digest_records(self) -> str:
-        """SHA-256 over every record so far, hashed incrementally.
+    def digest_records(self, subject: Optional[str] = None) -> str:
+        """SHA-256 over every record so far, or only over those whose
+        subject is ``subject`` or starts with ``subject + "."``.
 
-        Records already folded in are never re-serialized: each call
-        batches only the suffix appended since the last call into
-        ``DIGEST_BATCH``-record hash updates. Digesting a trace N times
-        over its lifetime (per-scenario, per-sweep-entry, ...) is therefore
-        O(records) total instead of O(N * records).
+        Each record is serialized with a terminator and hashed in
+        ``DIGEST_BATCH``-record updates, so the join buffer stays bounded
+        and the digest does not depend on where batches fall.
         """
         records = self.records
-        end = len(records)
-        for start in range(self._digested, end, DIGEST_BATCH):
-            # Per-record terminator (not a join) so the byte stream — and
-            # hence the digest — is independent of where batch boundaries
-            # fall across calls.
-            self._digest.update(
+        if subject is not None:
+            dot_prefix = subject + "."
+            records = [
+                r for r in records
+                if r.subject == subject or r.subject.startswith(dot_prefix)
+            ]
+        h = hashlib.sha256()
+        for start in range(0, len(records), DIGEST_BATCH):
+            h.update(
                 b"".join(
                     record_bytes(r) + b"\x1e"
                     for r in records[start:start + DIGEST_BATCH]
                 )
             )
-        self._digested = end
-        return self._digest.copy().hexdigest()
+        return h.hexdigest()
 
     # -- queries -----------------------------------------------------------
 

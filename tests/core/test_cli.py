@@ -21,7 +21,6 @@ def test_parser_has_all_commands():
         "lint",
         "check-golden",
         "faults",
-        "bench",
         "cluster",
     }
 
@@ -69,7 +68,7 @@ def test_extension_commands_identical_across_jobs(capsys, argv):
 @pytest.mark.parametrize("argv", [
     *([cmd, "--jobs", "0"] for cmd in (
         "selfish", "memory", "npb", "irq-routing", "interference",
-        "campaign", "check-golden", "bench", "faults", "cluster",
+        "campaign", "check-golden", "faults", "cluster",
     )),
     ["memory", "--trials", "0"],
     ["selfish", "--duration", "-1"],

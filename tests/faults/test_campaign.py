@@ -13,7 +13,6 @@ from repro.faults.campaign import (
     run_forced_abort,
     run_resilience,
     run_scenario,
-    run_smoke,
     scenarios_for,
 )
 
@@ -179,11 +178,21 @@ class TestAvailabilityMetrics:
 
 
 class TestReplayDeterminism:
+    @staticmethod
+    def short_vm_panic(seed):
+        return run_scenario(
+            "hafnium-kitten", "vm-panic", seed=seed,
+            inject_delay_ps=ms(20), horizon_ps=ms(700), job_compute_s=0.04,
+        )
+
     def test_smoke_digest_stable(self):
-        a = run_smoke(seed=SEED)
-        b = run_smoke(seed=SEED)
+        a = self.short_vm_panic(SEED)
+        b = self.short_vm_panic(SEED)
         assert a["digest"] == b["digest"]
         assert a["detected"] and a["restarts"] == 1
 
     def test_smoke_digest_varies_with_seed(self):
-        assert run_smoke(seed=SEED)["digest"] != run_smoke(seed=SEED + 1)["digest"]
+        assert (
+            self.short_vm_panic(SEED)["digest"]
+            != self.short_vm_panic(SEED + 1)["digest"]
+        )

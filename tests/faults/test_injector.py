@@ -6,7 +6,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.units import ms, seconds, us
 from repro.faults.campaign import VICTIM_VM, build_faults_node
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.hw.gic import Gic
 
 
@@ -28,6 +28,24 @@ class TestArming:
         inj = FaultInjector(node, FaultPlan.single("vm-panic", VICTIM_VM, 0))
         with pytest.raises(ConfigurationError):
             inj.arm()
+
+    @pytest.mark.parametrize("kind, target", [
+        ("vm-panic", "bogus"),
+        ("mem-bit-flip", "bogus"),
+        ("vm-panic", "native"),  # native names a node without an SPM
+    ])
+    def test_target_that_names_nothing_rejected(self, kind, target):
+        """Refused before anything is scheduled: the valid fault listed
+        beside the bad one never fires either."""
+        node = _kitten_node()
+        t = node.engine.now + ms(1)
+        plan = FaultPlan([FaultSpec(t, kind, VICTIM_VM), FaultSpec(t, kind, target)])
+        inj = FaultInjector(node, plan)
+        with pytest.raises(ConfigurationError, match=f"'{target}'"):
+            inj.arm()
+        node.engine.run_until(node.engine.now + ms(5))
+        assert inj.injections == []
+        assert not any(k.shutdown for k in node.kernels.values())
 
 
 class TestMemBitFlip:
@@ -141,9 +159,10 @@ class TestVcpuCrash:
 
     def test_unknown_vcpu_index_rejected(self):
         node = _kitten_node()
-        plan = FaultPlan.single("vcpu-crash", "no-such-vm", node.engine.now + ms(1))
+        # The primary is a VM of the node but has no driver threads.
+        plan = FaultPlan.single("vcpu-crash", "primary", node.engine.now + ms(1))
         FaultInjector(node, plan).arm()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="no driver thread"):
             node.engine.run_until(node.engine.now + ms(5))
 
 

@@ -1,8 +1,10 @@
 """Tracer recording, filtering, counting and array queries."""
 
+import hashlib
+
 import numpy as np
 
-from repro.sim.trace import Tracer
+from repro.sim.trace import DIGEST_BATCH, Tracer, record_bytes
 
 
 def test_emit_and_filter():
@@ -41,3 +43,30 @@ def test_empty_queries():
     tr = Tracer()
     assert len(tr.times("nothing")) == 0
     assert list(iter(tr)) == []
+
+
+def _reference_digest(records):
+    return hashlib.sha256(
+        b"".join(record_bytes(r) + b"\x1e" for r in records)
+    ).hexdigest()
+
+
+def test_digest_matches_one_join_over_batch_boundaries():
+    """Hashing in DIGEST_BATCH updates gives the digest of one join over
+    the whole trace, on every call and after the trace grows."""
+    tr = Tracer()
+    subjects = ("k", "k.cpu0", "kx", "other.k", "k.cpu1.vcpu")
+    for t in range(DIGEST_BATCH + 37):
+        tr.emit(t, "ev", subjects[t % len(subjects)], n=t, b=-t)
+    first = tr.digest_records()
+    assert first == _reference_digest(tr.records)
+    assert tr.digest_records() == first
+    for t in range(DIGEST_BATCH):
+        tr.emit(10**6 + t, "late", "k.cpu0", n=t)
+    grown = tr.digest_records()
+    assert grown == _reference_digest(tr.records) != first
+
+    mine = [r for r in tr.records if r.subject == "k" or r.subject.startswith("k.")]
+    assert len(mine) > DIGEST_BATCH
+    assert tr.digest_records("k") == _reference_digest(mine)
+    assert tr.digest_records("nobody") == _reference_digest([])
